@@ -9,21 +9,13 @@ at desk scale.
 from .codes import (
     CanonicalGenerators,
     SemisimpleCode,
-    canonical_generators,
-    cardinality,
     code_from_exponents,
     code_from_generators,
-    contains,
     enumerate_codes,
-    is_hensel_lift,
 )
 from .decompose import (
     ClassData,
     Decomposition,
-    class_polynomials,
-    component_ring,
-    compute_h,
-    compute_idempotents,
     decompose,
 )
 from .distance import (
@@ -31,7 +23,6 @@ from .distance import (
     distance_bound,
     hensel_lift_distance_check,
     min_distance,
-    socle,
 )
 from .duality import (
     build_nontrivial_selfdual,
@@ -86,7 +77,6 @@ from .rings import (
     ring_from_json,
     ring_to_json,
     ring_trace,
-    teichmuller_set,
 )
 
 __version__ = "0.1.0"

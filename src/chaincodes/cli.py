@@ -42,15 +42,39 @@ def _ambient_from_args(args):
     return Ambient(ring, moduli)
 
 
+def _exponent_map(text):
+    """--exponents: a list of exponents in class order, or of
+    [representative, exponent] pairs (a dict keyed by representative)."""
+    raw = json.loads(text)
+    if not isinstance(raw, list):
+        raise DomainError("an exponent map must be a JSON list")
+    if all(isinstance(x, int) for x in raw):
+        return raw
+    table = {}
+    for entry in raw:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int)):
+            raise DomainError(f"exponent map entry {entry!r} is not [representative, exponent]")
+        table[_rep_key(entry[0])] = entry[1]
+    return table
+
+
+def _rep_key(rep):
+    """A class representative: a list of root labels, each an int
+    (abelian ambients) or a list of int coordinates."""
+    if isinstance(rep, list):
+        key = tuple(tuple(x) if isinstance(x, list) else x for x in rep)
+        if all(
+            isinstance(x, int) or (isinstance(x, tuple) and all(isinstance(c, int) for c in x))
+            for x in key
+        ):
+            return key
+    raise DomainError(f"bad class representative {rep!r}")
+
+
 def _code_from_args(args, ambient):
     if getattr(args, "exponents", None):
-        raw = json.loads(args.exponents)
-        if all(isinstance(x, int) for x in raw):
-            return codes_mod.code_from_exponents(ambient, raw, seed=args.seed)
-        table = {}
-        for rep, j in raw:
-            table[tuple(rep)] = j
-        return codes_mod.code_from_exponents(ambient, table, seed=args.seed)
+        exps = _exponent_map(args.exponents)
+        return codes_mod.code_from_exponents(ambient, exps, seed=args.seed)
     if getattr(args, "gens", None):
         gens = [ambient.parse(s) for s in args.gens]
         return codes_mod.code_from_generators(ambient, gens, seed=args.seed)
@@ -78,7 +102,7 @@ def _cmd_classes(args):
     dec = decompose(ambient, seed=args.seed)
     out = {
         "count": dec.class_count,
-        "classes": [cd.cls.to_json() for cd in dec.data],
+        "classes": [cls.to_json() for cls in dec.classes],
     }
     if args.full:
         out["class_data"] = [cd.to_json(ambient) for cd in dec.data]

@@ -58,7 +58,7 @@ class SemisimpleCode:
 
     def __repr__(self):
         pairs = ", ".join(
-            f"{cd.cls.rep}:{j}" for cd, j in zip(self.dec.data, self.exps)
+            f"{cls.rep}:{j}" for cls, j in zip(self.dec.classes, self.exps)
         )
         return f"SemisimpleCode({pairs})"
 
@@ -68,7 +68,7 @@ class SemisimpleCode:
         """|K| = q^(sum over classes of (t - j_C)|C|)."""
         ring = self.ambient.ring
         digits = sum(
-            (ring.t - j) * cd.cls.size for cd, j in zip(self.dec.data, self.exps)
+            (ring.t - j) * cls.size for cls, j in zip(self.dec.classes, self.exps)
         )
         return ring.q**digits
 
@@ -127,7 +127,7 @@ class SemisimpleCode:
         """The image code in the residue quotient (a t = 1 code), or None."""
         if all(j > 0 for j in self.exps):
             return None
-        rdec = decompose(self.ambient.residue_ambient)
+        rdec = decompose(self.ambient.residue_ambient, seed=self.dec.seed)
         _check_aligned(self.dec, rdec)
         return SemisimpleCode(rdec, tuple(0 if j == 0 else 1 for j in self.exps))
 
@@ -136,7 +136,7 @@ class SemisimpleCode:
         if self.is_zero():
             raise DomainError("the zero code has no residue distance carrier")
         t = self.ambient.ring.t
-        rdec = decompose(self.ambient.residue_ambient)
+        rdec = decompose(self.ambient.residue_ambient, seed=self.dec.seed)
         _check_aligned(self.dec, rdec)
         return SemisimpleCode(rdec, tuple(0 if j < t else 1 for j in self.exps))
 
@@ -158,8 +158,8 @@ class SemisimpleCode:
 
         out = {
             "exponents": [
-                [[enc(x) for x in cd.cls.rep], j]
-                for cd, j in zip(self.dec.data, self.exps)
+                [[enc(x) for x in cls.rep], j]
+                for cls, j in zip(self.dec.classes, self.exps)
             ],
             "cardinality": str(self.cardinality()),
         }
@@ -175,7 +175,7 @@ def _same_ambient(a, b):
 
 def _check_aligned(dec, rdec):
     # classes of the residue ambient coincide with the ring-level classes
-    if [cd.cls.rep for cd in dec.data] != [cd.cls.rep for cd in rdec.data]:
+    if [cls.rep for cls in dec.classes] != [cls.rep for cls in rdec.classes]:
         raise DomainError("residue ambient classes are misaligned")  # pragma: no cover
 
 
@@ -195,12 +195,12 @@ def code_from_exponents(ambient, exps, seed=0):
                 key = (key,)
             table[tuple(key)] = j
         ordered = []
-        for cd in dec.data:
-            key = enc_key(cd.cls.rep)
+        for cls in dec.classes:
+            key = enc_key(cls.rep)
             if key not in table:
                 raise DomainError(f"missing exponent for class {key}")
             ordered.append(table[key])
-        if len(table) != len(dec.data):
+        if len(table) != dec.class_count:
             raise DomainError("exponent map names an unknown class")
         exps = ordered
     return SemisimpleCode(dec, exps)
@@ -232,18 +232,3 @@ def enumerate_codes(ambient, seed=0):
     for exps in itertools.product(range(t + 1), repeat=dec.class_count):
         yield SemisimpleCode(dec, exps)
 
-
-def cardinality(code):
-    return code.cardinality()
-
-
-def contains(code, f):
-    return code.contains(f)
-
-
-def canonical_generators(code):
-    return code.generators()
-
-
-def is_hensel_lift(code):
-    return code.is_hensel_lift()

@@ -16,15 +16,22 @@ For each cyclotomic class the decomposition records:
 The component ring R[X_1,...,X_r]/<q_1, z_2, ..., z_r> is realized as the
 iterated extension tower, so its chain-ring arithmetic comes for free.
 
-Idempotents are computed from the residue CRT (e-bar = h-bar^(q^|C| - 1)),
-lifted, and made exactly orthogonal by multiplying each lift with the
-complements of all the others; the corrected family consists of orthogonal
-idempotents summing to one, which is asserted after construction.
+Each idempotent e_C is the lift of its residue e-bar = h-bar^(q^|C| - 1).
+An idempotent lifts uniquely modulo the nilpotent radical, so the product
+of two lifts is an idempotent with zero residue, which is 0: the lifts are
+orthogonal as they stand and need no correction.  That they are idempotent,
+orthogonal and sum to one is still checked whenever the class data is built.
+
+The stages -- classes, lifted factorizations, class data with h_C and e_C,
+and the cofactors g_C -- are computed on first use; only the splitting data
+is built with the decomposition, so a caller that needs the lifted
+factorizations alone never computes an idempotent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 from .factor import cyclotomic_classes, factor_squarefree, splitting_data
@@ -91,8 +98,32 @@ class ClassData:
     sigma_polys: list  # Hensel lift of pi_v
     tower: list  # R(mu_1), R(mu_1,mu_2), ..., R(mu_1..mu_r)
     h: object  # MPoly
-    e: object = None  # primitive idempotent, filled by Decomposition
-    g: object = None  # cofactor with g*h == e
+
+    @cached_property
+    def e(self):
+        """The primitive idempotent: the lift of h-bar^(q^|C| - 1)."""
+        A = self.h.ambient
+        ebar = self.h.residue() ** (A.ring.q**self.cls.size - 1)
+        if A.ring.t == 1:
+            return ebar
+        return lift_idempotent(ebar.lift_to(A))
+
+    @cached_property
+    def g(self):
+        """The cofactor with g * h == e, by Newton iteration on the component."""
+        A = self.h.ambient
+        qc = A.ring.q**self.cls.size
+        hbar = self.h.residue()
+        ebar = self.e.residue()
+        vbar = ebar * hbar ** (qc - 2) if qc > 2 else ebar
+        v = vbar.lift_to(A) * self.e if A.ring.t > 1 else vbar
+        two_e = self.e + self.e
+        for _ in range(A.ring.t.bit_length() + 1):
+            prod = self.h * v
+            if prod == self.e:
+                return v
+            v = v * (two_e - prod)
+        raise DomainError("cofactor iteration did not converge")  # pragma: no cover
 
     @property
     def degrees(self):
@@ -169,26 +200,51 @@ def _poly_over_tower_to_mpoly(f, base, ambient, var):
 
 
 class Decomposition:
-    """Classes, class data and idempotents of one semisimple ambient."""
+    """Classes, class data and idempotents of one semisimple ambient.
+
+    Only the splitting data is built here; every later stage is computed
+    when it is first read.
+    """
 
     def __init__(self, ambient, seed=0):
         if not ambient.semisimple:
             raise DomainError("cannot decompose a non-semisimple ambient")
         self.ambient = ambient
+        self.seed = seed
         self.splitting = splitting_data(ambient, seed=seed)
-        self.classes = cyclotomic_classes(ambient, self.splitting, seed=seed)
-        self.lifted_factorizations = self._lift_moduli(seed)
-        self.data = [self._build_class(cls) for cls in self.classes]
-        self._attach_idempotents()
+
+    @cached_property
+    def classes(self):
+        """The cyclotomic classes in canonical order."""
+        return cyclotomic_classes(self.ambient, self.splitting, seed=self.seed)
+
+    @cached_property
+    def lifted_factorizations(self):
+        """The Hensel lift of each modulus's residue factorization."""
+        return [
+            lift_factorization(modulus, factors)
+            for modulus, factors in zip(self.ambient.moduli, self.splitting.factor_lists)
+        ]
+
+    @cached_property
+    def data(self):
+        """Class data in canonical class order; checks the idempotent family."""
+        data = [self._build_class(cls) for cls in self.classes]
+        A = self.ambient
+        total = A.zero()
+        for cd in data:
+            if cd.e * cd.e != cd.e:  # pragma: no cover
+                raise DomainError("lifted class idempotent is not idempotent")
+            total = total + cd.e
+        if total != A.one():  # pragma: no cover
+            raise DomainError("idempotents do not sum to one")
+        for i, ci in enumerate(data):
+            for cj in data[i + 1 :]:
+                if not (ci.e * cj.e).is_zero():  # pragma: no cover
+                    raise DomainError("idempotents are not orthogonal")
+        return data
 
     # -- construction ---------------------------------------------------------
-
-    def _lift_moduli(self, seed):
-        out = []
-        for v, modulus in enumerate(self.ambient.moduli):
-            residue_factors = self.splitting.factor_lists[v]
-            out.append(lift_factorization(modulus, residue_factors))
-        return out
 
     def _build_class(self, cls, rep=None):
         A = self.ambient
@@ -276,59 +332,6 @@ class Decomposition:
             h=h,
         )
 
-    def _attach_idempotents(self):
-        A = self.ambient
-        q = A.ring.q
-        one = A.one()
-
-        raw = []
-        for cd in self.data:
-            hbar = cd.h.residue()
-            ebar = hbar ** (q**cd.cls.size - 1)
-            if A.ring.t == 1:
-                raw.append(ebar)
-            else:
-                raw.append(lift_idempotent(ebar.lift_to(A)))
-
-        for idx, cd in enumerate(self.data):
-            e = raw[idx]
-            for jdx, other in enumerate(raw):
-                if jdx != idx:
-                    e = e * (one - other)
-            cd.e = e
-
-        total = A.zero()
-        for cd in self.data:
-            if cd.e * cd.e != cd.e:  # pragma: no cover
-                raise DomainError("idempotent correction failed")
-            total = total + cd.e
-        if total != one:  # pragma: no cover
-            raise DomainError("idempotents do not sum to one")
-        for i, ci in enumerate(self.data):
-            for cj in self.data[i + 1 :]:
-                if not (ci.e * cj.e).is_zero():  # pragma: no cover
-                    raise DomainError("idempotents are not orthogonal")
-
-        for cd in self.data:
-            cd.g = self._solve_cofactor(cd)
-
-    def _solve_cofactor(self, cd):
-        """g with g * h == e, by Newton iteration on the component."""
-        A = self.ambient
-        q = A.ring.q
-        qc = q**cd.cls.size
-        hbar = cd.h.residue()
-        ebar = cd.e.residue()
-        vbar = ebar * hbar ** (qc - 2) if qc > 2 else ebar
-        v = vbar.lift_to(A) * cd.e if A.ring.t > 1 else vbar
-        two_e = cd.e + cd.e
-        for _ in range(A.ring.t.bit_length() + 1):
-            prod = cd.h * v
-            if prod == cd.e:
-                return v
-            v = v * (two_e - prod)
-        raise DomainError("cofactor iteration did not converge")  # pragma: no cover
-
     # -- queries --------------------------------------------------------------
 
     @property
@@ -349,29 +352,9 @@ class Decomposition:
 
 
 def decompose(ambient, seed=0):
-    """The cached decomposition of an ambient."""
-    cached = getattr(ambient, "_decomposition", None)
-    if cached is None:
-        cached = Decomposition(ambient, seed=seed)
-        ambient._decomposition = cached
-    return cached
-
-
-def class_polynomials(cls_index, decomposition):
-    """Field-level (p, w, pi) family of one class."""
-    cd = decomposition.data[cls_index]
-    return cd.p_polys, cd.w_polys, cd.pi_polys
-
-
-def compute_h(cls_index, decomposition):
-    return decomposition.data[cls_index].h
-
-
-def compute_idempotents(ambient, seed=0):
-    """class -> (e_C, g_C) in canonical class order."""
-    dec = decompose(ambient, seed=seed)
-    return [(cd.e, cd.g) for cd in dec.data]
-
-
-def component_ring(cls_index, decomposition):
-    return decomposition.data[cls_index].component_ring
+    """The cached decomposition of an ambient for one factorization seed."""
+    cache = ambient.__dict__.setdefault("_decompositions", {})
+    dec = cache.get(seed)
+    if dec is None:
+        dec = cache[seed] = Decomposition(ambient, seed=seed)
+    return dec

@@ -25,11 +25,6 @@ DEFAULT_BUDGET = 2**24
 DistanceCheck = namedtuple("DistanceCheck", "distance residue_distance equal")
 
 
-def socle(code):
-    """{c in K : a c = 0}, as a semisimple code over the same ring."""
-    return code.socle()
-
-
 def min_distance(code, budget=DEFAULT_BUDGET):
     """Exact minimum distance, via the residue carrier code."""
     if code.is_zero():
@@ -134,7 +129,7 @@ def distance_bound(code, budget=DEFAULT_BUDGET):
         raise DomainError("the zero code has no distance bound")
     t = A.ring.t
     Abar = A.residue_ambient
-    rdec = decompose(Abar)
+    rdec = decompose(Abar, seed=code.dec.seed)
     field = Abar.ring
 
     defining = [i for i, j in enumerate(code.exps) if j < t]

@@ -27,12 +27,12 @@ def inverse_class_map(dec):
     if es is None:
         raise DomainError("class inversion requires an abelian ambient")
     lookup = {}
-    for idx, cd in enumerate(dec.data):
-        for mu in cd.cls.members:
+    for idx, cls in enumerate(dec.classes):
+        for mu in cls.members:
             lookup[mu] = idx
     out = []
-    for cd in dec.data:
-        inv = tuple((-a) % e for a, e in zip(cd.cls.rep, es))
+    for cls in dec.classes:
+        inv = tuple((-a) % e for a, e in zip(cls.rep, es))
         out.append(lookup[inv])
     out = tuple(out)
     dec._inverse_map = out
@@ -56,7 +56,7 @@ def dual(code, check_generator_form=True):
         for i in range(1, t):
             gens.append(gs[t + 1 - i].tau() * apow)
             apow = apow * A.ring.a
-        alt = code_from_generators(A, gens)
+        alt = code_from_generators(A, gens, seed=dec.seed)
         if alt != out:  # pragma: no cover
             raise DomainError("generator-form dual disagrees with the exponent rule")
     return out
@@ -67,7 +67,7 @@ def dual_cardinality(code):
     ring = code.ambient.ring
     if code.ambient.exponents is None:
         raise DomainError("dual cardinality requires an abelian ambient")
-    digits = sum(j * cd.cls.size for cd, j in zip(code.dec.data, code.exps))
+    digits = sum(j * cls.size for cls, j in zip(code.dec.classes, code.exps))
     return ring.q**digits
 
 

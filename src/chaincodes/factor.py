@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import DomainError
-from .polys import Poly, is_irreducible, pow_mod, poly_gcd
+from .polys import Poly, pow_mod, poly_gcd, prime_factors, smallest_irreducible
 from .rings import ExtensionRing, IntegerModRing, default_modulus
 
 
@@ -150,35 +150,16 @@ def _splitting_field(base_field, M):
         return base_field
     # deterministic minimal-rank irreducible of degree M over F_q
     if isinstance(base_field, IntegerModRing):
-        return ExtensionRing(
-            base_field, Poly.from_ints(base_field, default_modulus(base_field.p, M))
-        )
-    for rank in range(base_field.size**M):
-        coeffs = []
-        r = rank
-        for _ in range(M):
-            coeffs.append(base_field.from_rank(r % base_field.size))
-            r //= base_field.size
-        cand = Poly(base_field, coeffs + [base_field.one])
-        if is_irreducible(cand):
-            return ExtensionRing(base_field, cand)
-    raise DomainError(f"no irreducible of degree {M} over {base_field}")  # pragma: no cover
+        modulus = Poly.from_ints(base_field, default_modulus(base_field.p, M))
+    else:
+        modulus = smallest_irreducible(base_field, M)
+    return ExtensionRing(base_field, modulus)
 
 
 def _multiplicative_generator(field):
     """Deterministic generator of the cyclic group field^*."""
     order = field.size - 1
-    primes = []
-    n = order
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
+    primes = prime_factors(order)
     for r in range(1, field.size):
         g = field.from_rank(r)
         if g.is_zero():

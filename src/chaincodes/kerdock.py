@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .polys import Ambient, Poly
+from .polys import Ambient, Poly, prime_factors, smallest_irreducible
 from .rings import ExtensionRing, default_modulus, ring_construct, ring_trace
 
 
@@ -50,7 +50,8 @@ def kerdock_instance(q=2, m=3):
     if lpow == 1:
         modulus = Poly.from_ints(R, default_modulus(2, m))
     else:
-        modulus = _basic_irreducible(R, m)
+        # a monic lift of an irreducible residue is basic irreducible
+        modulus = smallest_irreducible(R.residue_field, m).map_coeffs(R.lift, R)
     S = ExtensionRing(R, modulus)
 
     tau = q**m - 1
@@ -64,36 +65,9 @@ def kerdock_instance(q=2, m=3):
     )
 
 
-def _basic_irreducible(R, m):
-    """A monic degree-m polynomial over R with irreducible residue."""
-    from .polys import is_irreducible
-
-    fq = R.residue_field
-    for rank in range(fq.size**m):
-        coeffs = []
-        r = rank
-        for _ in range(m):
-            coeffs.append(fq.from_rank(r % fq.size))
-            r //= fq.size
-        cand = Poly(fq, coeffs + [fq.one])
-        if is_irreducible(cand):
-            return cand.map_coeffs(R.lift, R)
-    raise DomainError(f"no degree-{m} irreducible over {fq}")  # pragma: no cover
-
-
 def _teichmuller_generator(S, tau):
     nonzero = [g for g in S.teichmuller_set() if not g.is_zero()]
-    primes = set()
-    n = tau
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.add(n)
+    primes = prime_factors(tau)
     for g in nonzero:
         if g**tau == S.one and all(g ** (tau // p) != S.one for p in primes):
             return g

@@ -251,7 +251,8 @@ def pow_mod(f, e, mod):
     return result
 
 
-def _prime_factors(n):
+def prime_factors(n):
+    """The distinct prime factors of n, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -281,11 +282,28 @@ def is_irreducible(f):
     h = pow_mod(x, q**d, f)
     if h != x % f:
         return False
-    for ell in _prime_factors(d):
+    for ell in prime_factors(d):
         h = pow_mod(x, q ** (d // ell), f)
         if poly_gcd(h - x, f).degree != 0:
             return False
     return True
+
+
+def smallest_irreducible(field, degree):
+    """The monic irreducible of the given degree over a field whose lower
+    coefficients, read as base-|F| digits (constant term first), have the
+    smallest rank."""
+    size = field.size
+    for rank in range(size**degree):
+        coeffs = []
+        r = rank
+        for _ in range(degree):
+            coeffs.append(field.from_rank(r % size))
+            r //= size
+        cand = Poly(field, coeffs + [field.one])
+        if is_irreducible(cand):
+            return cand
+    raise DomainError(f"no irreducible of degree {degree} over {field}")  # pragma: no cover
 
 
 def poly_to_text(f, var_names=None):
@@ -340,12 +358,16 @@ def parse_poly_text(text, ring, nvars=1):
             if not factor:
                 raise DomainError(f"malformed term in {text!r}")
             if factor[0].isdigit():
+                if not factor.isdecimal():
+                    raise DomainError(f"bad coefficient {factor!r} in {text!r}")
                 coeff *= int(factor)
                 continue
             namepart = factor
             power = 1
             if "^" in factor:
                 namepart, ppart = factor.split("^", 1)
+                if not ppart.isdecimal():
+                    raise DomainError(f"bad exponent {ppart!r} in {text!r}")
                 power = int(ppart)
             idx = _var_index(namepart, nvars)
             exps[idx] += power
@@ -473,6 +495,8 @@ class Ambient:
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Ambient) and self.key() == other.key()
 
     def __hash__(self):
@@ -612,6 +636,11 @@ class Ambient:
         return self._tau_perm
 
 
+def _check_same_ambient(f, g):
+    if f.ambient is not g.ambient and f.ambient != g.ambient:
+        raise DomainError("polynomials live in different ambients")
+
+
 class MPoly:
     """A residue class in an `Ambient`, always in normal form."""
 
@@ -623,6 +652,7 @@ class MPoly:
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
+            _check_same_ambient(self, other)
             return other
         if isinstance(other, int):
             return self.ambient.constant(self.ambient.ring.from_int(other))
@@ -650,6 +680,7 @@ class MPoly:
             else:
                 c = other
             return MPoly(self.ambient, [a * c for a in self.coeffs])
+        _check_same_ambient(self, other)
         amb = self.ambient
         acc = [amb.ring.zero] * amb.n
         for ra, ca in enumerate(self.coeffs):

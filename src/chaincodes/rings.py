@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .polys import Poly, is_irreducible
+from .polys import Poly, is_irreducible, smallest_irreducible
 
 
 class RingElem:
@@ -610,29 +610,27 @@ def default_modulus(p, degree):
     hit = _IRREDUCIBLE_TABLE.get((p, degree))
     if hit is not None:
         return hit
-    field = IntegerModRing(p, 1)
-    for rank in range(p**degree):
-        coeffs = []
-        r = rank
-        for _ in range(degree):
-            coeffs.append(r % p)
-            r //= p
-        f = Poly.from_ints(field, coeffs + [1])
-        if is_irreducible(f):
-            return tuple(coeffs + [1])
-    raise DomainError(f"no irreducible of degree {degree} over GF({p})")  # pragma: no cover
+    f = smallest_irreducible(IntegerModRing(p, 1), degree)
+    return tuple(c.data for c in f.coeffs)
 
 
 def ring_construct(desc):
     """Build a chain ring from a `ChainRingDesc` (or an equivalent dict)."""
     if isinstance(desc, dict):
-        desc = ChainRingDesc(
-            kind=desc["kind"],
-            p=int(desc["p"]),
-            t=int(desc["t"]),
-            l=int(desc.get("l", 1)),
-            modulus=tuple(desc["modulus"]) if desc.get("modulus") else None,
-        )
+        try:
+            desc = ChainRingDesc(
+                kind=desc["kind"],
+                p=int(desc["p"]),
+                t=int(desc["t"]),
+                l=int(desc.get("l", 1)),
+                modulus=tuple(int(c) for c in desc["modulus"]) if desc.get("modulus") else None,
+            )
+        except KeyError as exc:
+            raise DomainError(f"ring descriptor has no {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"bad ring descriptor: {exc}") from None
+    elif not isinstance(desc, ChainRingDesc):
+        raise DomainError("a ring descriptor must be a JSON object")
     if desc.kind not in ("galois", "truncated"):
         raise DomainError(f"unknown ring kind {desc.kind!r}")
     if not _is_prime(desc.p):
@@ -682,10 +680,6 @@ def FiniteField(p, l=1, modulus=None):
 def extend_ring(ring, modulus):
     """S = ring[Z]/(modulus) for monic `modulus` with irreducible residue."""
     return ExtensionRing(ring, modulus)
-
-
-def teichmuller_set(ring):
-    return ring.teichmuller_set()
 
 
 def frobenius_lift(ring, x, q=None):

@@ -20,7 +20,6 @@ from chaincodes import (
     kerdock_demo,
     min_distance,
     nontrivial_selfdual_exists,
-    socle,
     trivial_selfdual,
 )
 from chaincodes.cli import main as cli_main
@@ -187,8 +186,8 @@ def test_criterion_8_distance(amb_x7, amb_x3y3, amb_z9, capsys):
             if C.is_zero():
                 continue
             d = min_distance(C)
-            assert d == min_distance(socle(C))
-            assert d == distance_bruteforce(span_of_code(socle(C)))
+            assert d == min_distance(C.socle())
+            assert d == distance_bruteforce(span_of_code(C.socle()))
             assert distance_bound(C) <= d
     # full R-level oracle enumeration where it is cheap
     for amb in (amb_x7, amb_z9):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from chaincodes.cli import main
 
 Z4 = '{"kind":"galois","p":2,"t":2,"l":1}'
@@ -206,6 +208,21 @@ def test_budget_exit_code(capsys):
 
 def test_domain_error_exit_code(capsys):
     code, out = run(capsys, "classes", "--ring", Z4, "--moduli", "x^2-1")
+    assert code == 1
+    assert json.loads(out)["code"] == "domain_error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "--ring", '{"kind":"galois"}', "--moduli", "x^7-1"),
+        ("factor", "--ring", Z4, "--moduli", "2x^7-1"),
+        ("info", "--ring", Z4, "--moduli", "x^7-1", "--gens", "x^q"),
+        ("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents", "[[1,2]]"),
+    ],
+)
+def test_malformed_input_is_a_domain_error(capsys, argv):
+    code, out = run(capsys, *argv)
     assert code == 1
     assert json.loads(out)["code"] == "domain_error"
 

@@ -2,7 +2,19 @@
 
 import pytest
 
-from chaincodes import Ambient, DomainError, Poly, decompose, ideal_span
+from chaincodes import (
+    Ambient,
+    DomainError,
+    Poly,
+    code_from_exponents,
+    decompose,
+    distance_bound,
+    dual,
+    dual_cardinality,
+    ideal_span,
+    inverse_class_map,
+    parse_univariate,
+)
 from chaincodes.decompose import _poly_over_tower_to_mpoly
 from chaincodes.oracle import annihilator_bruteforce
 
@@ -101,9 +113,21 @@ def test_idempotent_family(amb_x7, amb_x3y3, amb_z9):
         assert total == amb.one()
 
 
-def test_idempotent_two_routes_agree(amb_x7, amb_x3y3, amb_z9):
-    """Definition-faithful h-power route vs lifted-CRT route."""
-    for amb in (amb_x7, amb_x3y3, amb_z9):
+def _ambient(ring, *moduli):
+    return Ambient(ring, [parse_univariate(m, ring, var=i) for i, m in enumerate(moduli)])
+
+
+def test_idempotent_two_routes_agree(amb_x7, amb_x3y3, amb_z9, z4, z9):
+    """Definition-faithful h-power route vs the uncorrected lifted-CRT route."""
+    for amb in (
+        amb_x7,
+        amb_x3y3,
+        amb_z9,
+        _ambient(z4, "x^15-1"),
+        _ambient(z9, "x^8-1"),
+        _ambient(z4, "x^3-1", "y^3-1", "z^3-1"),
+        _ambient(z4, "x^3+x+1", "y^2+y+1"),
+    ):
         dec = decompose(amb)
         for i in range(dec.class_count):
             assert dec.idempotent_from_h(i) == dec.data[i].e
@@ -237,3 +261,35 @@ def test_component_ring_chain_structure(amb_x7):
     for x in ring_elems[:64]:
         principal = {(y * x).data for y in ring_elems}
         assert principal == apowers[x.valuation()]
+
+
+def test_stages_built_on_first_use(z4):
+    amb = _ambient(z4, "x^7-1")
+    dec = decompose(amb)
+    assert dec.lifted_factorizations[0].factors[0] == parse_univariate("x+3", z4)
+    assert dec.class_count == 3
+    inverse_class_map(dec)
+    code = code_from_exponents(amb, {(0,): 1, (1,): 0, (3,): 2})
+    assert repr(code) == "SemisimpleCode((0,):1, (1,):0, (3,):2)"
+    assert code.cardinality() == 128 and dual_cardinality(code) == 128
+    assert code.to_json(with_generator=False)["exponents"] == [[[0], 1], [[1], 0], [[3], 2]]
+    assert "data" not in vars(dec)
+    cd = dec.data[1]
+    assert "g" not in vars(cd)
+    assert cd.g * cd.h == cd.e
+
+
+def test_decomposition_cache_is_keyed_by_seed(z4):
+    amb = _ambient(z4, "x^7-1")
+    dec = decompose(amb, seed=5)
+    assert dec.seed == 5 and decompose(amb, seed=5) is dec
+    assert decompose(amb, seed=0) is not dec
+    # every decomposition a seed-5 code makes internally reuses seed 5
+    amb = _ambient(z4, "x^7-1")
+    code = code_from_exponents(amb, [1, 0, 2], seed=5)
+    dual(code)
+    assert code.residue_image().dec.seed == 5
+    assert code.socle_field_code().dec.seed == 5
+    distance_bound(code)
+    assert set(amb._decompositions) == {5}
+    assert set(amb.residue_ambient._decompositions) == {5}

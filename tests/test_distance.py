@@ -15,7 +15,6 @@ from chaincodes import (
     hensel_lift_distance_check,
     min_distance,
     ring_construct,
-    socle,
 )
 from chaincodes.oracle import distance_bruteforce, span_of_code
 
@@ -32,19 +31,19 @@ def hamming_lift(amb_x7):
 
 def test_socle_rules(amb_x7):
     full = code_from_exponents(amb_x7, [0, 0, 0])
-    assert socle(full).exps == (1, 1, 1)
+    assert full.socle().exps == (1, 1, 1)
     zero = code_from_exponents(amb_x7, [2, 2, 2])
-    assert socle(zero) == zero
+    assert zero.socle() == zero
     K = code_from_exponents(amb_x7, {(1,): 0, (0,): 1, (3,): 2})
-    assert socle(K).exps == (1, 1, 2)
+    assert K.socle().exps == (1, 1, 2)
 
 
 def test_socle_is_annihilator_of_radical(amb_x7):
-    """socle(K) == {c in K : a c = 0} by exhaustive check."""
+    """K.socle() == {c in K : a c = 0} by exhaustive check."""
     ring = amb_x7.ring
     for K in list(enumerate_codes(amb_x7))[::3]:
         span = span_of_code(K)
-        soc_span = span_of_code(socle(K))
+        soc_span = span_of_code(K.socle())
         expected = {
             v
             for v in span.elements()
@@ -101,9 +100,9 @@ def test_distance_equals_socle_distance(amb_x7, amb_x3y3, amb_z9):
             if K.is_zero():
                 continue
             d = min_distance(K)
-            assert d == min_distance(socle(K))
+            assert d == min_distance(K.socle())
             # socle enumerations over R are small: oracle-check them all
-            assert d == distance_bruteforce(span_of_code(socle(K)))
+            assert d == distance_bruteforce(span_of_code(K.socle()))
 
 
 def test_distance_vs_full_oracle(amb_x7, amb_z9):

@@ -11,7 +11,6 @@ from chaincodes import (
     enumerate_codes,
     min_distance,
     ring_construct,
-    socle,
 )
 from chaincodes.oracle import (
     distance_bruteforce,
@@ -74,7 +73,7 @@ def _full_battery(amb, expected_codes):
         assert K.cardinality() * Kd.cardinality() == total
         if not K.is_zero():
             d = min_distance(K)
-            assert d == min_distance(socle(K))
+            assert d == min_distance(K.socle())
             assert d == distance_bruteforce(span)
 
 

@@ -159,3 +159,15 @@ def test_poly_divmod_identity(f, g):
     q, r = divmod(f, g)
     assert q * g + r == f
     assert r.degree < g.degree
+
+
+def test_mixed_ambients_rejected(z4):
+    a = Ambient(z4, [parse_univariate("x^7-1", z4)])
+    b = Ambient(z4, [parse_univariate("x^3-1", z4)])
+    with pytest.raises(DomainError):
+        a.one() + b.one()
+    with pytest.raises(DomainError):
+        a.one() * b.one()
+    # equal ambients built separately still mix
+    a2 = Ambient(z4, [parse_univariate("x^7-1", z4)])
+    assert a.one() * a2.one() + a2.one() == a.constant(z4.from_int(2))
