@@ -34,7 +34,7 @@ from .duality import (
     selfdual_group_code_exists,
     trivial_selfdual,
 )
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, InternalError
 from .factor import (
     CyclotomicClass,
     SplittingData,

@@ -1,10 +1,13 @@
 """Command-line front end: JSON in, JSON out.
 
 Exit codes: 0 success, 1 domain error (bad ring, non-semisimple ambient,
-missing self-dual code, ...), 2 budget or usage error.  Errors are emitted
-as JSON objects {"code": ..., "message": ...}.  All output is deterministic
-for a fixed seed: keys are sorted and enumeration follows the canonical
-class order.
+missing self-dual code, ...) or internal error (a broken invariant, i.e. a
+bug in this library), 2 budget or usage error.  Errors are emitted as JSON
+objects {"code": ..., "message": ...} with code "domain_error",
+"internal_error", "budget_exceeded" or "bad_json".  `enumerate` writes each
+record as soon as it is computed; an error raised part-way is emitted after
+the records already written.  All output is deterministic for a fixed seed:
+keys are sorted and enumeration follows the canonical class order.
 """
 
 from __future__ import annotations
@@ -19,21 +22,13 @@ from . import duality as duality_mod
 from . import kerdock as kerdock_mod
 from . import oracle as oracle_mod
 from .decompose import decompose
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, InternalError
 from .polys import Ambient, parse_univariate, poly_to_text
 from .rings import ring_from_json
 
 
 def _dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _emit(args, text):
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
 
 
 def _ambient_from_args(args):
@@ -110,8 +105,8 @@ def _cmd_classes(args):
 
 
 def _cmd_enumerate(args):
+    """One JSON line per code, yielded as soon as its distance is known."""
     ambient = _ambient_from_args(args)
-    lines = []
     for code in codes_mod.enumerate_codes(ambient, seed=args.seed):
         rec = code.to_json()
         if code.is_zero():
@@ -122,8 +117,7 @@ def _cmd_enumerate(args):
             except BudgetExceeded:
                 rec["distance"] = None
                 rec["distance_budget_exceeded"] = True
-        lines.append(_dump(rec))
-    return "\n".join(lines)
+        yield _dump(rec)
 
 
 def _cmd_info(args):
@@ -331,21 +325,30 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as out:
+            return _run(args, out)
+    return _run(args, sys.stdout)
+
+
+def _run(args, out):
+    """Run the command, writing its JSON (or its error object) to ``out``."""
     try:
         result = args.func(args)
+        for line in [_dump(result)] if isinstance(result, dict) else result:
+            out.write(line + "\n")
     except BudgetExceeded as exc:
-        _emit(args, _dump({"code": "budget_exceeded", "message": str(exc)}))
+        out.write(_dump({"code": "budget_exceeded", "message": str(exc)}) + "\n")
         return 2
     except DomainError as exc:
-        _emit(args, _dump({"code": "domain_error", "message": str(exc)}))
+        out.write(_dump({"code": "domain_error", "message": str(exc)}) + "\n")
+        return 1
+    except InternalError as exc:
+        out.write(_dump({"code": "internal_error", "message": str(exc)}) + "\n")
         return 1
     except json.JSONDecodeError as exc:
-        _emit(args, _dump({"code": "bad_json", "message": str(exc)}))
+        out.write(_dump({"code": "bad_json", "message": str(exc)}) + "\n")
         return 2
-    if isinstance(result, str):
-        _emit(args, result)
-    else:
-        _emit(args, _dump(result))
     if args.func is _cmd_oracle_check and not result["all_pass"]:
         return 1
     return 0

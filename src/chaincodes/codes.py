@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .decompose import decompose
-from .errors import DomainError
+from .errors import DomainError, InternalError
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def _same_ambient(a, b):
 def _check_aligned(dec, rdec):
     # classes of the residue ambient coincide with the ring-level classes
     if [cls.rep for cls in dec.classes] != [cls.rep for cls in rdec.classes]:
-        raise DomainError("residue ambient classes are misaligned")  # pragma: no cover
+        raise InternalError("residue ambient classes are misaligned")  # pragma: no cover
 
 
 def code_from_exponents(ambient, exps, seed=0):
@@ -221,7 +221,7 @@ def code_from_generators(ambient, gens, seed=0):
     code = SemisimpleCode(dec, exps)
     for g in gens:
         if not code.contains(g):  # pragma: no cover
-            raise DomainError("generator normalization lost a generator")
+            raise InternalError("generator normalization lost a generator")
     return code
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .factor import cyclotomic_classes, factor_squarefree, splitting_data
 from .hensel import lift_factorization, lift_idempotent
 from .polys import Poly
@@ -123,7 +123,7 @@ class ClassData:
             if prod == self.e:
                 return v
             v = v * (two_e - prod)
-        raise DomainError("cofactor iteration did not converge")  # pragma: no cover
+        raise InternalError("cofactor iteration did not converge")  # pragma: no cover
 
     @property
     def degrees(self):
@@ -234,14 +234,14 @@ class Decomposition:
         total = A.zero()
         for cd in data:
             if cd.e * cd.e != cd.e:  # pragma: no cover
-                raise DomainError("lifted class idempotent is not idempotent")
+                raise InternalError("lifted class idempotent is not idempotent")
             total = total + cd.e
         if total != A.one():  # pragma: no cover
-            raise DomainError("idempotents do not sum to one")
+            raise InternalError("idempotents do not sum to one")
         for i, ci in enumerate(data):
             for cj in data[i + 1 :]:
                 if not (ci.e * cj.e).is_zero():  # pragma: no cover
-                    raise DomainError("idempotents are not orthogonal")
+                    raise InternalError("idempotents are not orthogonal")
         return data
 
     # -- construction ---------------------------------------------------------
@@ -264,7 +264,7 @@ class Decomposition:
                     q_polys.append(lifted)
                     break
             else:  # pragma: no cover
-                raise DomainError("no residue factor vanishes at the class root")
+                raise InternalError("no residue factor vanishes at the class root")
 
         w_polys = [None]
         pi_polys = [None]
@@ -290,10 +290,10 @@ class Decomposition:
                         w = cand
                         break
                 if w is None:  # pragma: no cover
-                    raise DomainError("no factor of p vanishes at the class root")
+                    raise InternalError("no factor of p vanishes at the class root")
             pi, rem = divmod(p_emb, w)
             if not rem.is_zero():  # pragma: no cover
-                raise DomainError("w does not divide p")
+                raise InternalError("w does not divide p")
             q_emb = q_polys[v].map_coeffs(
                 lambda c: _const_embed(ring_below, R, c), ring_below
             )
@@ -309,13 +309,13 @@ class Decomposition:
             tower.append(ExtensionRing(ring_below, z))
 
         if tower[-1].q != Fq.size ** cls.size:  # pragma: no cover
-            raise DomainError("component residue degree does not match the class size")
+            raise InternalError("component residue degree does not match the class size")
 
         h = A.one()
         for v in range(r):
             quot, rem = divmod(A.moduli[v], q_polys[v])
             if not rem.is_zero():  # pragma: no cover
-                raise DomainError("lifted factor does not divide the modulus")
+                raise InternalError("lifted factor does not divide the modulus")
             h = h * A.from_polynomial(quot)
         for v in range(1, r):
             h = h * _poly_over_tower_to_mpoly(sigma_polys[v], R, A, v)

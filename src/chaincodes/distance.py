@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .codes import code_from_generators
 from .decompose import _flatten_tower, decompose
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, InternalError
 from .polys import Ambient, Poly
 from .rings import ExtensionRing
 
@@ -68,7 +68,7 @@ def _field_basis(code):
             pivots.append(pc)
     expected = sum(cd.cls.size for cd, j in zip(code.dec.data, code.exps) if j == 0)
     if len(basis) != expected:  # pragma: no cover
-        raise DomainError("field code dimension does not match the class sizes")
+        raise InternalError("field code dimension does not match the class sizes")
     return basis
 
 
@@ -151,7 +151,7 @@ def distance_bound(code, budget=DEFAULT_BUDGET):
             tail = tail * gp
         gen_u, rem = divmod(Abar.moduli[0], tail)
         if not rem.is_zero():  # pragma: no cover
-            raise DomainError("defining polynomials do not divide the modulus")
+            raise InternalError("defining polynomials do not divide the modulus")
         du_code = code_from_generators(univariate, [univariate.from_polynomial(gen_u)])
         d_i = min_distance(du_code, budget)
         delta_i = 1 if A.r == 1 else _delta_distance(
@@ -183,7 +183,7 @@ def _delta_distance(Abar, rdec, group, budget):
         for k in range(1, Abar.r):
             quot, rem = divmod(Abar.moduli[k], cd.p_polys[k])
             if not rem.is_zero():  # pragma: no cover
-                raise DomainError("class polynomial does not divide its modulus")
+                raise InternalError("class polynomial does not divide its modulus")
             term = term * V.from_polynomial(
                 Poly(ext, [embed(c) for c in quot.coeffs], var=k - 1)
             )
@@ -192,7 +192,7 @@ def _delta_distance(Abar, rdec, group, budget):
             )
         gen = gen + term
     if gen.is_zero():  # pragma: no cover
-        raise DomainError("group generator collapsed to zero")
+        raise InternalError("group generator collapsed to zero")
     dcode = code_from_generators(V, [gen])
     return min_distance(dcode, budget)
 

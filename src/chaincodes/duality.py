@@ -15,7 +15,7 @@ from math import lcm
 
 from .codes import SemisimpleCode, code_from_generators
 from .decompose import decompose
-from .errors import DomainError
+from .errors import DomainError, InternalError
 
 
 def inverse_class_map(dec):
@@ -58,7 +58,7 @@ def dual(code, check_generator_form=True):
             apow = apow * A.ring.a
         alt = code_from_generators(A, gens, seed=dec.seed)
         if alt != out:  # pragma: no cover
-            raise DomainError("generator-form dual disagrees with the exponent rule")
+            raise InternalError("generator-form dual disagrees with the exponent rule")
     return out
 
 
@@ -101,7 +101,7 @@ def _q_power_hits_minus_one(q, modulus):
             return False
         cur = (cur * q) % modulus
         if seen > 2 * modulus:  # pragma: no cover
-            raise DomainError("order search failed to terminate")
+            raise InternalError("order search failed to terminate")
 
 
 def nontrivial_selfdual_exists(ambient, seed=0):
@@ -120,7 +120,7 @@ def nontrivial_selfdual_exists(ambient, seed=0):
     inv = inverse_class_map(dec)
     class_test = any(inv[idx] != idx for idx in range(len(inv)))
     if number_test != class_test:  # pragma: no cover
-        raise DomainError("self-duality criteria disagree")
+        raise InternalError("self-duality criteria disagree")
     return number_test
 
 
@@ -139,7 +139,7 @@ def build_nontrivial_selfdual(ambient, seed=0):
     exps[inv[pick]] = half + 1
     code = SemisimpleCode(dec, exps)
     if not is_selfdual(code):  # pragma: no cover
-        raise DomainError("constructed code failed the self-duality check")
+        raise InternalError("constructed code failed the self-duality check")
     return code
 
 

@@ -8,3 +8,7 @@ class DomainError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """An exact enumeration would exceed the configured work budget."""
+
+
+class InternalError(RuntimeError):
+    """A broken internal invariant: a bug in this library, not in the request."""

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .polys import Poly, pow_mod, poly_gcd, prime_factors, smallest_irreducible
 from .rings import ExtensionRing, IntegerModRing, default_modulus
 
@@ -74,7 +74,7 @@ def factor_squarefree(f, seed=0):
     for p in factors:
         check = check * p
     if check != f:
-        raise DomainError("internal factorization check failed")  # pragma: no cover
+        raise InternalError("internal factorization check failed")  # pragma: no cover
     return factors
 
 
@@ -166,7 +166,7 @@ def _multiplicative_generator(field):
             continue
         if all(g ** (order // ell) != field.one for ell in primes):
             return g
-    raise DomainError("no multiplicative generator found")  # pragma: no cover
+    raise InternalError("no multiplicative generator found")  # pragma: no cover
 
 
 def splitting_data(ambient, seed=0):
@@ -189,7 +189,7 @@ def splitting_data(ambient, seed=0):
         prim = []
         for e in exps:
             if order % e != 0:
-                raise DomainError(  # pragma: no cover
+                raise InternalError(  # pragma: no cover
                     f"splitting field has no elements of order {e}"
                 )
             prim.append(g ** (order // e))
@@ -201,7 +201,7 @@ def splitting_data(ambient, seed=0):
         for m in residues:
             rs = [c for c in big.elements() if m.evaluate(c, embed).is_zero()]
             if len(rs) != m.degree:
-                raise DomainError("modulus does not split over the splitting field")  # pragma: no cover
+                raise InternalError("modulus does not split over the splitting field")  # pragma: no cover
             rs.sort(key=lambda c: tuple(c.coords()))
             roots.append(tuple(rs))
         data = SplittingData(M, big, tuple(roots), False, None, factor_lists)
@@ -272,7 +272,7 @@ def cyclotomic_classes(ambient, splitting=None, seed=0):
 
     total = sum(c.size for c in classes)
     if total != len(all_tuples):
-        raise DomainError("classes do not partition the root tuples")  # pragma: no cover
+        raise InternalError("classes do not partition the root tuples")  # pragma: no cover
     return classes
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .polys import Poly, poly_ext_gcd, poly_gcd
 
 
@@ -66,7 +66,7 @@ def lift_factorization(f, residue_factors):
                 h = h * other
         d, _, beta = poly_ext_gcd(g, h)
         if d.degree != 0:
-            raise DomainError("cofactor computation failed")  # pragma: no cover
+            raise InternalError("cofactor computation failed")  # pragma: no cover
         betas.append(beta % g)
 
     lift_poly = lambda g: g.map_coeffs(ring.lift, ring)
@@ -95,14 +95,14 @@ def lift_factorization(f, residue_factors):
     for g in factors:
         prod = prod * g
     if prod != f:
-        raise DomainError("Hensel lifting failed to reassemble the input")  # pragma: no cover
+        raise InternalError("Hensel lifting failed to reassemble the input")  # pragma: no cover
     return LiftedFactorization(f, tuple(factors), tuple(residue_factors))
 
 
 def _shift_down(ring, c, k):
     """Divide by a^k, assuming valuation(c) >= k."""
     if c.valuation() < k:
-        raise DomainError("defect has unexpectedly small valuation")  # pragma: no cover
+        raise InternalError("defect has unexpectedly small valuation")  # pragma: no cover
     for _ in range(k):
         c = ring.divide_by_a(c)
     return c
@@ -126,4 +126,4 @@ def lift_idempotent(e):
         cur = 3 * sq - 2 * (sq * cur)
     if cur * cur == cur:
         return cur
-    raise DomainError("idempotent lifting did not converge")  # pragma: no cover
+    raise InternalError("idempotent lifting did not converge")  # pragma: no cover

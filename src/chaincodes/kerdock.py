@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .polys import Ambient, Poly, prime_factors, smallest_irreducible
 from .rings import ExtensionRing, default_modulus, ring_construct, ring_trace
 
@@ -71,7 +71,7 @@ def _teichmuller_generator(S, tau):
     for g in nonzero:
         if g**tau == S.one and all(g ** (tau // p) != S.one for p in primes):
             return g
-    raise DomainError("no Teichmuller generator found")  # pragma: no cover
+    raise InternalError("no Teichmuller generator found")  # pragma: no cover
 
 
 def _ordered_teichmuller(R):
@@ -136,7 +136,7 @@ def _trace_functional(S):
     probe = list(S.elements())[:: max(1, S.size // 8)]
     for x in probe:
         if trace(x) != ring_trace(S, x):  # pragma: no cover
-            raise DomainError("linear trace disagrees with the digitwise trace")
+            raise InternalError("linear trace disagrees with the digitwise trace")
     return trace
 
 
@@ -155,7 +155,7 @@ def base_linear_code(inst):
         for a in R.elements():
             words.append(tuple(tr + a for tr in traces))
     if len(set(words)) != len(words):  # pragma: no cover
-        raise DomainError("base linear code words are not distinct")
+        raise InternalError("base linear code words are not distinct")
     return words
 
 
@@ -244,7 +244,7 @@ def polycyclic_embed(inst, words=None):
             vec[rank] = word[exps[0]] * u
         out.append(ambient.from_vector(vec))
     if len(set(out)) != len(out):  # pragma: no cover
-        raise DomainError("polycyclic embedding is not injective")
+        raise InternalError("polycyclic embedding is not injective")
     return ambient, out
 
 
@@ -263,7 +263,7 @@ def kerdock_demo(q=2, m=3):
     words = base_linear_code(inst)
     expected = q ** (2 * (m + 1))
     if len(words) != expected:  # pragma: no cover
-        raise DomainError("base code cardinality mismatch")
+        raise InternalError("base code cardinality mismatch")
     projected = kerdock_project(inst, words)
     distinct = len(set(projected))
     dist = _pairwise_min_distance(projected)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, InternalError
 from .rings import IntegerModRing
 
 NAIVE_LIMIT = 2**16
@@ -204,7 +204,7 @@ class ModuleSpan:
                     out.update(_vec_add(ring, s, cur) for s in base)
                     cur = _vec_add(ring, cur, x)
         if len(out) != self.cardinality:  # pragma: no cover
-            raise DomainError("explicit closure disagrees with echelon cardinality")
+            raise InternalError("explicit closure disagrees with echelon cardinality")
         return frozenset(out)
 
     def __eq__(self, other):
@@ -384,9 +384,9 @@ def dual_bruteforce(ambient, span, naive=None, budget=DEFAULT_BUDGET):
             if all(_dot(ring, vec, row) == z for row in rows):
                 count += 1
                 if not kernel.contains(vec):  # pragma: no cover
-                    raise DomainError("naive dual disagrees with kernel dual")
+                    raise InternalError("naive dual disagrees with kernel dual")
         if count != kernel.cardinality:  # pragma: no cover
-            raise DomainError("naive dual count disagrees with kernel dual")
+            raise InternalError("naive dual count disagrees with kernel dual")
     return kernel
 
 
@@ -420,9 +420,9 @@ def annihilator_bruteforce(ambient, f, naive=None, budget=DEFAULT_BUDGET):
             if ok:
                 count += 1
                 if not kernel.contains(g):  # pragma: no cover
-                    raise DomainError("naive annihilator disagrees with kernel")
+                    raise InternalError("naive annihilator disagrees with kernel")
         if count != kernel.cardinality:  # pragma: no cover
-            raise DomainError("naive annihilator count disagrees with kernel")
+            raise InternalError("naive annihilator count disagrees with kernel")
     return kernel
 
 
@@ -476,6 +476,6 @@ def ideal_census(ambient, budget=NAIVE_LIMIT):
             total_span = module_span(ring, n, rows)
             bucket = buckets.get(total_span.fingerprint(), [])
             if not any(known == total_span for known in bucket):  # pragma: no cover
-                raise DomainError("census is not closed under ideal sums")
+                raise InternalError("census is not closed under ideal sums")
     ideals.sort(key=lambda s: (s.cardinality, s.fingerprint()))
     return ideals

@@ -5,7 +5,11 @@ with a nonzero leading coefficient; the zero polynomial has an empty tuple.
 Multivariate residue classes (`MPoly`) live in a fixed quotient
 R[X_1,...,X_r]/<t_1(X_1),...,t_r(X_r)> (an `Ambient`) and are kept in normal
 form: a dense coefficient vector indexed by the mixed-radix rank of the
-exponent tuple, X_1 varying fastest.
+exponent tuple, X_1 varying fastest.  A product is one flat convolution of
+the raw coefficient payloads into a box with X_k extent 2*deg(t_k) - 1,
+then one top-down pass that folds each X_k^{deg t_k} back through t_k; every
+fold lands lower in the box, so one pass reduces all variables.  There is
+no per-pair cache.
 
 Everything here is generic over the coefficient ring: it only relies on
 elements supporting +, -, *, ==, ``is_zero`` and a ``ring`` attribute with
@@ -14,7 +18,7 @@ elements supporting +, -, *, ==, ``is_zero`` and a ``ring`` attribute with
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 
 
 class Poly:
@@ -303,7 +307,7 @@ def smallest_irreducible(field, degree):
         cand = Poly(field, coeffs + [field.one])
         if is_irreducible(cand):
             return cand
-    raise DomainError(f"no irreducible of degree {degree} over {field}")  # pragma: no cover
+    raise InternalError(f"no irreducible of degree {degree} over {field}")  # pragma: no cover
 
 
 def poly_to_text(f, var_names=None):
@@ -436,8 +440,7 @@ class Ambient:
             raise DomainError(
                 "residue moduli are not square-free; pass unchecked=True to force"
             )
-        self._redux = [self._reduction_table(m) for m in self.moduli]
-        self._monomul_cache = {}
+        self._build_product_box()
         self._residue_ambient = None
         self._tau_perm = None
 
@@ -467,16 +470,24 @@ class Ambient:
             out.append(e)
         return tuple(out)
 
-    def _reduction_table(self, m):
-        # X^d mod m for d in [0, 2*(deg-1)], stored sparse
-        d = m.degree
-        table = [[(k, self.ring.one)] for k in range(d)]
-        cur = Poly.x(self.ring, var=m.var) ** (d - 1) if d > 1 else Poly.one(self.ring)
-        cur = cur % m
-        for _ in range(d - 1):
-            cur = (cur * Poly.x(self.ring, var=m.var)) % m
-            table.append([(j, c) for j, c in enumerate(cur.coeffs) if not c.is_zero()])
-        return table
+    def _build_product_box(self):
+        # place[rank]: where a normal-form monomial sits in the product box
+        # (X_k extent 2*d_k - 1, X_1 fastest).  fold_at[pos]: the rule
+        # X_k^{d_k} = -(t_k - X_k^{d_k}) as (offset, payload) pairs for the
+        # first X_k at pos with exponent >= d_k; None when pos is reduced.
+        strides = [1]
+        for d in self.degs[:-1]:
+            strides.append(strides[-1] * (2 * d - 1))
+        self.place = tuple(sum(e * s for e, s in zip(self.exps(r), strides)) for r in range(self.n))
+        rules = [
+            tuple(((j - d) * s, (-c).data) for j, c in enumerate(m.coeffs[:d]) if not c.is_zero())
+            for m, d, s in zip(self.moduli, self.degs, strides)
+        ]
+        self.fold_at = tuple(
+            next((rule for d, s, rule in zip(self.degs, strides, rules) if pos // s % (2 * d - 1) >= d),
+                 None)
+            for pos in range(strides[-1] * (2 * self.degs[-1] - 1))
+        )
 
     def rank(self, exps):
         return sum(e * s for e, s in zip(exps, self.strides))
@@ -601,27 +612,6 @@ class Ambient:
             terms[tuple(exps)] = elem
         return self.from_terms(terms)
 
-    def monomial_product(self, ra, rb):
-        """Normal form of the product of two basis monomials, sparse."""
-        key = (ra, rb) if ra <= rb else (rb, ra)
-        hit = self._monomul_cache.get(key)
-        if hit is not None:
-            return hit
-        ea = self.exps(ra)
-        eb = self.exps(rb)
-        parts = [(0, self.ring.one)]
-        for k in range(self.r):
-            expansion = self._redux[k][ea[k] + eb[k]]
-            stride = self.strides[k]
-            parts = [
-                (rank + j * stride, cc * ce)
-                for rank, cc in parts
-                for j, ce in expansion
-            ]
-        parts = tuple(parts)
-        self._monomul_cache[key] = parts
-        return parts
-
     def tau_permutation(self):
         """Rank permutation of the inversion X_i -> X_i^{e_i - 1} (abelian)."""
         if self._tau_perm is None:
@@ -682,17 +672,21 @@ class MPoly:
             return MPoly(self.ambient, [a * c for a in self.coeffs])
         _check_same_ambient(self, other)
         amb = self.ambient
-        acc = [amb.ring.zero] * amb.n
-        for ra, ca in enumerate(self.coeffs):
-            if ca.is_zero():
-                continue
-            for rb, cb in enumerate(other.coeffs):
-                if cb.is_zero():
-                    continue
-                c = ca * cb
-                for rank, cc in amb.monomial_product(ra, rb):
-                    acc[rank] = acc[rank] + c * cc
-        return MPoly(amb, acc)
+        ring = amb.ring
+        add, mul, z = ring._add, ring._mul, ring._zero
+        box = [z] * len(amb.fold_at)
+        rhs = [(pb, cb.data) for pb, cb in zip(amb.place, other.coeffs) if cb.data != z]
+        for pa, ca in zip(amb.place, self.coeffs):
+            a = ca.data
+            if a != z:
+                for pb, b in rhs:
+                    box[pa + pb] = add(box[pa + pb], mul(a, b))
+        for pos in range(len(box) - 1, 0, -1):
+            c = box[pos]
+            if c != z and amb.fold_at[pos]:
+                for off, f in amb.fold_at[pos]:
+                    box[pos + off] = add(box[pos + off], mul(c, f))
+        return MPoly(amb, [ring.elem(box[p]) for p in amb.place])
 
     __rmul__ = __mul__
 

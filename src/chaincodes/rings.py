@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .polys import Poly, is_irreducible, smallest_irreducible
 
 
@@ -205,7 +205,7 @@ class ChainRing:
             if err == self.one:
                 return v
             v = v * (two - err)
-        raise DomainError("unit inversion did not converge")  # pragma: no cover
+        raise InternalError("unit inversion did not converge")  # pragma: no cover
 
     # -- Teichmuller machinery ------------------------------------------------
 
@@ -638,6 +638,8 @@ def ring_construct(desc):
     if desc.t < 1 or desc.l < 1:
         raise DomainError("t and l must both be >= 1")
     modulus = desc.modulus
+    if desc.l == 1 and modulus is not None:
+        raise DomainError("a modulus applies only when l > 1")
     if desc.l > 1 and modulus is None:
         modulus = default_modulus(desc.p, desc.l)
     if modulus is not None and len(modulus) != desc.l + 1:

@@ -1,6 +1,7 @@
 """CLI behaviour: JSON schemas, determinism, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -219,12 +220,47 @@ def test_domain_error_exit_code(capsys):
         ("factor", "--ring", Z4, "--moduli", "2x^7-1"),
         ("info", "--ring", Z4, "--moduli", "x^7-1", "--gens", "x^q"),
         ("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents", "[[1,2]]"),
+        # a modulus only applies to an extension (l > 1)
+        ("classes", "--ring", '{"kind":"galois","p":2,"t":2,"l":1,"modulus":[5,7]}',
+         "--moduli", "x^7-1"),
+        ("classes", "--ring", '{"kind":"truncated","p":2,"t":2,"l":1,"modulus":[5,7]}',
+         "--moduli", "x^7-1"),
     ],
 )
 def test_malformed_input_is_a_domain_error(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1
     assert json.loads(out)["code"] == "domain_error"
+
+
+def test_enumerate_writes_records_before_an_error(capsys, monkeypatch):
+    from chaincodes import distance
+    from chaincodes.errors import DomainError
+
+    real = distance.min_distance
+    calls = []
+
+    def failing_third_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise DomainError("third distance fails")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distance, "min_distance", failing_third_call)
+    code, out = run(capsys, "enumerate", "--ring", Z4, "--moduli", "x^7-1")
+    assert code == 1
+    lines = [json.loads(line) for line in out.strip().split("\n")]
+    assert len(lines) == 3
+    assert all("exponents" in rec for rec in lines[:2])
+    assert lines[2] == {"code": "domain_error", "message": "third distance fails"}
+
+
+def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):
+    # with the idempotent lift skipped, e_C * e_C != e_C over Z4
+    monkeypatch.setattr(sys.modules["chaincodes.decompose"], "lift_idempotent", lambda e: e)
+    code, out = run(capsys, "classes", "--ring", Z4, "--moduli", "x^7-1", "--full")
+    assert code == 1
+    assert json.loads(out)["code"] == "internal_error"
 
 
 def test_deterministic_output(capsys):

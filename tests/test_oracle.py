@@ -10,6 +10,8 @@ from chaincodes import (
     code_from_exponents,
     decompose,
     enumerate_codes,
+    parse_univariate,
+    ring_construct,
 )
 from chaincodes.oracle import (
     annihilator_bruteforce,
@@ -44,19 +46,49 @@ def test_span_membership_and_elements(amb_x7):
     assert span.explicit_set() == set(elems)
 
 
-def test_monomial_multiples_match_mpoly(amb_x3y3):
+PRODUCT_AMBIENTS = [
+    # (ring descriptor, moduli, unchecked)
+    ({"kind": "galois", "p": 2, "t": 2, "l": 1}, ["x^15-1"], False),
+    ({"kind": "galois", "p": 2, "t": 2, "l": 1}, ["x^127-1"], False),
+    ({"kind": "galois", "p": 2, "t": 3, "l": 1}, ["x^3-1", "y^3-1", "z^3-1"], False),
+    ({"kind": "galois", "p": 3, "t": 2, "l": 1}, ["x^4-1", "y^4-1"], False),
+    ({"kind": "galois", "p": 2, "t": 2, "l": 2}, ["x^15-1"], False),
+    ({"kind": "truncated", "p": 3, "t": 2, "l": 1}, ["x^13-1"], False),
+    ({"kind": "truncated", "p": 2, "t": 3, "l": 2}, ["x^5+x+1"], False),
+    ({"kind": "galois", "p": 2, "t": 2, "l": 1}, ["x^3+x+1", "y^2+y+1"], False),
+    ({"kind": "galois", "p": 2, "t": 2, "l": 1}, ["x+3"], False),
+    ({"kind": "galois", "p": 2, "t": 2, "l": 1}, ["x^2-1"], True),
+]
+
+
+def test_monomial_multiples_match_mpoly():
+    """Monomial and dense products against the oracle's independent
+    single-variable shifts: X^alpha * f and f*g = sum_alpha g_alpha X^alpha f."""
     import random
 
     rng = random.Random(5)
-    ring = amb_x3y3.ring
-    for _ in range(10):
-        vec = tuple(ring._from_rank(rng.randrange(ring.size)) for _ in range(amb_x3y3.n))
-        f = amb_x3y3.from_vector([ring.elem(c) for c in vec])
-        mults = monomial_multiples(amb_x3y3, vec)
-        for rank in range(amb_x3y3.n):
-            mono = amb_x3y3.monomial(amb_x3y3.exps(rank))
-            expected = tuple(c.data for c in (mono * f).coeff_vector())
-            assert mults[rank] == expected
+    for desc, moduli, unchecked in PRODUCT_AMBIENTS:
+        ring = ring_construct(desc)
+        amb = Ambient(
+            ring,
+            [parse_univariate(m, ring, var=i) for i, m in enumerate(moduli)],
+            unchecked=unchecked,
+        )
+        for _ in range(3):
+            f, g = (
+                amb.from_vector([ring.from_rank(rng.randrange(ring.size)) for _ in range(amb.n)])
+                for _ in range(2)
+            )
+            mults = monomial_multiples(amb, tuple(c.data for c in f.coeff_vector()))
+            expected = [ring._zero] * amb.n
+            for rank, c in enumerate(g.coeff_vector()):
+                for i, m in enumerate(mults[rank]):
+                    expected[i] = ring._add(expected[i], ring._mul(c.data, m))
+            got = [c.data for c in (f * g).coeff_vector()]
+            assert got == expected, (ring, moduli)
+            for rank in range(amb.n):
+                mono = amb.monomial(amb.exps(rank))
+                assert tuple(c.data for c in (mono * f).coeff_vector()) == mults[rank]
 
 
 def test_dual_bruteforce_extremes(amb_x3):
