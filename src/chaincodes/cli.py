@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 domain error (bad ring, non-semisimple ambient,
 missing self-dual code, ...) or internal error (a broken invariant, i.e. a
 bug in this library), 2 budget or usage error.  Errors are emitted as JSON
 objects {"code": ..., "message": ...} with code "domain_error",
-"internal_error", "budget_exceeded" or "bad_json".  `enumerate` writes each
+"internal_error", "budget_exceeded", "bad_json" or "usage_error"; the last
+is an --output file that cannot be opened, reported on stdout.  `enumerate` writes each
 record as soon as it is computed; an error raised part-way is emitted after
 the records already written.  All output is deterministic for a fixed seed:
 keys are sorted and enumeration follows the canonical class order.
@@ -326,7 +327,12 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as out:
+        try:
+            out = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            sys.stdout.write(_dump({"code": "usage_error", "message": str(exc)}) + "\n")
+            return 2
+        with out:
             return _run(args, out)
     return _run(args, sys.stdout)
 

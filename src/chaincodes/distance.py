@@ -3,8 +3,28 @@
 The distance of a code over a chain ring equals the distance of its socle,
 which is carried by the residue-field code L generated by the residues of
 the canonical generators; so every exact distance computation enumerates
-the q^k words of a field code over an echelonized F_q-basis.  The
-multivariable lower bound splits the defining classes by their first-
+a field code over an echelonized F_q-basis b_0, ..., b_{k-1}.
+
+Words are packed into one int.  With q = p^l, write u_0, ..., u_{l-1} for
+the F_p-basis of F_q given by the unit coordinate vectors; F_p digit m of
+coordinate pos sits in lane m*n + pos, which is w bits wide.  For p = 2,
+w = 1 and addition is XOR.  For odd p, w = bitlen(p-1) + 1, so a lane sum
+s <= 2p - 2 never carries into the next lane; adding 2^(w-1) - p to every
+lane sets a lane's top bit exactly where s >= p, and p is subtracted in
+those lanes.  Likewise adding 2^(w-1) - 1 sets the top bit of exactly the
+nonzero lanes; the weight ORs the l digit planes of those bits together and
+counts them.
+
+Every nonzero word is an F_q-multiple of exactly one word b_i + (an
+F_q-combination of b_{i+1}, ..., b_{k-1}).  So for each leading row i the
+walk starts at b_i and follows the modular p-ary Gray code on the l(k-1-i)
+generators u_m*b_j, j > i: step s adds the generator numbered by the count
+of trailing zero base-p digits of s.  The walk examines (q^k - 1)/(q - 1)
+words, one per projective point, at one packed add and one bit count each,
+and stops at weight 1.  The budget still counts all q^k codewords and is
+checked before any work.
+
+The multivariable lower bound splits the defining classes by their first-
 variable minimal polynomial and recursively multiplies a univariate exact
 distance with an exact distance in one variable less over an extension
 field.
@@ -21,6 +41,9 @@ from .polys import Ambient, Poly
 from .rings import ExtensionRing
 
 DEFAULT_BUDGET = 2**24
+
+# Most Gray steps come from a precomputed block of at most this many.
+_GRAY_BLOCK = 256
 
 DistanceCheck = namedtuple("DistanceCheck", "distance residue_distance equal")
 
@@ -73,34 +96,74 @@ def _field_basis(code):
 
 
 def _min_weight(ambient, basis, budget):
+    """Least weight of a nonzero word in the F_q-span of an echelonized basis.
+
+    A Gray-code walk over packed F_p lanes that examines one word per
+    projective point; the budget still counts all q^k codewords.
+    """
     field = ambient.ring
     k = len(basis)
     if field.size**k > budget:
         raise BudgetExceeded(
             f"enumerating {field.size}^{k} codewords exceeds the budget {budget}"
         )
-    n = ambient.n
-    zero = field._zero
-    scalars = [field._from_rank(r) for r in range(field.size)]
-    mults = [
-        [[field._mul(c, b) for b in row] for c in scalars] for row in basis
-    ]
-    best = n + 1
+    n, p, l = ambient.n, field.p, field.l
+    w = 1 if p == 2 else (p - 1).bit_length() + 1
+    ones = sum(1 << (w * lane) for lane in range(l * n))
+    top = ones << (w - 1)
+    wrap = ones * ((1 << (w - 1)) - p)
+    live = ones * ((1 << (w - 1)) - 1)
+    plane = (1 << (w * n)) - 1
+    folds = [w * n << j for j in range((l - 1).bit_length())]
 
-    def rec(i, acc):
-        nonlocal best
-        if i == k:
-            w = sum(1 for c in acc if c != zero)
-            if 0 < w < best:
-                best = w
-            return
-        for m in mults[i]:
-            if best == 1:
-                return
-            rec(i + 1, [field._add(a, b) for a, b in zip(acc, m)])
+    def pack(row):
+        word = 0
+        for pos, c in enumerate(row):
+            for m, d in enumerate(field._coords(c)):
+                word |= d << (w * (m * n + pos))
+        return word
 
-    rec(0, [zero] * n)
+    units = [field._from_coords([int(m == j) for m in range(l)]) for j in range(l)]
+    gens = [pack([field._mul(u, c) for c in row]) for row in basis for u in units]
+    best = n
+    for i, row in enumerate(basis):
+        word = pack(row)
+        steps = gens[l * (i + 1) :]
+        # Gray steps s = hi * p^r + lo run in blocks of p^r: step lo > 0 adds
+        # steps[nu(lo)], and the block's first step adds steps[r + nu(hi)]
+        # (nothing, i.e. 0, in the first block, which starts at b_i).
+        r = 0
+        while r < len(steps) and p ** (r + 1) <= _GRAY_BLOCK:
+            r += 1
+        block = [0] + [steps[_trailing_zero_digits(lo, p)] for lo in range(1, p**r)]
+        for hi in range(p ** (len(steps) - r)):
+            if hi:
+                block[0] = steps[r + _trailing_zero_digits(hi, p)]
+            for g in block:
+                if p == 2:
+                    word ^= g
+                    nonzero = word
+                else:
+                    word += g
+                    word -= (((word + wrap) & top) >> (w - 1)) * p
+                    nonzero = (word + live) & top
+                for f in folds:
+                    nonzero |= nonzero >> f
+                weight = (nonzero & plane).bit_count()
+                if weight < best:
+                    best = weight
+                    if best == 1:
+                        return 1
     return best
+
+
+def _trailing_zero_digits(s, p):
+    """nu_p(s): the number of trailing zero base-p digits of s > 0."""
+    v = 0
+    while s % p == 0:
+        s //= p
+        v += 1
+    return v
 
 
 def hensel_lift_distance_check(code, budget=DEFAULT_BUDGET):

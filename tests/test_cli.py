@@ -285,6 +285,15 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["count"] == 3
 
 
+def test_unopenable_output_is_a_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out = run(
+            capsys, "classes", "--ring", Z4, "--moduli", "x^7-1", "--output", str(target)
+        )
+        assert code == 2
+        assert json.loads(out)["code"] == "usage_error"
+
+
 def test_kerdock_command(capsys):
     code, out = run(capsys, "kerdock-demo", "--q", "2", "--m", "3")
     assert code == 0

@@ -1,5 +1,8 @@
 """Socle reduction, exact distances, Hensel-lift equality and the bound."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from chaincodes import (
@@ -16,7 +19,9 @@ from chaincodes import (
     min_distance,
     ring_construct,
 )
+from chaincodes import distance
 from chaincodes.oracle import distance_bruteforce, span_of_code
+from chaincodes.polys import parse_univariate
 
 
 def hamming_lift(amb_x7):
@@ -175,3 +180,118 @@ def test_bound_requires_abelian(z4):
     K = code_from_exponents(amb, [0])
     with pytest.raises(DomainError):
         distance_bound(K)
+
+
+# The recursive enumeration that the packed Gray-code walk replaced.
+def _min_weight_reference(ambient, basis, budget):
+    field = ambient.ring
+    k = len(basis)
+    if field.size**k > budget:
+        raise BudgetExceeded(
+            f"enumerating {field.size}^{k} codewords exceeds the budget {budget}"
+        )
+    n = ambient.n
+    zero = field._zero
+    scalars = [field._from_rank(r) for r in range(field.size)]
+    mults = [
+        [[field._mul(c, b) for b in row] for c in scalars] for row in basis
+    ]
+    best = n + 1
+
+    def rec(i, acc):
+        nonlocal best
+        if i == k:
+            w = sum(1 for c in acc if c != zero)
+            if 0 < w < best:
+                best = w
+            return
+        for m in mults[i]:
+            if best == 1:
+                return
+            rec(i + 1, [field._add(a, b) for a, b in zip(acc, m)])
+
+    rec(0, [zero] * n)
+    return best
+
+
+def _field(p, t, l, kind="galois"):
+    return ring_construct({"kind": kind, "p": p, "t": t, "l": l})
+
+
+def _both(ambient, basis, budget):
+    """(packed walk, recursive reference), or both raising over the budget."""
+    results = []
+    for fn in (distance._min_weight, _min_weight_reference):
+        try:
+            results.append(fn(ambient, basis, budget))
+        except BudgetExceeded:
+            results.append("over budget")
+    return results
+
+
+@pytest.mark.parametrize(
+    "ring, moduli, budget",
+    [
+        (_field(2, 1, 2), ["x^5-1"], 2**14),
+        (_field(5, 1, 1), ["x^6-1"], 2**14),
+        (_field(3, 1, 2), ["x^4-1"], 2**14),
+        # the reference is too slow for all of GF(8) x^7-1 here: the 64
+        # codes with 8^k > 2^10 are only checked to raise on both
+        (_field(2, 1, 3), ["x^7-1"], 2**10),
+        (_field(2, 3, 2, kind="truncated"), ["x^5+x+1"], 2**14),
+        (_field(2, 2, 1), ["x^3+x+1", "y^2+y+1"], 2**14),  # non-abelian
+        # walks of several Gray blocks: the binary Golay code, and GF(3) x^13-1
+        (_field(2, 1, 1), ["x^23-1"], 2**14),
+        (_field(3, 1, 1), ["x^13-1"], 2**14),
+    ],
+    ids=["GF4", "GF5", "GF9", "GF8", "F4[u]/u^3", "Z4-nonabelian", "GF2-Golay", "GF3"],
+)
+def test_packed_walk_matches_reference_on_carriers(ring, moduli, budget):
+    amb = Ambient(ring, [parse_univariate(m, ring, var=i) for i, m in enumerate(moduli)])
+    for K in enumerate_codes(amb):
+        if K.is_zero():
+            continue
+        L = K if ring.t == 1 else K.socle_field_code()
+        new, old = _both(L.ambient, distance._field_basis(L), budget)
+        assert new == old, K.exps
+
+
+@pytest.mark.parametrize("p, l", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_packed_walk_matches_reference_on_random_bases(p, l):
+    """Seeded full-rank bases with q^k <= 2^12: a unit at each row's pivot,
+    zeros at the earlier rows' pivots, random entries elsewhere."""
+    field = _field(p, 1, l)
+    rng = random.Random(p * 10 + l)
+    kmax = max(k for k in range(1, 13) if field.size**k <= 2**12)
+    for k in range(1, kmax + 1):
+        for _ in range(3):
+            n = 2 * k + rng.randrange(1, 9)
+            pivots = rng.sample(range(n), k)
+            basis = []
+            for i, pc in enumerate(pivots):
+                row = [field._from_rank(rng.randrange(field.size)) for _ in range(n)]
+                for earlier in pivots[:i]:
+                    row[earlier] = field._zero
+                row[pc] = field._from_rank(rng.randrange(1, field.size))
+                basis.append(row)
+            amb = SimpleNamespace(ring=field, n=n)
+            new, old = _both(amb, basis, 2**12)
+            assert new == old != "over budget", (k, n)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_budget_counts_all_q_to_the_k_words(amb_z9, gr42, q):
+    """The walk examines (q^k-1)/(q-1) words, yet the budget counts q^k."""
+    if q == 3:
+        K = code_from_exponents(amb_z9, [0, 1, 2, 0])
+    else:
+        amb = Ambient(gr42, [Poly.from_ints(gr42, [-1, 0, 0, 1])])
+        K = code_from_exponents(amb, [0, 1, 2])
+    L = K.socle_field_code()
+    assert L.ambient.ring.size == q
+    k = len(distance._field_basis(L))
+    assert k >= 2
+    d = distance_bruteforce(span_of_code(K.socle()))
+    assert min_distance(K, budget=q**k) == d
+    with pytest.raises(BudgetExceeded):
+        min_distance(K, budget=q**k - 1)
