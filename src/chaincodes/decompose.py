@@ -23,9 +23,10 @@ orthogonal as they stand and need no correction.  That they are idempotent,
 orthogonal and sum to one is still checked whenever the class data is built.
 
 The stages -- classes, lifted factorizations, class data with h_C and e_C,
-and the cofactors g_C -- are computed on first use; only the splitting data
-is built with the decomposition, so a caller that needs the lifted
-factorizations alone never computes an idempotent.
+the cofactors g_C, and over a field the F_q-rows of each minimal ideal
+<e_C> -- are computed on first use; only the splitting data is built with
+the decomposition, so a caller that needs the lifted factorizations alone
+never computes an idempotent.
 """
 
 from __future__ import annotations
@@ -124,6 +125,34 @@ class ClassData:
                 return v
             v = v * (two_e - prod)
         raise InternalError("cofactor iteration did not converge")  # pragma: no cover
+
+    @cached_property
+    def rows(self):
+        """An F_q-basis of the minimal ideal <e> of a t = 1 ambient, as |C|
+        payload tuples: the multiples X^g * e, eliminated once."""
+        A = self.h.ambient
+        field = A.ring
+        if field.t != 1:
+            raise DomainError("class rows are defined over a field ambient")
+        zero = field._zero
+        rows = []
+        pivots = []
+        for rank in range(A.n):
+            row = [c.data for c in (A.monomial(A.exps(rank)) * self.e).coeffs]
+            for pc, brow in zip(pivots, rows):
+                c = row[pc]
+                if c != zero:
+                    neg = field._neg(c)
+                    row = [field._add(a, field._mul(neg, b)) for a, b in zip(row, brow)]
+            pc = next((i for i, c in enumerate(row) if c != zero), None)
+            if pc is None:
+                continue
+            inv = field.unit_inverse(field.elem(row[pc])).data
+            rows.append(tuple(field._mul(c, inv) for c in row))
+            pivots.append(pc)
+        if len(rows) != self.cls.size:  # pragma: no cover
+            raise InternalError("minimal ideal dimension does not match the class size")
+        return rows
 
     @property
     def degrees(self):

@@ -3,7 +3,9 @@
 The distance of a code over a chain ring equals the distance of its socle,
 which is carried by the residue-field code L generated by the residues of
 the canonical generators; so every exact distance computation enumerates
-a field code over an echelonized F_q-basis b_0, ..., b_{k-1}.
+a field code over an F_q-basis b_0, ..., b_{k-1}.  The code is the direct
+sum of the minimal ideals <e_C> of its classes with j = 0, and the basis
+is the concatenation of their cached rows.
 
 Words are packed into one int.  With q = p^l, write u_0, ..., u_{l-1} for
 the F_p-basis of F_q given by the unit coordinate vectors; F_p digit m of
@@ -15,7 +17,8 @@ those lanes.  Likewise adding 2^(w-1) - 1 sets the top bit of exactly the
 nonzero lanes; the weight ORs the l digit planes of those bits together and
 counts them.
 
-Every nonzero word is an F_q-multiple of exactly one word b_i + (an
+For any basis, a nonzero word has a unique leading row i, the first with a
+nonzero coefficient, so it is an F_q-multiple of exactly one word b_i + (an
 F_q-combination of b_{i+1}, ..., b_{k-1}).  So for each leading row i the
 walk starts at b_i and follows the modular p-ary Gray code on the l(k-1-i)
 generators u_m*b_j, j > i: step s adds the generator numbered by the count
@@ -61,42 +64,18 @@ def min_distance(code, budget=DEFAULT_BUDGET):
 
 
 def _field_basis(code):
-    """Echelonized F_q-basis of a t = 1 code; checks dim = sum |C|."""
-    A = code.ambient
-    field = A.ring
-    if field.t != 1:
+    """An F_q-basis of a t = 1 code: the rows of its classes with j = 0.
+
+    The sum of the minimal ideals is direct, as the idempotents are
+    orthogonal, so the concatenation needs no elimination.
+    """
+    if code.ambient.ring.t != 1:
         raise DomainError("basis extraction expects a field code")
-    zero = field._zero
-    basis = []
-    pivots = []
-    for cd, j in zip(code.dec.data, code.exps):
-        if j != 0:
-            continue
-        for rank in range(A.n):
-            mp = A.monomial(A.exps(rank)) * cd.e
-            row = [c.data for c in mp.coeff_vector()]
-            for pc, brow in zip(pivots, basis):
-                c = row[pc]
-                if c != zero:
-                    neg = field._neg(c)
-                    row = [
-                        field._add(a, field._mul(neg, b)) for a, b in zip(row, brow)
-                    ]
-            pc = next((i for i, c in enumerate(row) if c != zero), None)
-            if pc is None:
-                continue
-            inv = field.unit_inverse(field.elem(row[pc])).data
-            row = [field._mul(c, inv) for c in row]
-            basis.append(row)
-            pivots.append(pc)
-    expected = sum(cd.cls.size for cd, j in zip(code.dec.data, code.exps) if j == 0)
-    if len(basis) != expected:  # pragma: no cover
-        raise InternalError("field code dimension does not match the class sizes")
-    return basis
+    return [row for cd, j in zip(code.dec.data, code.exps) if j == 0 for row in cd.rows]
 
 
 def _min_weight(ambient, basis, budget):
-    """Least weight of a nonzero word in the F_q-span of an echelonized basis.
+    """Least weight of a nonzero word in the F_q-span of a basis.
 
     A Gray-code walk over packed F_p lanes that examines one word per
     projective point; the budget still counts all q^k codewords.

@@ -139,11 +139,6 @@ class SplittingData:
             return label
         return self.primitive_roots[i] ** label
 
-    def label_key(self, label):
-        if self.exponent_form:
-            return label
-        return tuple(label.coords())
-
 
 def _splitting_field(base_field, M):
     if M == 1:

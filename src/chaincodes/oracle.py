@@ -32,11 +32,6 @@ def _vec_add(ring, u, v):
     return tuple(add(a, b) for a, b in zip(u, v))
 
 
-def _vec_sub(ring, u, v):
-    add, neg = ring._add, ring._neg
-    return tuple(add(a, neg(b)) for a, b in zip(u, v))
-
-
 def _vec_scale(ring, u, c):
     mul = ring._mul
     return tuple(mul(a, c) for a in u)

@@ -202,11 +202,6 @@ class Poly:
         """Coefficientwise reduction to the residue field."""
         return self.map_coeffs(lambda c: c.residue(), self.ring.residue_field)
 
-    def shift(self, k):
-        if self.is_zero():
-            return self
-        return Poly(self.ring, [self.ring.zero] * k + list(self.coeffs), var=self.var)
-
     def rank_key(self):
         """Deterministic sort key: (degree, coefficient rank), the rank
         comparing coefficients from the leading one down."""

@@ -138,10 +138,6 @@ class ChainRing:
     """
 
     @property
-    def is_field(self):
-        return self.t == 1
-
-    @property
     def zero(self):
         return RingElem(self, self._zero)
 
@@ -620,17 +616,20 @@ def ring_construct(desc):
         try:
             desc = ChainRingDesc(
                 kind=desc["kind"],
-                p=int(desc["p"]),
-                t=int(desc["t"]),
-                l=int(desc.get("l", 1)),
-                modulus=tuple(int(c) for c in desc["modulus"]) if desc.get("modulus") else None,
+                p=desc["p"],
+                t=desc["t"],
+                l=desc.get("l", 1),
+                modulus=tuple(desc["modulus"]) if desc.get("modulus") else None,
             )
         except KeyError as exc:
             raise DomainError(f"ring descriptor has no {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise DomainError(f"bad ring descriptor: {exc}") from None
     elif not isinstance(desc, ChainRingDesc):
         raise DomainError("a ring descriptor must be a JSON object")
+    for value in (desc.p, desc.t, desc.l, *(desc.modulus or ())):
+        if type(value) is not int:
+            raise DomainError(f"bad ring descriptor: {value!r} is not an integer")
     if desc.kind not in ("galois", "truncated"):
         raise DomainError(f"unknown ring kind {desc.kind!r}")
     if not _is_prime(desc.p):

@@ -225,6 +225,11 @@ def test_domain_error_exit_code(capsys):
          "--moduli", "x^7-1"),
         ("classes", "--ring", '{"kind":"truncated","p":2,"t":2,"l":1,"modulus":[5,7]}',
          "--moduli", "x^7-1"),
+        # p, t, l and the modulus coefficients must be plain ints
+        ("factor", "--ring", '{"kind":"galois","p":2.5,"t":2}', "--moduli", "x^7-1"),
+        ("factor", "--ring", '{"kind":"galois","p":2,"t":true}', "--moduli", "x^7-1"),
+        ("factor", "--ring", '{"kind":"galois","p":2,"t":"2"}', "--moduli", "x^7-1"),
+        ("factor", "--ring", '{"kind":"galois","p":2,"t":2,"l":1.0}', "--moduli", "x^7-1"),
     ],
 )
 def test_malformed_input_is_a_domain_error(capsys, argv):

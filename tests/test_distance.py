@@ -1,5 +1,6 @@
 """Socle reduction, exact distances, Hensel-lift equality and the bound."""
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -214,19 +215,54 @@ def _min_weight_reference(ambient, basis, budget):
     return best
 
 
+# The per-code elimination that the cached per-class rows replaced.
+def _field_basis_reference(code):
+    A = code.ambient
+    field = A.ring
+    zero = field._zero
+    basis = []
+    pivots = []
+    for cd, j in zip(code.dec.data, code.exps):
+        if j != 0:
+            continue
+        for rank in range(A.n):
+            mp = A.monomial(A.exps(rank)) * cd.e
+            row = [c.data for c in mp.coeff_vector()]
+            for pc, brow in zip(pivots, basis):
+                c = row[pc]
+                if c != zero:
+                    neg = field._neg(c)
+                    row = [
+                        field._add(a, field._mul(neg, b)) for a, b in zip(row, brow)
+                    ]
+            pc = next((i for i, c in enumerate(row) if c != zero), None)
+            if pc is None:
+                continue
+            inv = field.unit_inverse(field.elem(row[pc])).data
+            row = [field._mul(c, inv) for c in row]
+            basis.append(row)
+            pivots.append(pc)
+    expected = sum(cd.cls.size for cd, j in zip(code.dec.data, code.exps) if j == 0)
+    assert len(basis) == expected
+    return basis
+
+
 def _field(p, t, l, kind="galois"):
     return ring_construct({"kind": kind, "p": p, "t": t, "l": l})
 
 
+def _walk(fn, ambient, basis, budget):
+    """fn's least weight, or "over budget"."""
+    try:
+        return fn(ambient, basis, budget)
+    except BudgetExceeded:
+        return "over budget"
+
+
 def _both(ambient, basis, budget):
     """(packed walk, recursive reference), or both raising over the budget."""
-    results = []
-    for fn in (distance._min_weight, _min_weight_reference):
-        try:
-            results.append(fn(ambient, basis, budget))
-        except BudgetExceeded:
-            results.append("over budget")
-    return results
+    fns = (distance._min_weight, _min_weight_reference)
+    return [_walk(fn, ambient, basis, budget) for fn in fns]
 
 
 @pytest.mark.parametrize(
@@ -295,3 +331,74 @@ def test_budget_counts_all_q_to_the_k_words(amb_z9, gr42, q):
     assert min_distance(K, budget=q**k) == d
     with pytest.raises(BudgetExceeded):
         min_distance(K, budget=q**k - 1)
+
+
+def _rank(field, rows):
+    """F_q-rank of a list of payload rows, by elimination."""
+    zero = field._zero
+    reduced = []  # (pivot, row with a unit pivot)
+    for row in rows:
+        row = list(row)
+        for pc, brow in reduced:
+            if row[pc] != zero:
+                neg = field._neg(row[pc])
+                row = [field._add(a, field._mul(neg, b)) for a, b in zip(row, brow)]
+        pc = next((i for i, c in enumerate(row) if c != zero), None)
+        if pc is not None:
+            inv = field.unit_inverse(field.elem(row[pc])).data
+            reduced.append((pc, [field._mul(c, inv) for c in row]))
+    return len(reduced)
+
+
+_ROW_AMBIENTS = [
+    (_field(2, 1, 2), ["x^5-1"]),
+    (_field(2, 1, 1), ["x^23-1"]),
+    (_field(2, 3, 2, kind="truncated"), ["x^5+x+1"]),
+    (_field(2, 2, 1), ["x^3+x+1", "y^2+y+1"]),  # non-abelian
+    (_field(3, 2, 1), ["x^4-1", "y^4-1"]),
+    (_field(2, 2, 1), ["x^3-1", "y^3-1", "z^3-1"]),
+]
+_ROW_IDS = ["GF4", "GF2-Golay", "F4[u]/u^3", "Z4-nonabelian", "Z9-x4y4", "Z4-x3y3z3"]
+
+
+def _row_ambient(ring, moduli):
+    return Ambient(ring, [parse_univariate(m, ring, var=i) for i, m in enumerate(moduli)])
+
+
+@pytest.mark.parametrize("ring, moduli", _ROW_AMBIENTS, ids=_ROW_IDS)
+def test_class_rows_match_per_code_elimination(ring, moduli):
+    """Every socle carrier: the concatenated class rows span the same F_q-code
+    as the per-code elimination, and the walk reads the same distance.
+
+    A carrier depends only on which classes have j < t, so the codes with
+    every j in {0, t} reach each nonzero carrier once.  Over 2^8 carriers a
+    seeded sample of 2^8 is taken.
+    """
+    amb = _row_ambient(ring, moduli)
+    t = ring.t
+    N = decompose(amb).class_count
+    carriers = list(itertools.product((0, t), repeat=N))[:-1]  # drop the zero code
+    if len(carriers) > 2**8:
+        carriers = random.Random(N).sample(carriers, 2**8)
+    for exps in carriers:
+        K = code_from_exponents(amb, exps)
+        L = K if t == 1 else K.socle_field_code()
+        field = L.ambient.ring
+        new = distance._field_basis(L)
+        old = _field_basis_reference(L)
+        assert len(new) == len(old) == _rank(field, new + old), exps
+        assert _walk(distance._min_weight, L.ambient, new, 2**12) == _walk(
+            _min_weight_reference, L.ambient, old, 2**12
+        ), exps
+
+
+@pytest.mark.parametrize("ring, moduli", _ROW_AMBIENTS, ids=_ROW_IDS)
+def test_class_rows_lie_in_their_minimal_ideal(ring, moduli):
+    """Each class has |C| rows, and e-bar_C fixes every one of them."""
+    Abar = _row_ambient(ring, moduli).residue_ambient
+    field = Abar.ring
+    for cd in decompose(Abar).data:
+        assert len(cd.rows) == cd.cls.size
+        for row in cd.rows:
+            v = Abar.from_vector([field.elem(c) for c in row])
+            assert cd.e * v == v
