@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import isqrt
 
 from .errors import DomainError, InternalError
 from .polys import Ambient, Poly, prime_factors, smallest_irreducible
@@ -249,11 +251,20 @@ def polycyclic_embed(inst, words=None):
 
 
 def distance_formula_candidates(inst):
-    """(q-1)/q (n - sqrt(n)) - q for both readings of n (tau*q and q^m)."""
+    """(q-1)/q (n - sqrt(n)) - q for both readings of n (tau*q and q^m), as
+    exact parts (rational + sqrt_n_coeff * sqrt(n), `Fraction` strings) and
+    its floor: (q-1) sqrt(n) is s = isqrt((q-1)^2 n) for square n, and lies
+    strictly between s and s + 1 otherwise."""
     q = inst.q
     out = {}
     for label, n in (("n=tau*q", inst.tau * q), ("n=q^m", q**inst.m)):
-        out[label] = (q - 1) / q * (n - n**0.5) - q
+        s = isqrt((q - 1) ** 2 * n)
+        out[label] = {
+            "n": n,
+            "rational": str(Fraction((q - 1) * n, q) - q),
+            "sqrt_n_coeff": str(Fraction(1 - q, q)),
+            "floor": ((q - 1) * n - q * q - s - (isqrt(n) ** 2 != n)) // q,
+        }
     return out
 
 

@@ -5,15 +5,20 @@ with a nonzero leading coefficient; the zero polynomial has an empty tuple.
 Multivariate residue classes (`MPoly`) live in a fixed quotient
 R[X_1,...,X_r]/<t_1(X_1),...,t_r(X_r)> (an `Ambient`) and are kept in normal
 form: a dense coefficient vector indexed by the mixed-radix rank of the
-exponent tuple, X_1 varying fastest.  A product is one flat convolution of
-the raw coefficient payloads into a box with X_k extent 2*deg(t_k) - 1,
-then one top-down pass that folds each X_k^{deg t_k} back through t_k; every
-fold lands lower in the box, so one pass reduces all variables.  There is
-no per-pair cache.
+exponent tuple, X_1 varying fastest.
 
-Everything here is generic over the coefficient ring: it only relies on
-elements supporting +, -, *, ==, ``is_zero`` and a ``ring`` attribute with
-``zero``/``one``/``from_int``/``unit_inverse``.
+All products run one kernel on raw coefficient payloads, `convolve_fold`:
+a flat convolution into the box of `product_box`, then one top-down pass
+that folds each X_k^{deg t_k} back through t_k; every fold lands lower in
+the box, so one pass reduces all variables.  `MPoly`, `Poly` (with no
+folds) and `rings.ExtensionRing` (one variable) use it; `Poly` division
+runs on payloads too, and `RingElem`s are built only at the API edge.
+`rings.TruncatedRing._mul` keeps its loop, which stops each row at u^t:
+through the kernel an F_3[u]/u^2 product took 2.6 us against its 1.6 us.
+
+Everything here is generic over the coefficient ring: it relies on the raw
+payload operations ``_add``/``_neg``/``_mul``/``_zero`` and ``elem`` of the
+ring, and on ``zero``/``one``/``from_int``/``unit_inverse`` for elements.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ class Poly:
     @classmethod
     def from_ints(cls, ring, ints, var=0):
         return cls(ring, [ring.from_int(c) for c in ints], var=var)
+
+    @classmethod
+    def from_data(cls, ring, data, var=0):
+        """Wrap raw coefficient payloads (the inverse of `data`)."""
+        return cls(ring, map(ring.elem, data), var=var)
 
     @classmethod
     def constant(cls, ring, c, var=0):
@@ -76,8 +86,14 @@ class Poly:
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
 
+    def data(self):
+        """The raw coefficient payloads, ascending degree."""
+        return [c.data for c in self.coeffs]
+
     def _coerce(self, other):
         if isinstance(other, Poly):
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise DomainError(f"mixing polynomials over {self.ring} and {other.ring}")
             return other
         if isinstance(other, int):
             return Poly(self.ring, [self.ring.from_int(other)], var=self.var)
@@ -85,18 +101,17 @@ class Poly:
         return Poly(self.ring, [other], var=self.var)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.ring,
-            [self.coeff(i) + other.coeff(i) for i in range(n)],
-            var=self.var,
-        )
+        a, b = self.data(), self._coerce(other).data()
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.ring._add
+        return Poly.from_data(self.ring, [add(x, y) for x, y in zip(a, b)] + a[len(b):], var=self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, [-c for c in self.coeffs], var=self.var)
+        neg = self.ring._neg
+        return Poly.from_data(self.ring, [neg(c) for c in self.data()], var=self.var)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -108,13 +123,9 @@ class Poly:
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.ring, var=self.var)
-        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out, var=self.var)
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        box = convolve_fold(enumerate(self.data()), enumerate(other.data()), size, (), self.ring)
+        return Poly.from_data(self.ring, box, var=self.var)
 
     __rmul__ = __mul__
 
@@ -139,23 +150,21 @@ class Poly:
         lead = other.leading
         if lead.valuation() != 0:
             raise DomainError("divisor leading coefficient is not a unit")
-        inv = lead.ring.unit_inverse(lead)
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
+        dv = other.degree
+        if len(self.coeffs) <= dv:
             return Poly.zero(self.ring, var=self.var), self
-        quo = [self.ring.zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv
-            quo[k] = c
-            if c.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - c * b
-        return (
-            Poly(self.ring, quo, var=self.var),
-            Poly(self.ring, rem[: other.degree], var=self.var),
-        )
+        ring = self.ring
+        add, mul, z = ring._add, ring._mul, ring._zero
+        inv = ring.unit_inverse(lead).data
+        rem = self.data()
+        div = [ring._neg(b) for b in other.data()]
+        quo = [z] * (len(rem) - dv)
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k] = mul(rem[k + dv], inv)
+            if c != z:
+                for j, b in enumerate(div):
+                    rem[k + j] = add(rem[k + j], mul(c, b))
+        return Poly.from_data(ring, quo, var=self.var), Poly.from_data(ring, rem[:dv], var=self.var)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -209,6 +218,51 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({poly_to_text(self)!r})"
+
+
+def product_box(moduli):
+    """The product box of R[X_1,...,X_r]/<t_1(X_1),...,t_r(X_r)>, X_k extent
+    2*deg(t_k) - 1, X_1 fastest, as (place, size, folds): place[rank] is
+    where a normal-form monomial sits in the box, and folds lists top-down
+    the (pos, rule) of each pos with some e_k >= deg(t_k).  For the first
+    such k, rule is X_k^{deg t_k} = -(t_k - X_k^{deg t_k}) as (offset,
+    payload) pairs; every offset is negative."""
+    degs = [m.degree for m in moduli]
+    strides = [1]
+    for d in degs[:-1]:
+        strides.append(strides[-1] * (2 * d - 1))
+    size = strides[-1] * (2 * degs[-1] - 1)
+    place = [0]
+    for d, s in zip(degs, strides):
+        place = [p + e * s for e in range(d) for p in place]
+    rules = [
+        tuple(((j - d) * s, m.ring._neg(c.data)) for j, c in enumerate(m.coeffs[:d]) if not c.is_zero())
+        for m, d, s in zip(moduli, degs, strides)
+    ]
+    folds = []
+    for pos in range(size - 1, 0, -1):
+        rule = next((rule for d, s, rule in zip(degs, strides, rules) if pos // s % (2 * d - 1) >= d), None)
+        if rule:
+            folds.append((pos, rule))
+    return tuple(place), size, tuple(folds)
+
+
+def convolve_fold(a, b, size, folds, ring):
+    """The product box of two (position, payload) sequences over ``ring``:
+    one convolution, then the top-down `folds` of `product_box`."""
+    add, mul, z = ring._add, ring._mul, ring._zero
+    box = [z] * size
+    rhs = [(pb, y) for pb, y in b if y != z]
+    for pa, x in a:
+        if x != z:
+            for pb, y in rhs:
+                box[pa + pb] = add(box[pa + pb], mul(x, y))
+    for pos, rule in folds:
+        c = box[pos]
+        if c != z:
+            for off, f in rule:
+                box[pos + off] = add(box[pos + off], mul(c, f))
+    return box
 
 
 def poly_gcd(f, g):
@@ -435,7 +489,7 @@ class Ambient:
             raise DomainError(
                 "residue moduli are not square-free; pass unchecked=True to force"
             )
-        self._build_product_box()
+        self.place, self.box_size, self.folds = product_box(self.moduli)
         self._residue_ambient = None
         self._tau_perm = None
 
@@ -464,25 +518,6 @@ class Ambient:
                 return None
             out.append(e)
         return tuple(out)
-
-    def _build_product_box(self):
-        # place[rank]: where a normal-form monomial sits in the product box
-        # (X_k extent 2*d_k - 1, X_1 fastest).  fold_at[pos]: the rule
-        # X_k^{d_k} = -(t_k - X_k^{d_k}) as (offset, payload) pairs for the
-        # first X_k at pos with exponent >= d_k; None when pos is reduced.
-        strides = [1]
-        for d in self.degs[:-1]:
-            strides.append(strides[-1] * (2 * d - 1))
-        self.place = tuple(sum(e * s for e, s in zip(self.exps(r), strides)) for r in range(self.n))
-        rules = [
-            tuple(((j - d) * s, (-c).data) for j, c in enumerate(m.coeffs[:d]) if not c.is_zero())
-            for m, d, s in zip(self.moduli, self.degs, strides)
-        ]
-        self.fold_at = tuple(
-            next((rule for d, s, rule in zip(self.degs, strides, rules) if pos // s % (2 * d - 1) >= d),
-                 None)
-            for pos in range(strides[-1] * (2 * self.degs[-1] - 1))
-        )
 
     def rank(self, exps):
         return sum(e * s for e, s in zip(exps, self.strides))
@@ -668,19 +703,8 @@ class MPoly:
         _check_same_ambient(self, other)
         amb = self.ambient
         ring = amb.ring
-        add, mul, z = ring._add, ring._mul, ring._zero
-        box = [z] * len(amb.fold_at)
-        rhs = [(pb, cb.data) for pb, cb in zip(amb.place, other.coeffs) if cb.data != z]
-        for pa, ca in zip(amb.place, self.coeffs):
-            a = ca.data
-            if a != z:
-                for pb, b in rhs:
-                    box[pa + pb] = add(box[pa + pb], mul(a, b))
-        for pos in range(len(box) - 1, 0, -1):
-            c = box[pos]
-            if c != z and amb.fold_at[pos]:
-                for off, f in amb.fold_at[pos]:
-                    box[pos + off] = add(box[pos + off], mul(c, f))
+        a, b = ([c.data for c in f.coeffs] for f in (self, other))
+        box = convolve_fold(zip(amb.place, a), zip(amb.place, b), amb.box_size, amb.folds, ring)
         return MPoly(amb, [ring.elem(box[p]) for p in amb.place])
 
     __rmul__ = __mul__

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InternalError
-from .polys import Poly, is_irreducible, smallest_irreducible
+from .polys import Poly, convolve_fold, is_irreducible, product_box, smallest_irreducible
 
 
 class RingElem:
@@ -252,6 +252,7 @@ class IntegerModRing(ChainRing):
         self._zero = 0
         self._one = 1 % self.size
         self._a = p % self.size if t > 1 else 0
+        self._residue_field = None
 
     def _add(self, a, b):
         return (a + b) % self.size
@@ -296,7 +297,9 @@ class IntegerModRing(ChainRing):
     def residue_field(self):
         if self.t == 1:
             return self
-        return IntegerModRing(self.p, 1)
+        if self._residue_field is None:
+            self._residue_field = IntegerModRing(self.p, 1)
+        return self._residue_field
 
     def unit_inverse(self, x):
         try:
@@ -310,12 +313,40 @@ class IntegerModRing(ChainRing):
         return f"Z{self.size}"
 
 
-class ExtensionRing(ChainRing):
+class _TupleRing(ChainRing):
+    """Payload operations shared by rings whose elements are tuples of
+    ``_width`` payloads of a coefficient ring ``_inner``."""
+
+    def _add(self, a, b):
+        iadd = self._inner._add
+        return tuple(iadd(x, y) for x, y in zip(a, b))
+
+    def _neg(self, a):
+        ineg = self._inner._neg
+        return tuple(ineg(x) for x in a)
+
+    def _from_int(self, v):
+        return (self._inner._from_int(v),) + (self._inner._zero,) * (self._width - 1)
+
+    def _coords(self, a):
+        return [c for x in a for c in self._inner._coords(x)]
+
+    def _from_coords(self, coords):
+        k = self._inner.ncoords
+        return tuple(self._inner._from_coords(coords[i * k : (i + 1) * k]) for i in range(self._width))
+
+    def _from_rank(self, r):
+        size = self._inner.size
+        return tuple(self._inner._from_rank(r // size**i % size) for i in range(self._width))
+
+
+class ExtensionRing(_TupleRing):
     """base[Z]/(modulus) for a monic basic irreducible modulus.
 
     Shares the radical generator and nilpotency index of the base; the
     residue field gains degree deg(modulus).  Elements are tuples of base
     payloads, i.e. coordinates in the monomial basis 1, Z, ..., Z^{m-1}.
+    A product is `polys.convolve_fold` with the folds of the modulus.
     """
 
     def __init__(self, base, modulus, check=True):
@@ -328,9 +359,9 @@ class ExtensionRing(ChainRing):
             if not is_irreducible(mres):
                 raise DomainError("extension modulus is not basic irreducible")
         m = modulus.degree
-        self.base = base
+        self.base = self._inner = base
         self.modulus = modulus
-        self.deg = m
+        self.deg = self._width = m
         self.p = base.p
         self.t = base.t
         self.l = base.l * m
@@ -341,50 +372,12 @@ class ExtensionRing(ChainRing):
         self._zero = (base._zero,) * m
         self._one = (base._one,) + (base._zero,) * (m - 1)
         self._a = (base._a,) + (base._zero,) * (m - 1)
-        self._fold = self._fold_table()
-
-    def _fold_table(self):
-        # Z^{m+k} reduced mod the modulus, k = 0..m-2, as base payload tuples
-        m = self.deg
-        table = []
-        cur = Poly.x(self.base) ** m % self.modulus if m > 1 else None
-        if m == 1:
-            return table
-        for _ in range(m - 1):
-            table.append(tuple(cur.coeff(i).data for i in range(m)))
-            cur = (cur * Poly.x(self.base)) % self.modulus
-        return table
-
-    def _add(self, a, b):
-        badd = self.base._add
-        return tuple(badd(x, y) for x, y in zip(a, b))
-
-    def _neg(self, a):
-        bneg = self.base._neg
-        return tuple(bneg(x) for x in a)
+        _, self._box_size, self._folds = product_box((modulus,))
+        self._residue_field = None
 
     def _mul(self, a, b):
-        base = self.base
-        m = self.deg
-        conv = [base._zero] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x == base._zero:
-                continue
-            for j, y in enumerate(b):
-                if y == base._zero:
-                    continue
-                conv[i + j] = base._add(conv[i + j], base._mul(x, y))
-        out = conv[:m]
-        for k in range(m - 1):
-            c = conv[m + k]
-            if c == base._zero:
-                continue
-            fold = self._fold[k]
-            out = [base._add(o, base._mul(c, f)) for o, f in zip(out, fold)]
-        return tuple(out)
-
-    def _from_int(self, v):
-        return (self.base._from_int(v),) + (self.base._zero,) * (self.deg - 1)
+        box = convolve_fold(enumerate(a), enumerate(b), self._box_size, self._folds, self.base)
+        return tuple(box[: self.deg])
 
     def _val(self, a):
         return min(self.base._val(x) for x in a)
@@ -398,32 +391,15 @@ class ExtensionRing(ChainRing):
     def _div_a(self, a):
         return tuple(self.base._div_a(x) for x in a)
 
-    def _coords(self, a):
-        out = []
-        for x in a:
-            out.extend(self.base._coords(x))
-        return out
-
-    def _from_coords(self, coords):
-        k = self.base.ncoords
-        return tuple(
-            self.base._from_coords(coords[i * k : (i + 1) * k]) for i in range(self.deg)
-        )
-
-    def _from_rank(self, r):
-        out = []
-        for _ in range(self.deg):
-            out.append(self.base._from_rank(r % self.base.size))
-            r //= self.base.size
-        return tuple(out)
-
     @property
     def residue_field(self):
         if self.t == 1:
             return self
-        return ExtensionRing(
-            self.base.residue_field, self.modulus.residue(), check=False
-        )
+        if self._residue_field is None:
+            self._residue_field = ExtensionRing(
+                self.base.residue_field, self.modulus.residue(), check=False
+            )
+        return self._residue_field
 
     @property
     def gen(self):
@@ -452,7 +428,7 @@ class ExtensionRing(ChainRing):
         return f"Ext({self.base!r},deg={self.deg})"
 
 
-class TruncatedRing(ChainRing):
+class TruncatedRing(_TupleRing):
     """F_q[u]/(u^t): chain ring of characteristic p with radical generator u."""
 
     def __init__(self, field, t):
@@ -460,9 +436,9 @@ class TruncatedRing(ChainRing):
             raise DomainError("truncated ring coefficients must form a field")
         if t < 1:
             raise DomainError(f"nilpotency index t = {t} must be >= 1")
-        self.field = field
+        self.field = self._inner = field
         self.p = field.p
-        self.t = t
+        self.t = self._width = t
         self.l = field.l
         self.q = field.size
         self.size = field.size**t
@@ -476,14 +452,6 @@ class TruncatedRing(ChainRing):
             else (field._zero,)
         )
 
-    def _add(self, a, b):
-        fadd = self.field._add
-        return tuple(fadd(x, y) for x, y in zip(a, b))
-
-    def _neg(self, a):
-        fneg = self.field._neg
-        return tuple(fneg(x) for x in a)
-
     def _mul(self, a, b):
         field = self.field
         out = [field._zero] * self.t
@@ -495,9 +463,6 @@ class TruncatedRing(ChainRing):
                     break
                 out[i + j] = field._add(out[i + j], field._mul(x, y))
         return tuple(out)
-
-    def _from_int(self, v):
-        return (self.field._from_int(v),) + (self.field._zero,) * (self.t - 1)
 
     def _val(self, a):
         for i, x in enumerate(a):
@@ -513,25 +478,6 @@ class TruncatedRing(ChainRing):
 
     def _div_a(self, a):
         return a[1:] + (self.field._zero,)
-
-    def _coords(self, a):
-        out = []
-        for x in a:
-            out.extend(self.field._coords(x))
-        return out
-
-    def _from_coords(self, coords):
-        k = self.field.ncoords
-        return tuple(
-            self.field._from_coords(coords[i * k : (i + 1) * k]) for i in range(self.t)
-        )
-
-    def _from_rank(self, r):
-        out = []
-        for _ in range(self.t):
-            out.append(self.field._from_rank(r % self.field.size))
-            r //= self.field.size
-        return tuple(out)
 
     @property
     def residue_field(self):

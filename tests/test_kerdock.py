@@ -1,11 +1,14 @@
 """The Teichmuller trace-code demo at desk scale (q = 2, m = 3)."""
 
 import itertools
+import json
+from types import SimpleNamespace
 
 import pytest
 
 from chaincodes import DomainError, base_linear_code, kerdock_demo, kerdock_instance
 from chaincodes.kerdock import (
+    distance_formula_candidates,
     gamma_star,
     kerdock_project,
     nonlinearity_witness,
@@ -132,6 +135,39 @@ def test_demo_summary():
     assert demo["embedded_cardinality"] == 256
     assert demo["exact_distance"] >= 1
     assert set(demo["formula_value"]) == {"n=tau*q", "n=q^m"}
+
+
+def test_formula_is_exact():
+    demo = kerdock_demo(2, 3)
+
+    def no_float(x):
+        if isinstance(x, dict):
+            return all(no_float(v) for v in x.values())
+        if isinstance(x, (list, tuple)):
+            return all(no_float(v) for v in x)
+        return not isinstance(x, float)
+
+    assert no_float(demo)
+    assert json.loads(json.dumps(demo)) == demo
+    assert demo["formula_value"] == {
+        "n=tau*q": {"n": 14, "rational": "5", "sqrt_n_coeff": "-1/2", "floor": 3},
+        "n=q^m": {"n": 8, "rational": "2", "sqrt_n_coeff": "-1/2", "floor": 0},
+    }
+
+
+def test_formula_floor_brackets_the_value():
+    """floor <= (q-1)/q (n - sqrt(n)) - q < floor + 1, checked in integers:
+    with A = (q-1) n - q^2 the value is (A - (q-1) sqrt(n)) / q."""
+    for q in (2, 3, 4, 8):
+        for tau in range(1, 40):
+            for m in (1, 2, 3):
+                inst = SimpleNamespace(q=q, tau=tau, m=m)
+                for n, got in zip((tau * q, q**m), distance_formula_candidates(inst).values()):
+                    a, r2 = (q - 1) * n - q * q, (q - 1) ** 2 * n
+                    lo, hi = a - q * got["floor"], a - q * (got["floor"] + 1)
+                    assert got["n"] == n
+                    assert lo >= 0 and lo * lo >= r2  # floor <= value
+                    assert hi < 0 or hi * hi < r2  # value < floor + 1
 
 
 def test_demo_m5():
