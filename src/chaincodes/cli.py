@@ -14,6 +14,7 @@ keys are sorted and enumeration follows the canonical class order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -162,7 +163,7 @@ def _cmd_distance(args):
     }
 
 
-def _cmd_kerdock(args):
+def _cmd_kerdock_demo(args):
     if args.q != 2 or args.m not in (3, 5):
         raise DomainError("only q = 2 with m in {3, 5} is wired up at desk scale")
     return kerdock_mod.kerdock_demo(q=args.q, m=args.m)
@@ -270,26 +271,21 @@ def build_parser():
 
     p = sub.add_parser("factor", help="Hensel-lifted factorizations of the moduli")
     common(p)
-    p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("classes", help="cyclotomic classes")
     common(p)
     p.add_argument("--full", action="store_true", help="dump full per-class data")
-    p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("enumerate", help="stream all semisimple codes as JSON lines")
     common(p)
-    p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("info", help="one code from exponents or generators")
     common(p)
     code_args(p)
-    p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("dual", help="dual of an abelian semisimple code")
     common(p)
     code_args(p)
-    p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("self-dual", help="self-duality checks and construction")
     common(p)
@@ -297,33 +293,35 @@ def build_parser():
     p.add_argument("--check", action="store_true", help="test the given code")
     p.add_argument("--exists", action="store_true", help="non-trivial self-dual existence")
     p.add_argument("--construct", action="store_true", help="build a non-trivial self-dual code")
-    p.set_defaults(func=_cmd_self_dual)
 
     p = sub.add_parser("distance", help="exact distance or the product bound")
     common(p)
     code_args(p)
     p.add_argument("--exact", action="store_true", help="exact distance (default)")
     p.add_argument("--bound", action="store_true", help="product lower bound")
-    p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("oracle-check", help="run the brute-force cross-validation battery")
     common(p, ring=False)
     p.add_argument("--suite", default="all", choices=["all"])
-    p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("kerdock-demo", help="trace-code / Kerdock reproduction")
     common(p, ring=False)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--m", type=int, default=3)
-    p.set_defaults(func=_cmd_kerdock)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process; it holds no `_cmd_*` function,
+    so a command rebound after the first request still runs."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.output:
@@ -340,7 +338,7 @@ def main(argv=None):
 def _run(args, out):
     """Run the command, writing its JSON (or its error object) to ``out``."""
     try:
-        result = args.func(args)
+        result = globals()["_cmd_" + args.command.replace("-", "_")](args)
         for line in [_dump(result)] if isinstance(result, dict) else result:
             out.write(line + "\n")
     except BudgetExceeded as exc:
@@ -355,7 +353,7 @@ def _run(args, out):
     except json.JSONDecodeError as exc:
         out.write(_dump({"code": "bad_json", "message": str(exc)}) + "\n")
         return 2
-    if args.func is _cmd_oracle_check and not result["all_pass"]:
+    if args.command == "oracle-check" and not result["all_pass"]:
         return 1
     return 0
 

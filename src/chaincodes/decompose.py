@@ -17,10 +17,17 @@ The component ring R[X_1,...,X_r]/<q_1, z_2, ..., z_r> is realized as the
 iterated extension tower, so its chain-ring arithmetic comes for free.
 
 Each idempotent e_C is the lift of its residue e-bar = h-bar^(q^|C| - 1).
-An idempotent lifts uniquely modulo the nilpotent radical, so the product
-of two lifts is an idempotent with zero residue, which is 0: the lifts are
-orthogonal as they stand and need no correction.  That they are idempotent,
-orthogonal and sum to one is still checked whenever the class data is built.
+Over F_q the q-th power f -> f(X^q) only moves monomials, so that power is
+taken as (h-bar * P)^(q - 1) with P = phi(h-bar) * ... * phi^(|C|-1)(h-bar),
+phi = `Ambient.frobenius`: |C| - 1 Frobenius images and about as many
+products instead of a square-and-multiply chain (Itoh & Tsujii, 1988).
+The residue of the cofactor, e-bar * h-bar^(q^|C| - 2), reuses P as
+e-bar * h-bar^(q - 2) * P^(q - 1).  An idempotent lifts uniquely modulo
+the nilpotent radical, so the product of two lifts is an idempotent with
+zero residue, which is 0: the lifts are orthogonal as they stand and need
+no correction.  That they are idempotent, orthogonal and sum to one is
+still checked whenever the class data is built, orthogonality with one
+product per class against a running suffix sum.
 
 The stages -- classes, lifted factorizations, class data with h_C and e_C,
 the cofactors g_C, and over a field the F_q-rows of each minimal ideal
@@ -101,22 +108,40 @@ class ClassData:
     h: object  # MPoly
 
     @cached_property
+    def _frobenius_product(self):
+        """P = phi(h-bar) * ... * phi^(|C|-1)(h-bar) with phi(f) = f^q, or
+        None when |C| = 1; read by `e` and `g`, and dropped by `g`."""
+        hbar = self.h.residue()
+        image, P = hbar, None
+        for _ in range(self.cls.size - 1):
+            image = hbar.ambient.frobenius(image)
+            P = image if P is None else P * image
+        return P
+
+    @cached_property
     def e(self):
-        """The primitive idempotent: the lift of h-bar^(q^|C| - 1)."""
+        """The primitive idempotent: the lift of e-bar = h-bar^(q^|C| - 1).
+        As q^|C| - 1 = (q - 1)(1 + q + ... + q^(|C|-1)), e-bar is
+        (h-bar * P)^(q - 1) with P from `_frobenius_product`."""
         A = self.h.ambient
-        ebar = self.h.residue() ** (A.ring.q**self.cls.size - 1)
+        hbar, P = self.h.residue(), self._frobenius_product
+        ebar = (hbar if P is None else hbar * P) ** (A.ring.q - 1)
         if A.ring.t == 1:
             return ebar
         return lift_idempotent(ebar.lift_to(A))
 
     @cached_property
     def g(self):
-        """The cofactor with g * h == e, by Newton iteration on the component."""
+        """The cofactor with g * h == e, by Newton iteration on the component
+        from v-bar = e-bar * h-bar^(q^|C| - 2) = e-bar * h-bar^(q - 2) * P^(q - 1)."""
         A = self.h.ambient
-        qc = A.ring.q**self.cls.size
-        hbar = self.h.residue()
+        q = A.ring.q
         ebar = self.e.residue()
-        vbar = ebar * hbar ** (qc - 2) if qc > 2 else ebar
+        P = self._frobenius_product
+        del self._frobenius_product
+        vbar = ebar if P is None else ebar * P ** (q - 1)
+        if q > 2:
+            vbar = vbar * self.h.residue() ** (q - 2)
         v = vbar.lift_to(A) * self.e if A.ring.t > 1 else vbar
         two_e = self.e + self.e
         for _ in range(A.ring.t.bit_length() + 1):
@@ -228,6 +253,28 @@ def _poly_over_tower_to_mpoly(f, base, ambient, var):
     return ambient.from_terms(terms)
 
 
+def check_idempotent_family(ambient, es):
+    """Raise `InternalError` unless e_1, ..., e_N are idempotent, pairwise
+    orthogonal and sum to one, using N - 1 products for orthogonality.
+
+    With the suffix sums T_i = e_{i+1} + ... + e_N, it checks e_i * T_i = 0
+    for i < N.  Given that every e_i is idempotent, this is equivalent to
+    pairwise orthogonality.  By downward induction on i, suppose the e_k
+    with k > i are pairwise orthogonal; then T_i * e_k = e_k * e_k = e_k
+    for k > i, so e_i * e_k = (e_i * T_i) * e_k = 0.
+    """
+    for e in es:
+        if e * e != e:
+            raise InternalError("lifted class idempotent is not idempotent")
+    suffix = es[-1]
+    for e in reversed(es[:-1]):
+        if not (e * suffix).is_zero():
+            raise InternalError("idempotents are not orthogonal")
+        suffix = suffix + e
+    if suffix != ambient.one():
+        raise InternalError("idempotents do not sum to one")
+
+
 class Decomposition:
     """Classes, class data and idempotents of one semisimple ambient.
 
@@ -259,18 +306,7 @@ class Decomposition:
     def data(self):
         """Class data in canonical class order; checks the idempotent family."""
         data = [self._build_class(cls) for cls in self.classes]
-        A = self.ambient
-        total = A.zero()
-        for cd in data:
-            if cd.e * cd.e != cd.e:  # pragma: no cover
-                raise InternalError("lifted class idempotent is not idempotent")
-            total = total + cd.e
-        if total != A.one():  # pragma: no cover
-            raise InternalError("idempotents do not sum to one")
-        for i, ci in enumerate(data):
-            for cj in data[i + 1 :]:
-                if not (ci.e * cj.e).is_zero():  # pragma: no cover
-                    raise InternalError("idempotents are not orthogonal")
+        check_idempotent_family(self.ambient, [cd.e for cd in data])
         return data
 
     # -- construction ---------------------------------------------------------

@@ -83,13 +83,29 @@ def _random_poly(field, degree, rng):
     return Poly(field, coeffs)
 
 
+# Draws `_equal_degree` makes before it gives up on one split.
+SPLIT_DRAWS = 128
+
+
 def _equal_degree(g, d, rng):
-    """Split a product of distinct irreducible factors, all of degree d."""
+    """Split a product of distinct irreducible factors, all of degree d.
+
+    A draw r of degree < 2d maps onto any two factors' residue fields
+    F_Q x F_Q, Q = q^d, uniformly, so it separates them with chance 1/2 in
+    characteristic 2 (their traces differ) and (Q^2 - 1) / (2 Q^2) for odd
+    q (one power r^((Q-1)/2) is 1 and the other is not), counting the
+    constant draws, which never split.  The worst case is 4/9, at GF(3) and
+    d = 1; GF(2) with d = 1 gives 1/2, where half the draws are constants
+    and every other one splits.  So a correct split misses all
+    `SPLIT_DRAWS` draws with chance at most (5/9)^128 < 2^-100, and running
+    out of draws raises `InternalError` instead of looping on broken
+    arithmetic.
+    """
     if g.degree == d:
         return [g.monic()]
     field = g.ring
     q = field.size
-    while True:
+    for _ in range(SPLIT_DRAWS):
         r = _random_poly(field, 2 * d, rng)
         if r.degree < 1:
             continue
@@ -109,6 +125,7 @@ def _equal_degree(g, d, rng):
             left = cand.monic()
             right = (g // cand).monic()
             return _equal_degree(left, d, rng) + _equal_degree(right, d, rng)
+    raise InternalError(f"no split of a degree-{g.degree} product in {SPLIT_DRAWS} draws")
 
 
 @dataclass

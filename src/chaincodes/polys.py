@@ -23,6 +23,8 @@ ring, and on ``zero``/``one``/``from_int``/``unit_inverse`` for elements.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import DomainError, InternalError
 
 
@@ -132,14 +134,7 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise DomainError("negative polynomial power")
-        result = Poly.one(self.ring, var=self.var)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, Poly.one(self.ring, var=self.var))
 
     def __divmod__(self, other):
         """Exact division with remainder; the divisor needs a unit leading
@@ -292,16 +287,25 @@ def poly_ext_gcd(f, g):
     return r0 * unit, s0 * unit, t0 * unit
 
 
+def power(base, e, one, mul=operator.mul):
+    """base**e for an int e >= 0 by left-to-right square-and-multiply:
+    bitlen(e) - 1 squarings and popcount(e) - 1 further products, none of
+    them by ``one``, which is returned only for e = 0."""
+    if e < 0:
+        raise DomainError("negative power")
+    if e == 0:
+        return one
+    result = base
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
 def pow_mod(f, e, mod):
     """f**e modulo ``mod``."""
-    result = Poly.one(f.ring, var=f.var)
-    base = f % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    return power(f % mod, e, Poly.one(f.ring, var=f.var), lambda a, b: (a * b) % mod)
 
 
 def prime_factors(n):
@@ -492,6 +496,7 @@ class Ambient:
         self.place, self.box_size, self.folds = product_box(self.moduli)
         self._residue_ambient = None
         self._tau_perm = None
+        self._frobenius_images = None
 
     def _check_semisimple(self):
         for m in self.moduli:
@@ -655,6 +660,43 @@ class Ambient:
             self._tau_perm = tuple(perm)
         return self._tau_perm
 
+    def frobenius(self, f):
+        """f**q over a field ambient (t = 1), as the ring map X^m -> X^(q*m):
+        the q-th power fixes F_q, so it only moves monomials.  The image of
+        each normal-form monomial, prod_k (X_k^(q*m_k) mod t_k), is built
+        once per ambient as (rank, payload) pairs; on abelian ambients it is
+        one monomial, so the map is a permutation."""
+        if self.ring.t != 1:
+            raise DomainError("the Frobenius map is defined over a field ambient")
+        if f.ambient is not self and f.ambient != self:
+            raise DomainError("polynomials live in different ambients")
+        if self._frobenius_images is None:
+            self._frobenius_images = self._frobenius_table()
+        ring = self.ring
+        add, mul, z = ring._add, ring._mul, ring._zero
+        out = [z] * self.n
+        for c, image in zip(f.coeffs, self._frobenius_images):
+            if c.data != z:
+                for rank, y in image:
+                    out[rank] = add(out[rank], mul(c.data, y))
+        return MPoly(self, [ring.elem(c) for c in out])
+
+    def _frobenius_table(self):
+        images = [((0, self.ring._one),)]
+        for m, stride in zip(self.moduli, self.strides):
+            xq = pow_mod(Poly.x(self.ring, var=m.var), self.ring.q, m)
+            powers = []
+            xe = Poly.one(self.ring, var=m.var)
+            for _ in range(m.degree):
+                powers.append([(j * stride, c.data) for j, c in enumerate(xe.coeffs) if not c.is_zero()])
+                xe = (xe * xq) % m
+            images = [
+                tuple((r + rj, self.ring._mul(c, cj)) for r, c in image for rj, cj in xe_terms)
+                for xe_terms in powers
+                for image in images
+            ]
+        return images
+
 
 def _check_same_ambient(f, g):
     if f.ambient is not g.ambient and f.ambient != g.ambient:
@@ -712,14 +754,7 @@ class MPoly:
     def __pow__(self, e):
         if e < 0:
             raise DomainError("negative power in quotient algebra")
-        result = self.ambient.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ambient.one())
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):

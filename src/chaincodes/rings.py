@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InternalError
-from .polys import Poly, convolve_fold, is_irreducible, product_box, smallest_irreducible
+from .polys import Poly, convolve_fold, is_irreducible, power, product_box, smallest_irreducible
 
 
 class RingElem:
@@ -78,14 +78,7 @@ class RingElem:
     def __pow__(self, e):
         if e < 0:
             return self.ring.unit_inverse(self) ** (-e)
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ring.one)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -322,3 +322,25 @@ def test_oracle_check(capsys):
         "distance-vs-oracle",
         "selfdual-criterion",
     } <= names
+
+
+def test_unbounded_split_retry_is_an_internal_error(capsys, monkeypatch):
+    # every gcd taken while splitting equal-degree factors is one, as with
+    # broken arithmetic: the retry budget runs out instead of looping
+    from chaincodes import factor
+    from chaincodes.polys import Poly
+
+    real = factor.poly_gcd
+
+    def no_split(f, g):
+        if sys._getframe(1).f_code is factor._equal_degree.__code__:
+            return Poly.one(f.ring, var=f.var)
+        return real(f, g)
+
+    monkeypatch.setattr(factor, "poly_gcd", no_split)
+    code, out = run(capsys, "factor", "--ring", Z4, "--moduli", "x^7-1")
+    assert code == 1
+    assert json.loads(out) == {
+        "code": "internal_error",
+        "message": f"no split of a degree-6 product in {factor.SPLIT_DRAWS} draws",
+    }

@@ -130,3 +130,54 @@ def test_classes_nonabelian_labels(z4):
     assert not sd.exponent_form
     classes = cyclotomic_classes(amb, sd)
     assert len(classes) == 1 and classes[0].size == 3
+
+
+class _Draws:
+    """A stand-in for `random.Random` that hands out fixed ranks, then stops."""
+
+    def __init__(self, ranks):
+        self.ranks = list(ranks)
+
+    def randrange(self, n):
+        if not self.ranks:
+            raise LookupError("out of draws")
+        return self.ranks.pop(0)
+
+
+@pytest.mark.parametrize("p,l,split", [(2, 1, 2), (2, 2, 8), (3, 1, 4), (5, 1, 12)])
+def test_split_chance_per_draw(p, l, split):
+    """Of the q^2 draws r of degree < 2 on (x - 1)(x - a), (q^2 - 1) / 2
+    split for odd q and q^2 / 2 in characteristic 2; the budget in
+    `_equal_degree` is sized from the worst, 4 of 9 at GF(3)."""
+    from itertools import product
+
+    from chaincodes.factor import _equal_degree
+
+    field = FiniteField(p, l)
+    a = field.from_rank(2 if p > 2 else 0)
+    g = Poly(field, [-field.one, field.one]) * Poly(field, [-a, field.one])
+    splits = 0
+    for ranks in product(range(field.size), repeat=2):
+        try:
+            _equal_degree(g, 1, _Draws(ranks))
+        except LookupError:
+            continue
+        splits += 1
+    assert splits == split
+
+
+def test_equal_degree_gives_up_after_its_budget(monkeypatch):
+    import random
+
+    from chaincodes import factor
+    from chaincodes.errors import InternalError
+
+    f2 = FiniteField(2)
+    g = Poly.from_ints(f2, [0, 1, 1])  # x (x + 1)
+    draws = []
+    real_random_poly = factor._random_poly
+    monkeypatch.setattr(factor, "poly_gcd", lambda f, h: Poly.one(f.ring, var=f.var))
+    monkeypatch.setattr(factor, "_random_poly", lambda *a: draws.append(1) or real_random_poly(*a))
+    with pytest.raises(InternalError, match="no split"):
+        factor._equal_degree(g, 1, random.Random(0))
+    assert len(draws) == factor.SPLIT_DRAWS
