@@ -60,10 +60,7 @@ def _rep_key(rep):
     (abelian ambients) or a list of int coordinates."""
     if isinstance(rep, list):
         key = tuple(tuple(x) if isinstance(x, list) else x for x in rep)
-        if all(
-            isinstance(x, int) or (isinstance(x, tuple) and all(isinstance(c, int) for c in x))
-            for x in key
-        ):
+        if all(codes_mod.is_root_label(x) for x in key):
             return key
     raise DomainError(f"bad class representative {rep!r}")
 

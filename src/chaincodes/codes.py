@@ -3,7 +3,8 @@
 A code is represented semantically by its exponent map: for every
 cyclotomic class C an integer j_C in [0, t], meaning the component carries
 the ideal <a^{j_C}>.  The map is a complete invariant; generator lists are
-normalized onto it on entry, and the canonical generator family
+normalized onto it on entry with one product e_C * g per class and
+generator and no re-check (see `code_from_generators`); the canonical family
 G_0, ..., G_t (sums of primitive idempotents grouped by exponent) plus the
 single generator G = sum a^i G_{i+1} are reconstructed from it on demand.
 """
@@ -32,11 +33,13 @@ class SemisimpleCode:
     __slots__ = ("dec", "exps")
 
     def __init__(self, dec, exps):
-        exps = tuple(int(j) for j in exps)
+        exps = tuple(exps)
         t = dec.ambient.ring.t
         if len(exps) != dec.class_count:
             raise DomainError("exponent map must cover every class")
         for j in exps:
+            if type(j) is not int:
+                raise DomainError(f"exponent {j!r} is not an int")
             if not 0 <= j <= t:
                 raise DomainError(f"exponent {j} outside [0, {t}]")
         self.dec = dec
@@ -179,6 +182,11 @@ def _check_aligned(dec, rdec):
         raise InternalError("residue ambient classes are misaligned")  # pragma: no cover
 
 
+def is_root_label(x):
+    """An int or a tuple of int coordinates; a bool, equal to 0 or 1, is neither."""
+    return type(x) is int or type(x) is tuple and all(type(c) is int for c in x)
+
+
 def code_from_exponents(ambient, exps, seed=0):
     """Build a code from an exponent map (sequence in canonical class order,
     or a dict keyed by class representative tuples)."""
@@ -193,7 +201,9 @@ def code_from_exponents(ambient, exps, seed=0):
         for key, j in exps.items():
             if not isinstance(key, tuple):
                 key = (key,)
-            table[tuple(key)] = j
+            if not all(is_root_label(x) for x in key):
+                raise DomainError(f"bad class representative {key!r}")
+            table[key] = j
         ordered = []
         for cls in dec.classes:
             key = enc_key(cls.rep)
@@ -207,7 +217,14 @@ def code_from_exponents(ambient, exps, seed=0):
 
 
 def code_from_generators(ambient, gens, seed=0):
-    """Normalize an arbitrary generator list to its exponent map."""
+    """Normalize an arbitrary generator list to its exponent map.
+
+    j_C is the least valuation of the e_C * g, one product per class and
+    generator until j_C reaches 0.  No membership re-check follows: where
+    j_C > 0 every e_C * g was computed and j_C is their minimum, which is
+    all `contains` would recompute.  What can fail, that the e_C sum to one
+    (so g = sum e_C * g), is checked when `dec.data` is built.
+    """
     dec = decompose(ambient, seed=seed)
     t = ambient.ring.t
     exps = []
@@ -218,11 +235,7 @@ def code_from_generators(ambient, gens, seed=0):
             if j == 0:
                 break
         exps.append(j)
-    code = SemisimpleCode(dec, exps)
-    for g in gens:
-        if not code.contains(g):  # pragma: no cover
-            raise InternalError("generator normalization lost a generator")
-    return code
+    return SemisimpleCode(dec, exps)
 
 
 def enumerate_codes(ambient, seed=0):

@@ -30,10 +30,10 @@ still checked whenever the class data is built, orthogonality with one
 product per class against a running suffix sum.
 
 The stages -- classes, lifted factorizations, class data with h_C and e_C,
-the cofactors g_C, and over a field the F_q-rows of each minimal ideal
-<e_C> -- are computed on first use; only the splitting data is built with
-the decomposition, so a caller that needs the lifted factorizations alone
-never computes an idempotent.
+the cofactors g_C, and over a field `rows`, |C| F_q-rows of each minimal
+ideal <e_C> for all classes at once -- are computed on first use; only the
+splitting data is built with the decomposition, so a caller that needs the
+lifted factorizations alone never computes an idempotent.
 """
 
 from __future__ import annotations
@@ -150,38 +150,6 @@ class ClassData:
                 return v
             v = v * (two_e - prod)
         raise InternalError("cofactor iteration did not converge")  # pragma: no cover
-
-    @cached_property
-    def rows(self):
-        """An F_q-basis of the minimal ideal <e> of a t = 1 ambient, as |C|
-        payload tuples: the multiples X^g * e, eliminated once."""
-        A = self.h.ambient
-        field = A.ring
-        if field.t != 1:
-            raise DomainError("class rows are defined over a field ambient")
-        zero = field._zero
-        rows = []
-        pivots = []
-        for rank in range(A.n):
-            row = [c.data for c in (A.monomial(A.exps(rank)) * self.e).coeffs]
-            for pc, brow in zip(pivots, rows):
-                c = row[pc]
-                if c != zero:
-                    neg = field._neg(c)
-                    row = [field._add(a, field._mul(neg, b)) for a, b in zip(row, brow)]
-            pc = next((i for i, c in enumerate(row) if c != zero), None)
-            if pc is None:
-                continue
-            inv = field.unit_inverse(field.elem(row[pc])).data
-            rows.append(tuple(field._mul(c, inv) for c in row))
-            pivots.append(pc)
-        if len(rows) != self.cls.size:  # pragma: no cover
-            raise InternalError("minimal ideal dimension does not match the class size")
-        return rows
-
-    @property
-    def degrees(self):
-        return [p.degree for p in self.p_polys]
 
     @property
     def component_ring(self):
@@ -308,6 +276,49 @@ class Decomposition:
         data = [self._build_class(cls) for cls in self.classes]
         check_idempotent_family(self.ambient, [cd.e for cd in data])
         return data
+
+    @cached_property
+    def rows(self):
+        """Over a field (t = 1), an F_q-basis of each minimal ideal <e_C>:
+        |C| payload tuples per class, in `data` order.
+
+        The multiples X^g * e_C are eliminated in rank order until |C| are
+        independent, or `InternalError` if all n leave fewer.  So dim <e_C>
+        >= |C| for every class.  `data` checked that the e_C are orthogonal
+        idempotents summing to one, so the <e_C> sum directly to the whole
+        n-dimensional ambient, and `cyclotomic_classes` checked that the
+        classes partition the n roots, so sum |C| = n: every dim <e_C> is
+        exactly |C| and the rows are a basis.  As this needs the bound for
+        every class, all classes are built together in this one stage.
+        """
+        A = self.ambient
+        field = A.ring
+        if field.t != 1:
+            raise DomainError("class rows are defined over a field ambient")
+        zero = field._zero
+        out = []
+        for cd in self.data:
+            rows = []
+            pivots = []
+            for rank in range(A.n):
+                if len(rows) == cd.cls.size:
+                    break
+                row = [c.data for c in (A.monomial(A.exps(rank)) * cd.e).coeffs]
+                for pc, brow in zip(pivots, rows):
+                    c = row[pc]
+                    if c != zero:
+                        neg = field._neg(c)
+                        row = [field._add(a, field._mul(neg, b)) for a, b in zip(row, brow)]
+                pc = next((i for i, c in enumerate(row) if c != zero), None)
+                if pc is None:
+                    continue
+                inv = field.unit_inverse(field.elem(row[pc])).data
+                rows.append(tuple(field._mul(c, inv) for c in row))
+                pivots.append(pc)
+            if len(rows) != cd.cls.size:  # pragma: no cover
+                raise InternalError("minimal ideal dimension is below the class size")
+            out.append(rows)
+        return out
 
     # -- construction ---------------------------------------------------------
 

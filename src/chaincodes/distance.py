@@ -5,7 +5,8 @@ which is carried by the residue-field code L generated by the residues of
 the canonical generators; so every exact distance computation enumerates
 a field code over an F_q-basis b_0, ..., b_{k-1}.  The code is the direct
 sum of the minimal ideals <e_C> of its classes with j = 0, and the basis
-is the concatenation of their cached rows.
+is the concatenation of their rows from the `Decomposition.rows` stage,
+built once per field ambient.
 
 Words are packed into one int.  With q = p^l, write u_0, ..., u_{l-1} for
 the F_p-basis of F_q given by the unit coordinate vectors; F_p digit m of
@@ -71,7 +72,7 @@ def _field_basis(code):
     """
     if code.ambient.ring.t != 1:
         raise DomainError("basis extraction expects a field code")
-    return [row for cd, j in zip(code.dec.data, code.exps) if j == 0 for row in cd.rows]
+    return [row for rows, j in zip(code.dec.rows, code.exps) if j == 0 for row in rows]
 
 
 def _min_weight(ambient, basis, budget):

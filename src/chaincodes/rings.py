@@ -511,40 +511,11 @@ def _is_prime(n):
     return True
 
 
-# Minimal-rank monic irreducible polynomials over F_p (ascending coefficient
-# tuples including the leading 1); the reproducible defaults for Galois ring
-# and field extensions.  Filled for small degrees, searched on demand beyond.
-_IRREDUCIBLE_TABLE = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
-    (2, 6): (1, 1, 0, 0, 0, 0, 1),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (3, 5): (1, 2, 0, 0, 0, 1),
-    (3, 6): (2, 1, 0, 0, 0, 0, 1),
-    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
-    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
-    (5, 2): (2, 0, 1),
-    (5, 3): (1, 1, 0, 1),
-    (5, 4): (2, 0, 0, 0, 1),
-    (7, 2): (1, 0, 1),
-    (7, 3): (2, 0, 0, 1),
-}
-
-
 @lru_cache(maxsize=None)
 def default_modulus(p, degree):
-    """The minimal-rank monic irreducible of the given degree over F_p."""
-    if degree == 1:
-        return (0, 1)
-    hit = _IRREDUCIBLE_TABLE.get((p, degree))
-    if hit is not None:
-        return hit
+    """The minimal-rank monic irreducible of the given degree over F_p, as
+    ascending coefficients including the leading 1: the reproducible
+    default for Galois ring and field extensions, searched once per process."""
     f = smallest_irreducible(IntegerModRing(p, 1), degree)
     return tuple(c.data for c in f.coeffs)
 

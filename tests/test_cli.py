@@ -230,6 +230,13 @@ def test_domain_error_exit_code(capsys):
         ("factor", "--ring", '{"kind":"galois","p":2,"t":true}', "--moduli", "x^7-1"),
         ("factor", "--ring", '{"kind":"galois","p":2,"t":"2"}', "--moduli", "x^7-1"),
         ("factor", "--ring", '{"kind":"galois","p":2,"t":2,"l":1.0}', "--moduli", "x^7-1"),
+        # so must exponents and representative labels: true is not the label 1
+        ("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents", "[true,false,true]"),
+        ("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents", "[1.0,0,2]"),
+        ("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents",
+         "[[[0],1],[[true],0],[[3],2]]"),
+        ("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents",
+         "[[[0],1],[[1],false],[[3],2]]"),
     ],
 )
 def test_malformed_input_is_a_domain_error(capsys, argv):

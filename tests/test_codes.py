@@ -3,7 +3,9 @@
 import pytest
 
 from chaincodes import (
+    Ambient,
     DomainError,
+    Poly,
     code_from_exponents,
     code_from_generators,
     decompose,
@@ -36,6 +38,25 @@ def test_exponent_validation(amb_x7):
         code_from_exponents(amb_x7, {(0,): 0, (1,): 0})
 
 
+@pytest.mark.parametrize(
+    "exps",
+    [
+        [1.7, 0, 2],
+        ["1", 0, 2],
+        [True, False, True],
+        "102",
+        {(0,): 1, (1,): 0, (3,): 2.0},
+        {(0,): 1, (True,): 0, (3,): 2},
+        {((0,),): 1, (1,): 0, (3,): 2},
+    ],
+    ids=["float", "str", "bool", "text", "dict-float", "bool-label", "nested-label"],
+)
+def test_exponent_maps_take_plain_ints_only(amb_x7, exps):
+    """Anything that only converts to an int, or compares equal to one, is refused."""
+    with pytest.raises(DomainError):
+        code_from_exponents(amb_x7, exps)
+
+
 def test_code_from_generators(amb_x7):
     dec = decompose(amb_x7)
     K = code_from_generators(amb_x7, [dec.data[0].h])
@@ -45,6 +66,24 @@ def test_code_from_generators(amb_x7):
     # a^t * anything is zero
     K2 = code_from_generators(amb_x7, [dec.data[1].h * 4])
     assert K2.is_zero()
+
+
+def test_normalization_makes_one_product_per_class(z4, monkeypatch):
+    """One generator on Z4 x^15-1 with exponents 0, 1 and 2: exactly one
+    e_C * g per class, and no membership re-check."""
+    from chaincodes.polys import MPoly
+
+    amb = Ambient(z4, [Poly.from_ints(z4, [-1] + [0] * 14 + [1])])
+    dec = decompose(amb)
+    N = dec.class_count
+    exps = [(0, 1, 2)[i % 3] for i in range(N)]
+    G = code_from_exponents(amb, exps).generators().G
+    calls = []
+    real = MPoly.__mul__
+    monkeypatch.setattr(MPoly, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    K = code_from_generators(amb, [G])
+    assert K.exps == tuple(exps)
+    assert len(calls) == N
 
 
 def test_generator_round_trip(amb_x7):

@@ -397,8 +397,37 @@ def test_class_rows_lie_in_their_minimal_ideal(ring, moduli):
     """Each class has |C| rows, and e-bar_C fixes every one of them."""
     Abar = _row_ambient(ring, moduli).residue_ambient
     field = Abar.ring
-    for cd in decompose(Abar).data:
-        assert len(cd.rows) == cd.cls.size
-        for row in cd.rows:
+    dec = decompose(Abar)
+    for cd, rows in zip(dec.data, dec.rows):
+        assert len(rows) == cd.cls.size
+        for row in rows:
             v = Abar.from_vector([field.elem(c) for c in row])
             assert cd.e * v == v
+
+
+@pytest.mark.parametrize(
+    "ring, moduli, exact",
+    [
+        (_field(2, 1, 1), ["x^23-1"], True),
+        (_field(2, 1, 2), ["x^15-1"], True),
+        (_field(2, 1, 1), ["x^3-1", "y^3-1", "z^3-1"], False),
+    ],
+    ids=["GF2-Golay", "GF4-x15", "GF2-x3y3z3"],
+)
+def test_class_rows_stop_at_the_class_size(ring, moduli, exact, monkeypatch):
+    """Reading every class's rows makes |C| products per class where the first
+    |C| multiples are independent (n in all, as for cyclic codes), and fewer
+    than one per monomial and class in general."""
+    from chaincodes.polys import MPoly
+
+    amb = _row_ambient(ring, moduli)
+    dec = decompose(amb)
+    dec.data  # the idempotents, built before counting
+    calls = []
+    real = MPoly.__mul__
+    monkeypatch.setattr(MPoly, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    dec.rows
+    if exact:
+        assert len(calls) == amb.n
+    else:
+        assert amb.n <= len(calls) < amb.n * dec.class_count

@@ -166,11 +166,49 @@ def test_ring_trace(z4, gr42):
             assert ring_trace(gr42, gr42.embed(c) * x) == c * ring_trace(gr42, x)
 
 
-def test_default_moduli_are_minimal_irreducibles():
-    from chaincodes.polys import is_irreducible
-    from chaincodes.rings import _IRREDUCIBLE_TABLE, IntegerModRing, default_modulus
+# Minimal-rank monic irreducibles over F_p, ascending with the leading 1.
+_MINIMAL_IRREDUCIBLES = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+}
 
-    for (p, deg), entry in sorted(_IRREDUCIBLE_TABLE.items()):
+
+def test_default_moduli_are_minimal_irreducibles(monkeypatch):
+    """Each default is searched (once per process), minimal and irreducible."""
+    from chaincodes import rings
+    from chaincodes.polys import is_irreducible
+    from chaincodes.rings import IntegerModRing, default_modulus
+
+    searched = []
+    real = rings.smallest_irreducible
+    monkeypatch.setattr(
+        rings, "smallest_irreducible", lambda f, d: searched.append((f.p, d)) or real(f, d)
+    )
+    default_modulus.cache_clear()
+    for (p, deg), entry in sorted(_MINIMAL_IRREDUCIBLES.items()):
+        assert default_modulus(p, deg) == entry
+        assert default_modulus(p, deg) == entry
+        assert searched[-1] == (p, deg)
+    assert len(searched) == len(_MINIMAL_IRREDUCIBLES)
+    default_modulus.cache_clear()
+    for (p, deg), entry in sorted(_MINIMAL_IRREDUCIBLES.items()):
         field = IntegerModRing(p, 1)
         assert is_irreducible(Poly.from_ints(field, entry))
         # minimal by coefficient rank: nothing smaller is irreducible
@@ -181,8 +219,7 @@ def test_default_moduli_are_minimal_irreducibles():
                 coeffs.append(r % p)
                 r //= p
             assert not is_irreducible(Poly.from_ints(field, coeffs + [1]))
-    # the search fallback agrees with the table and covers missing degrees
-    assert default_modulus(2, 3) == (1, 1, 0, 1)
+    assert default_modulus(2, 1) == (0, 1)
     assert default_modulus(11, 2)[-1] == 1
 
 
