@@ -247,6 +247,14 @@ def _cmd_oracle_check(args):
     return {"suite": args.suite, "checks": checks, "all_pass": all(c["pass"] for c in checks)}
 
 
+def _budget(text):
+    """--budget: an integer >= 1, like every other malformed option a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chaincodes",
@@ -259,7 +267,7 @@ def build_parser():
             p.add_argument("--ring", required=True, help="ring descriptor JSON")
             p.add_argument("--moduli", nargs="+", required=True, help="one univariate polynomial per variable")
         p.add_argument("--seed", type=int, default=0, help="factorization seed")
-        p.add_argument("--budget", type=int, default=distance_mod.DEFAULT_BUDGET, help="enumeration budget")
+        p.add_argument("--budget", type=_budget, default=distance_mod.DEFAULT_BUDGET, help="enumeration budget")
         p.add_argument("--output", help="write JSON here instead of stdout")
 
     def code_args(p):

@@ -29,11 +29,13 @@ no correction.  That they are idempotent, orthogonal and sum to one is
 still checked whenever the class data is built, orthogonality with one
 product per class against a running suffix sum.
 
-The stages -- classes, lifted factorizations, class data with h_C and e_C,
-the cofactors g_C, and over a field `rows`, |C| F_q-rows of each minimal
-ideal <e_C> for all classes at once -- are computed on first use; only the
-splitting data is built with the decomposition, so a caller that needs the
-lifted factorizations alone never computes an idempotent.
+The stages -- the splitting field GF(q^M), classes, lifted factorizations,
+class data with h_C and e_C, the cofactors g_C, and over a field `rows`,
+|C| F_q-rows of each minimal ideal <e_C> for all classes at once -- are
+computed on first use; only the residue factor lists are built with the
+decomposition.  So a caller that needs the lifted factorizations alone
+never computes an idempotent, and neither it nor abelian classes, whose
+labels are exponents, build GF(q^M).
 """
 
 from __future__ import annotations
@@ -246,8 +248,8 @@ def check_idempotent_family(ambient, es):
 class Decomposition:
     """Classes, class data and idempotents of one semisimple ambient.
 
-    Only the splitting data is built here; every later stage is computed
-    when it is first read.
+    Only the residue factor lists are built here; every later stage,
+    the splitting field included, is computed when it is first read.
     """
 
     def __init__(self, ambient, seed=0):
@@ -255,19 +257,25 @@ class Decomposition:
             raise DomainError("cannot decompose a non-semisimple ambient")
         self.ambient = ambient
         self.seed = seed
-        self.splitting = splitting_data(ambient, seed=seed)
+        residues = (m.residue() if ambient.ring.t > 1 else m for m in ambient.moduli)
+        self.factor_lists = tuple(factor_squarefree(m, seed=seed) for m in residues)
+
+    @cached_property
+    def splitting(self):
+        """The common splitting field GF(q^M) and the labelled roots."""
+        return splitting_data(self.ambient, self.factor_lists)
 
     @cached_property
     def classes(self):
         """The cyclotomic classes in canonical order."""
-        return cyclotomic_classes(self.ambient, self.splitting, seed=self.seed)
+        return cyclotomic_classes(self.ambient, None if self.ambient.abelian else self.splitting)
 
     @cached_property
     def lifted_factorizations(self):
         """The Hensel lift of each modulus's residue factorization."""
         return [
             lift_factorization(modulus, factors)
-            for modulus, factors in zip(self.ambient.moduli, self.splitting.factor_lists)
+            for modulus, factors in zip(self.ambient.moduli, self.factor_lists)
         ]
 
     @cached_property

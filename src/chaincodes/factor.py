@@ -3,10 +3,11 @@
 `factor_squarefree` is a distinct-degree / equal-degree factorization with
 seeded pseudo-randomness, so the returned (sorted) factor list is
 deterministic and independent of the seed as a set.  `splitting_data` builds
-the common splitting field of the residue moduli and labels their roots:
-as exponents of a primitive root for abelian ambients, as field elements
-otherwise.  `cyclotomic_classes` partitions the root tuples into orbits of
-the simultaneous q-power map.
+the common splitting field of the residue moduli from their factor lists and
+labels the roots: as exponents of a primitive root for abelian ambients, as
+field elements otherwise.  `cyclotomic_classes` partitions the root tuples
+into orbits of the simultaneous q-power map, a -> q*a mod e_i on exponent
+labels, so only non-abelian classes read the splitting field.
 """
 
 from __future__ import annotations
@@ -132,17 +133,15 @@ def _equal_degree(g, d, rng):
 class SplittingData:
     """Roots of the residue moduli in their common splitting field.
 
-    ``exponent_form`` is set for abelian ambients; then root labels are
-    integers a with root xi_i^a for the stored primitive e_i-th roots xi_i.
-    Otherwise labels are the field elements themselves.
+    For abelian ambients ``primitive_roots`` holds primitive e_i-th roots
+    xi_i and the root labels are integers a, standing for xi_i^a; otherwise
+    it is None and the labels are the field elements themselves.
     """
 
     M: int
     field: object  # F_{q^M} as a t = 1 chain ring
     roots: tuple  # per variable, tuple of labels
-    exponent_form: bool
-    primitive_roots: tuple | None  # xi_i per variable (exponent form only)
-    factor_lists: tuple  # per variable, sorted irreducible factors of t-bar_i
+    primitive_roots: tuple | None  # xi_i per variable (abelian ambients only)
 
     def embed(self, c):
         """F_q into the splitting field."""
@@ -152,7 +151,7 @@ class SplittingData:
 
     def root_elem(self, i, label):
         """The field element behind a root label of variable i."""
-        if not self.exponent_form:
+        if self.primitive_roots is None:
             return label
         return self.primitive_roots[i] ** label
 
@@ -181,13 +180,10 @@ def _multiplicative_generator(field):
     raise InternalError("no multiplicative generator found")  # pragma: no cover
 
 
-def splitting_data(ambient, seed=0):
-    """Common splitting field and labelled roots of the residue moduli."""
-    if not ambient.semisimple:
-        raise DomainError("splitting data requires a semisimple ambient")
+def splitting_data(ambient, factor_lists):
+    """Common splitting field and labelled roots of the residue moduli,
+    given each modulus's irreducible factors over the residue field."""
     field = ambient.ring.residue_field
-    residues = [m.residue() if ambient.ring.t > 1 else m for m in ambient.moduli]
-    factor_lists = tuple(factor_squarefree(m, seed=seed) for m in residues)
     M = 1
     for fl in factor_lists:
         for p in fl:
@@ -206,18 +202,17 @@ def splitting_data(ambient, seed=0):
                 )
             prim.append(g ** (order // e))
         roots = tuple(tuple(range(e)) for e in exps)
-        data = SplittingData(M, big, roots, True, tuple(prim), factor_lists)
-    else:
-        embed = (lambda c: c) if big == field else big.embed
-        roots = []
-        for m in residues:
-            rs = [c for c in big.elements() if m.evaluate(c, embed).is_zero()]
-            if len(rs) != m.degree:
-                raise InternalError("modulus does not split over the splitting field")  # pragma: no cover
-            rs.sort(key=lambda c: tuple(c.coords()))
-            roots.append(tuple(rs))
-        data = SplittingData(M, big, tuple(roots), False, None, factor_lists)
-    return data
+        return SplittingData(M, big, roots, tuple(prim))
+    embed = (lambda c: c) if big == field else big.embed
+    roots = []
+    for m in ambient.moduli:
+        m = m.residue() if ambient.ring.t > 1 else m
+        rs = [c for c in big.elements() if m.evaluate(c, embed).is_zero()]
+        if len(rs) != m.degree:
+            raise InternalError("modulus does not split over the splitting field")  # pragma: no cover
+        rs.sort(key=lambda c: tuple(c.coords()))
+        roots.append(tuple(rs))
+    return SplittingData(M, big, tuple(roots), None)
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,7 @@ class CyclotomicClass:
     def size(self):
         return len(self.members)
 
-    def to_json(self, splitting=None):
+    def to_json(self):
         def enc(label):
             return label if isinstance(label, int) else list(label.coords())
 
@@ -242,27 +237,30 @@ class CyclotomicClass:
         }
 
 
-def cyclotomic_classes(ambient, splitting=None, seed=0):
-    """Partition of H_1 x ... x H_r under mu -> (mu_1^q, ..., mu_r^q)."""
-    if splitting is None:
-        splitting = splitting_data(ambient, seed=seed)
+def cyclotomic_classes(ambient, splitting=None):
+    """Partition of H_1 x ... x H_r under mu -> (mu_1^q, ..., mu_r^q); the
+    splitting data is read only on non-abelian ambients."""
     q = ambient.ring.q
     exps = ambient.exponents
 
-    if splitting.exponent_form:
+    if exps is not None:
+        labels = [range(e) for e in exps]
         def step(mu):
             return tuple((a * q) % e for a, e in zip(mu, exps))
 
         def key(label):
             return label
     else:
+        if splitting is None:
+            raise DomainError("non-abelian classes need the splitting data")
+        labels = splitting.roots
         def step(mu):
             return tuple(x**q for x in mu)
 
         def key(label):
             return tuple(label.coords())
 
-    all_tuples = list(itertools.product(*splitting.roots))
+    all_tuples = list(itertools.product(*labels))
     seen = set()
     classes = []
     for mu in all_tuples:

@@ -103,9 +103,7 @@ def _shift_down(ring, c, k):
     """Divide by a^k, assuming valuation(c) >= k."""
     if c.valuation() < k:
         raise InternalError("defect has unexpectedly small valuation")  # pragma: no cover
-    for _ in range(k):
-        c = ring.divide_by_a(c)
-    return c
+    return ring.elem(ring._div_a(c.data, k))
 
 
 def lift_idempotent(e):

@@ -56,14 +56,8 @@ def _dot(ring, u, v):
     return acc
 
 
-def _shift_down(ring, c, k):
-    for _ in range(k):
-        c = ring._div_a(c)
-    return c
-
-
 def _unit_part_inverse(ring, c, v):
-    u = _shift_down(ring, c, v)
+    u = ring._div_a(c, v)
     return ring.unit_inverse(ring.elem(u)).data
 
 
@@ -159,7 +153,7 @@ class ModuleSpan:
                 continue
             if ring._val(c) < v:
                 return False
-            coef = _shift_down(ring, c, v)
+            coef = ring._div_a(c, v)
             x = [ring._add(a, ring._neg(ring._mul(coef, b))) for a, b in zip(x, row)]
         return all(a == z for a in x)
 
@@ -249,7 +243,7 @@ def module_span(ring, n, rows):
             c = other[col]
             if c == z:
                 continue
-            coef = _shift_down(ring, c, v)
+            coef = ring._div_a(c, v)
             for i in range(n):
                 other[i] = ring._add(other[i], ring._neg(ring._mul(coef, row[i])))
         active = [r for r in active if not _vec_is_zero(ring, r)]
@@ -319,7 +313,7 @@ def _smith_kernel(ring, rows, n):
         for i in range(k):
             if i == pos or A[i][pos] == z:
                 continue
-            coef = _shift_down(ring, A[i][pos], v)
+            coef = ring._div_a(A[i][pos], v)
             A[i] = [
                 ring._add(a, ring._neg(ring._mul(coef, b)))
                 for a, b in zip(A[i], A[pos])
@@ -328,7 +322,7 @@ def _smith_kernel(ring, rows, n):
             c = A[pos][j]
             if c == z:
                 continue
-            coef = _shift_down(ring, c, v)
+            coef = ring._div_a(c, v)
             negcoef = ring._neg(coef)
             for i in range(k):
                 A[i][j] = ring._add(A[i][j], ring._mul(negcoef, A[i][pos]))

@@ -163,23 +163,17 @@ class ChainRing:
         for r in range(self.size):
             yield RingElem(self, self._from_rank(r))
 
-    def residue(self, x):
-        return x.residue()
-
     def lift(self, fe):
         """A fixed section of the residue map (coordinatewise lift)."""
         if fe.ring != self.residue_field:
             raise DomainError("lift expects a residue field element")
         return RingElem(self, self._lift(fe.data))
 
-    def valuation(self, x):
-        return self._val(x.data)
-
-    def divide_by_a(self, x):
-        """The canonical y with a*y = x; requires valuation(x) >= 1."""
-        if self._val(x.data) < 1:
-            raise DomainError("element is a unit, not divisible by the radical generator")
-        return RingElem(self, self._div_a(x.data))
+    def divide_by_a(self, x, k=1):
+        """The canonical y with a^k * y = x; requires valuation(x) >= k."""
+        if self._val(x.data) < k:
+            raise DomainError(f"element is not divisible by a^{k}")
+        return RingElem(self, self._div_a(x.data, k))
 
     def unit_inverse(self, x):
         """Multiplicative inverse of a unit."""
@@ -274,8 +268,8 @@ class IntegerModRing(ChainRing):
     def _lift(self, a):
         return a
 
-    def _div_a(self, a):
-        return a // self.p
+    def _div_a(self, a, k):
+        return a // self.p**k
 
     def _coords(self, a):
         return [a]
@@ -381,8 +375,8 @@ class ExtensionRing(_TupleRing):
     def _lift(self, a):
         return tuple(self.base._lift(x) for x in a)
 
-    def _div_a(self, a):
-        return tuple(self.base._div_a(x) for x in a)
+    def _div_a(self, a, k):
+        return tuple(self.base._div_a(x, k) for x in a)
 
     @property
     def residue_field(self):
@@ -469,8 +463,8 @@ class TruncatedRing(_TupleRing):
     def _lift(self, a):
         return (a,) + (self.field._zero,) * (self.t - 1)
 
-    def _div_a(self, a):
-        return a[1:] + (self.field._zero,)
+    def _div_a(self, a, k):
+        return a[k:] + (self.field._zero,) * k
 
     @property
     def residue_field(self):

@@ -207,6 +207,40 @@ def test_budget_exit_code(capsys):
     assert json.loads(out)["code"] == "budget_exceeded"
 
 
+def test_budget_below_one_is_a_usage_error(capsys):
+    # rejected while parsing, before any record is computed
+    for budget in ("0", "-1"):
+        code, out = run(capsys, "enumerate", "--ring", Z4, "--moduli", "x^7-1", "--budget", budget)
+        assert code == 2 and out == ""
+
+
+def test_splitting_field_built_only_when_read(capsys, monkeypatch):
+    from chaincodes import factor
+
+    class Built(Exception):
+        pass
+
+    def refuse(*args):
+        raise Built
+
+    monkeypatch.setattr(factor, "_splitting_field", refuse)
+    for argv in (
+        ("factor", "--ring", Z4, "--moduli", "x^7-1"),
+        ("classes", "--ring", Z4, "--moduli", "x^7-1"),
+        ("factor", "--ring", '{"kind":"galois","p":2,"t":1}', "--moduli", "x^83-1"),
+        ("classes", "--ring", '{"kind":"galois","p":2,"t":1}', "--moduli", "x^83-1"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)
+    # class data and non-abelian root labels still read it
+    for argv in (
+        ("classes", "--ring", Z4, "--moduli", "x^7-1", "--full"),
+        ("classes", "--ring", Z4, "--moduli", "x^3+x+1", "y^2+y+1"),
+    ):
+        with pytest.raises(Built):
+            main(list(argv))
+
+
 def test_domain_error_exit_code(capsys):
     code, out = run(capsys, "classes", "--ring", Z4, "--moduli", "x^2-1")
     assert code == 1

@@ -273,6 +273,8 @@ def test_stages_built_on_first_use(z4):
     assert repr(code) == "SemisimpleCode((0,):1, (1,):0, (3,):2)"
     assert code.cardinality() == 128 and dual_cardinality(code) == 128
     assert code.to_json(with_generator=False)["exponents"] == [[[0], 1], [[1], 0], [[3], 2]]
+    # abelian labels are exponents: none of this builds the splitting field
+    assert "splitting" not in vars(dec)
     assert "data" not in vars(dec)
     cd = dec.data[1]
     assert "g" not in vars(cd)

@@ -10,9 +10,9 @@ from chaincodes import (
     FiniteField,
     Poly,
     cyclotomic_classes,
+    decompose,
     factor_squarefree,
     is_squarefree,
-    splitting_data,
 )
 from chaincodes.factor import orbit_length
 
@@ -71,11 +71,11 @@ def test_factor_rejects_bad_input():
 
 
 def test_splitting_data(amb_x7, amb_x3y3, amb_z9):
-    sd = splitting_data(amb_x7)
+    sd = decompose(amb_x7).splitting
     assert sd.M == 3 and len(sd.roots[0]) == 7
-    sd2 = splitting_data(amb_x3y3)
+    sd2 = decompose(amb_x3y3).splitting
     assert sd2.M == 2 and all(len(h) == 3 for h in sd2.roots)
-    sd3 = splitting_data(amb_z9)
+    sd3 = decompose(amb_z9).splitting
     assert sd3.M == 1 and all(len(h) == 2 for h in sd3.roots)
     # exponent labels correspond to actual roots of the modulus
     xi = sd.primitive_roots[0]
@@ -126,8 +126,8 @@ def test_class_partition_and_lcm(amb_x7, amb_x3y3, amb_z9):
 def test_classes_nonabelian_labels(z4):
     # a non-abelian semisimple modulus: x^3 + 2x^2 + x + 3 (a basic irreducible)
     amb = Ambient(z4, [Poly.from_ints(z4, [3, 1, 2, 1])])
-    sd = splitting_data(amb)
-    assert not sd.exponent_form
+    sd = decompose(amb).splitting
+    assert sd.primitive_roots is None
     classes = cyclotomic_classes(amb, sd)
     assert len(classes) == 1 and classes[0].size == 3
 

@@ -117,3 +117,19 @@ def test_lift_idempotent_high_nilpotency():
     lifted = lift_idempotent(ebar.lift_to(amb))
     assert lifted * lifted == lifted
     assert lifted.residue() == ebar
+
+
+def test_shift_down_divides_once(monkeypatch):
+    from chaincodes import hensel
+
+    ring = ring_construct({"kind": "galois", "p": 2, "t": 300, "l": 1})
+    real = ring._div_a
+    calls = []
+
+    def counted(a, k):
+        calls.append(k)
+        return real(a, k)
+
+    monkeypatch.setattr(ring, "_div_a", counted)
+    assert hensel._shift_down(ring, ring.from_int(3 * 2**250), 250) == ring.from_int(3)
+    assert calls == [250]

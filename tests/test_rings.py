@@ -243,3 +243,30 @@ def test_extension_of_truncated(f3u2):
     for x in ext.elements():
         if x.valuation() == 0:
             assert ext.unit_inverse(x) * x == ext.one
+
+
+def test_divide_by_a_power_is_repeated_single_steps():
+    import random
+
+    gr82 = ring_construct({"kind": "galois", "p": 2, "t": 3, "l": 2})
+    rings = [
+        ring_construct({"kind": "galois", "p": 2, "t": 40, "l": 1}),
+        ring_construct({"kind": "galois", "p": 3, "t": 2, "l": 1}),
+        ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 2}),
+        ring_construct({"kind": "truncated", "p": 3, "t": 3, "l": 1}),
+        extend_ring(gr82, Poly.from_ints(gr82, [1, 1, 0, 1])),  # a tower over GR(8, 2)
+    ]
+    rng = random.Random(7)
+    for ring in rings:
+        for _ in range(20):
+            y = ring.from_rank(rng.randrange(ring.size))
+            for k in range(ring.t + 1):
+                x = ring.a**k * y
+                step = x
+                for _ in range(k):
+                    step = ring.divide_by_a(step)
+                assert ring.divide_by_a(x, k) == step
+                assert ring.a**k * step == x
+            if y.valuation() == 0 and ring.t > 1:
+                with pytest.raises(DomainError):
+                    ring.divide_by_a(ring.a * y, 2)
