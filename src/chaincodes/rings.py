@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InternalError
-from .polys import Poly, convolve_fold, is_irreducible, power, product_box, smallest_irreducible
+from .kernel import convolve_fold, product_box
+from .polys import Poly, is_irreducible, power, smallest_irreducible
 
 
 class RingElem:
@@ -128,7 +129,27 @@ class ChainRing:
     Subclasses set: p (residue characteristic), t (nilpotency index),
     l (residue degree over F_p), q = p^l, size = q^t, ncoords, key, and the
     raw payload operations _add/_neg/_mul/_val/... used by `RingElem`.
+
+    Every ring here is also a quotient of Z_m[Z_1,...,Z_k] (m = p^t, or p
+    over a truncated ring): ``lane_modulus`` is m and ``lane_vars`` lists
+    (deg, rule) per Z_i, Z_1 fastest, in the form `kernel.product_box`
+    reads.  An extension contributes its base's
+    variables plus (deg, its modulus); F_q[u]/u^t its field's plus (t, None),
+    since u^t = 0.  ``_lanes`` flattens payloads to their ncoords ints in
+    that order, and ``_from_lanes`` is its inverse on reduced ints.
     """
+
+    def _coords(self, a):
+        return self._lanes([a])
+
+    def fold_rule(self, modulus):
+        """X^d = -(modulus - X^d) for a monic modulus of degree d over this
+        ring, as the (j, lane, value) triples of `kernel.product_box`: value
+        times X^j times the lane-th monomial of `lane_vars`."""
+        coeffs = modulus.coeffs[: modulus.degree]
+        lanes = self._lanes([self._neg(c.data) for c in coeffs])
+        k = self.ncoords
+        return tuple((i // k, i % k, v) for i, v in enumerate(lanes) if v)
 
     @property
     def zero(self):
@@ -239,6 +260,8 @@ class IntegerModRing(ChainRing):
         self._zero = 0
         self._one = 1 % self.size
         self._a = p % self.size if t > 1 else 0
+        self.lane_modulus = self.size
+        self.lane_vars = ()
         self._residue_field = None
 
     def _add(self, a, b):
@@ -271,8 +294,11 @@ class IntegerModRing(ChainRing):
     def _div_a(self, a, k):
         return a // self.p**k
 
-    def _coords(self, a):
-        return [a]
+    def _lanes(self, payloads):
+        return payloads
+
+    def _from_lanes(self, lanes):
+        return lanes
 
     def _from_coords(self, coords):
         return coords[0] % self.size
@@ -315,8 +341,11 @@ class _TupleRing(ChainRing):
     def _from_int(self, v):
         return (self._inner._from_int(v),) + (self._inner._zero,) * (self._width - 1)
 
-    def _coords(self, a):
-        return [c for x in a for c in self._inner._coords(x)]
+    def _lanes(self, payloads):
+        return self._inner._lanes([x for a in payloads for x in a])
+
+    def _from_lanes(self, lanes):
+        return list(zip(*[iter(self._inner._from_lanes(lanes))] * self._width))
 
     def _from_coords(self, coords):
         k = self._inner.ncoords
@@ -333,7 +362,8 @@ class ExtensionRing(_TupleRing):
     Shares the radical generator and nilpotency index of the base; the
     residue field gains degree deg(modulus).  Elements are tuples of base
     payloads, i.e. coordinates in the monomial basis 1, Z, ..., Z^{m-1}.
-    A product is `polys.convolve_fold` with the folds of the modulus.
+    An element product is `kernel.convolve_fold` with the folds of the
+    modulus, on base payloads.
     """
 
     def __init__(self, base, modulus, check=True):
@@ -359,7 +389,10 @@ class ExtensionRing(_TupleRing):
         self._zero = (base._zero,) * m
         self._one = (base._one,) + (base._zero,) * (m - 1)
         self._a = (base._a,) + (base._zero,) * (m - 1)
-        _, self._box_size, self._folds = product_box((modulus,))
+        self.lane_modulus = base.lane_modulus
+        self.lane_vars = base.lane_vars + ((m, base.fold_rule(modulus)),)
+        rule = tuple((j, 0, base._neg(c.data)) for j, c in enumerate(modulus.coeffs[:m]) if not c.is_zero())
+        _, self._box_size, self._folds = product_box(((m, rule),))
         self._residue_field = None
 
     def _mul(self, a, b):
@@ -438,6 +471,8 @@ class TruncatedRing(_TupleRing):
             if t > 1
             else (field._zero,)
         )
+        self.lane_modulus = field.lane_modulus
+        self.lane_vars = field.lane_vars + ((t, None),)
 
     def _mul(self, a, b):
         field = self.field

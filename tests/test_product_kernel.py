@@ -1,20 +1,21 @@
-"""The shared convolve-and-fold kernel against the object loops it replaced.
+"""The product kernels against the code they replaced.
 
 `Poly.__mul__`, `Poly.__divmod__` and `ExtensionRing._mul` once ran
 per-coefficient loops: `RingElem` loops for `Poly`, and a convolution plus a
-fold table built with `Poly` pow and mod for extension rings.  Those loops
-are kept here verbatim as references, and the payloads of the kernel's
-results must equal theirs on seeded random inputs over every ring family,
-a degree-1 extension and a tower ring.
+fold table built with `Poly` pow and mod for extension rings.  `MPoly.__mul__`
+once ran `convolve_fold` on coefficient payloads in the box of the old
+`product_box(moduli)`.  Those are kept here verbatim as references, and the
+payloads of today's results must equal theirs on seeded random inputs over
+every ring family, degree-1 extensions and tower rings.
 """
 
 import random
 
 import pytest
 
-from chaincodes import Ambient, DomainError, Poly, decompose, ring_construct
-from chaincodes.polys import parse_univariate
-from chaincodes.rings import ExtensionRing, IntegerModRing
+from chaincodes import Ambient, DomainError, MPoly, Poly, decompose, polys, rings, ring_construct
+from chaincodes.polys import convolve_fold, parse_univariate
+from chaincodes.rings import ExtensionRing, IntegerModRing, TruncatedRing
 
 
 def _poly_mul_reference(self, other):
@@ -237,3 +238,157 @@ def test_mixing_coefficient_rings_is_a_domain_error():
         with pytest.raises(DomainError):
             op()
     assert f * Poly.from_ints(_galois(2, 2), [1, 1]) == Poly.from_ints(z4, [1, 2, 1])
+
+
+def _product_box_reference(moduli):
+    """The payload box of the old `MPoly.__mul__`, verbatim."""
+    degs = [m.degree for m in moduli]
+    strides = [1]
+    for d in degs[:-1]:
+        strides.append(strides[-1] * (2 * d - 1))
+    size = strides[-1] * (2 * degs[-1] - 1)
+    place = [0]
+    for d, s in zip(degs, strides):
+        place = [p + e * s for e in range(d) for p in place]
+    rules = [
+        tuple(((j - d) * s, m.ring._neg(c.data)) for j, c in enumerate(m.coeffs[:d]) if not c.is_zero())
+        for m, d, s in zip(moduli, degs, strides)
+    ]
+    folds = []
+    for pos in range(size - 1, 0, -1):
+        rule = next((rule for d, s, rule in zip(degs, strides, rules) if pos // s % (2 * d - 1) >= d), None)
+        if rule:
+            folds.append((pos, rule))
+    return tuple(place), size, tuple(folds)
+
+
+def _mpoly_mul_reference(self, other):
+    """The old `MPoly.__mul__` for two `MPoly`s: `convolve_fold` on payloads."""
+    amb = self.ambient
+    ring = amb.ring
+    place, box_size, folds = _product_box_reference(amb.moduli)
+    a, b = ([c.data for c in f.coeffs] for f in (self, other))
+    box = convolve_fold(zip(place, a), zip(place, b), box_size, folds, ring)
+    return MPoly(amb, [ring.elem(box[p]) for p in place])
+
+
+MPOLY_RINGS = {
+    "Z4": lambda: _galois(2, 2),
+    "Z8": lambda: _galois(2, 3),
+    "Z9": lambda: _galois(3, 2),
+    "Z_2^300": lambda: _galois(2, 300),
+    "GF(4)": lambda: _galois(2, 1, 2),
+    "GR(4,2)": lambda: _galois(2, 2, 2),
+    "GR(9,3)": lambda: _galois(3, 2, 3),
+    "F3[u]/u^2": lambda: _truncated(3, 2),
+    "F4[u]/u^3": lambda: _truncated(2, 3, 2),
+    "degree-1 extension": _degree_one,
+}
+
+# abelian, two-variable, non-abelian, and degree-1 moduli
+MODULI = [("x^15-1",), ("x^4-1", "y^4-1"), ("x^3+x+1", "y^2+y+1"), ("x^5-1",), ("x+3",)]
+
+
+def _ambient(ring, moduli):
+    return Ambient(ring, [parse_univariate(m, ring, var=i) for i, m in enumerate(moduli)], unchecked=True)
+
+
+def _mpoly(amb, rng, density):
+    ring = amb.ring
+    return amb.from_vector(
+        [ring.from_rank(rng.randrange(ring.size)) if rng.random() < density else ring.zero for _ in range(amb.n)]
+    )
+
+
+def _payloads(f):
+    return [c.data for c in f.coeffs]
+
+
+def _assert_products_match(amb, operands):
+    for f in operands:
+        for g in operands:
+            assert _payloads(f * g) == _payloads(_mpoly_mul_reference(f, g))
+        assert _payloads(f * f) == _payloads(_mpoly_mul_reference(f, f))
+
+
+@pytest.mark.parametrize("name", sorted(MPOLY_RINGS))
+def test_mpoly_mul_matches_payload_kernel(name):
+    ring = MPOLY_RINGS[name]()
+    rng = random.Random(21)
+    for moduli in MODULI:
+        amb = _ambient(ring, moduli)
+        operands = [amb.zero(), amb.one()] + [_mpoly(amb, rng, density) for density in (0.2, 0.6, 1.0)]
+        _assert_products_match(amb, operands)
+
+
+def _towers():
+    """Component rings of real decompositions: towers over a Galois ring
+    and over a truncated ring."""
+    out = []
+    for ring, modulus in ((_galois(2, 2, 2), "x^15-1"), (_truncated(3, 2), "x^13-1")):
+        amb = Ambient(ring, [parse_univariate(modulus, ring)])
+        out.append(max((cd.component_ring for cd in decompose(amb).data), key=lambda r: r.size))
+    return out
+
+
+def test_mpoly_mul_matches_payload_kernel_over_towers():
+    """Moduli whose coefficients are random tower elements, so every fold
+    rule of X carries lanes of several tower variables."""
+    rng = random.Random(22)
+    towers = _towers()
+    assert isinstance(towers[0].base, ExtensionRing)
+    assert isinstance(towers[1].base, TruncatedRing)
+    for ring in towers:
+        for degs in ((1,), (2,), (3,), (2, 2)):
+            moduli = [
+                Poly(ring, [ring.from_rank(rng.randrange(ring.size)) for _ in range(d)] + [ring.one], var=i)
+                for i, d in enumerate(degs)
+            ]
+            if len(degs) > 1:
+                assert any(x != ring.base._zero for m in moduli for c in m.coeffs for x in c.data[1:])
+            amb = Ambient(ring, moduli, unchecked=True)
+            _assert_products_match(amb, [amb.zero()] + [_mpoly(amb, rng, 0.7) for _ in range(3)])
+
+
+@pytest.mark.parametrize(
+    "p, t, modulus",
+    [
+        (2, 2, "x^127-1"),
+        # lanes of exactly 9, 17 and 65 bits: one bit fewer would overflow
+        (2, 2, "x^31-1"),
+        (2, 6, "x^31-1"),
+        (2, 30, "x^31-1"),
+        # lanes wider than 64 bits go through int.to_bytes
+        (2, 300, "x^15-1"),
+        (3, 2, "x^26-1"),
+    ],
+)
+def test_mpoly_mul_worst_case_lanes(p, t, modulus):
+    """Dense operands with every coefficient p^t - 1 fill each product lane."""
+    ring = _galois(p, t)
+    amb = _ambient(ring, (modulus,))
+    top = amb.from_vector([ring.from_int(-1)] * amb.n)
+    rng = random.Random(23)
+    _assert_products_match(amb, [top, _mpoly(amb, rng, 1.0)])
+
+
+def test_mpoly_mul_calls_no_element_product(monkeypatch):
+    """An `MPoly` product over a Galois or truncated ring is one packed
+    product: no element product and no payload convolution."""
+    cases = []
+    for ring, modulus in ((_galois(2, 2, 2), "x^15-1"), (_truncated(3, 2), "x^13-1")):
+        amb = _ambient(ring, (modulus,))
+        rng = random.Random(24)
+        f, g = _mpoly(amb, rng, 0.6), _mpoly(amb, rng, 0.6)
+        cases.append((f, g, _mpoly_mul_reference(f, g), _mpoly_mul_reference(f, f)))
+
+    def forbidden(*args):
+        raise AssertionError("element product inside an MPoly product")
+
+    monkeypatch.setattr(ExtensionRing, "_mul", forbidden)
+    monkeypatch.setattr(TruncatedRing, "_mul", forbidden)
+    monkeypatch.setattr(polys, "convolve_fold", forbidden)
+    monkeypatch.setattr(rings, "convolve_fold", forbidden)
+    for f, g, want, square in cases:
+        assert _payloads(f * g) == _payloads(want)
+        assert _payloads(f * f) == _payloads(square)
