@@ -26,23 +26,30 @@ from . import oracle as oracle_mod
 from .decompose import decompose
 from .errors import BudgetExceeded, DomainError, InternalError
 from .polys import Ambient, parse_univariate, poly_to_text
-from .rings import ring_from_json
+from .rings import ring_construct
 
 
 def _dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _ambient_from_args(args):
-    ring = ring_from_json(args.ring)
-    moduli = [parse_univariate(s, ring, var=i) for i, s in enumerate(args.moduli)]
-    return Ambient(ring, moduli)
+def _parse_json_options(args):
+    """Replace the text of each JSON option by its value, parsed once here."""
+    for name in ("ring", "exponents"):
+        text = getattr(args, name, None)
+        if text is not None:
+            setattr(args, name, json.loads(text))
 
 
-def _exponent_map(text):
+def _ambient(ring_desc, moduli):
+    """The ambient of a ring descriptor and the text of its moduli."""
+    ring = ring_construct(ring_desc)
+    return Ambient(ring, [parse_univariate(s, ring, var=i) for i, s in enumerate(moduli)])
+
+
+def _exponent_map(raw):
     """--exponents: a list of exponents in class order, or of
     [representative, exponent] pairs (a dict keyed by representative)."""
-    raw = json.loads(text)
     if not isinstance(raw, list):
         raise DomainError("an exponent map must be a JSON list")
     if all(isinstance(x, int) for x in raw):
@@ -51,7 +58,10 @@ def _exponent_map(text):
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], int)):
             raise DomainError(f"exponent map entry {entry!r} is not [representative, exponent]")
-        table[_rep_key(entry[0])] = entry[1]
+        key = _rep_key(entry[0])
+        if key in table:
+            raise DomainError(f"class representative {entry[0]!r} appears twice")
+        table[key] = entry[1]
     return table
 
 
@@ -66,7 +76,7 @@ def _rep_key(rep):
 
 
 def _code_from_args(args, ambient):
-    if getattr(args, "exponents", None):
+    if args.exponents is not None:
         exps = _exponent_map(args.exponents)
         return codes_mod.code_from_exponents(ambient, exps, seed=args.seed)
     if getattr(args, "gens", None):
@@ -76,7 +86,7 @@ def _code_from_args(args, ambient):
 
 
 def _cmd_factor(args):
-    ambient = _ambient_from_args(args)
+    ambient = _ambient(args.ring, args.moduli)
     dec = decompose(ambient, seed=args.seed)
     names = ambient.var_names()
     out = []
@@ -88,11 +98,11 @@ def _cmd_factor(args):
                 "lifted_factors": [poly_to_text(g, names) for g in lf.factors],
             }
         )
-    return {"ring": json.loads(args.ring), "factorizations": out}
+    return {"ring": args.ring, "factorizations": out}
 
 
 def _cmd_classes(args):
-    ambient = _ambient_from_args(args)
+    ambient = _ambient(args.ring, args.moduli)
     dec = decompose(ambient, seed=args.seed)
     out = {
         "count": dec.class_count,
@@ -105,7 +115,7 @@ def _cmd_classes(args):
 
 def _cmd_enumerate(args):
     """One JSON line per code, yielded as soon as its distance is known."""
-    ambient = _ambient_from_args(args)
+    ambient = _ambient(args.ring, args.moduli)
     for code in codes_mod.enumerate_codes(ambient, seed=args.seed):
         rec = code.to_json()
         if code.is_zero():
@@ -120,19 +130,19 @@ def _cmd_enumerate(args):
 
 
 def _cmd_info(args):
-    ambient = _ambient_from_args(args)
+    ambient = _ambient(args.ring, args.moduli)
     code = _code_from_args(args, ambient)
     return code.to_json()
 
 
 def _cmd_dual(args):
-    ambient = _ambient_from_args(args)
+    ambient = _ambient(args.ring, args.moduli)
     code = _code_from_args(args, ambient)
     return duality_mod.dual(code).to_json()
 
 
 def _cmd_self_dual(args):
-    ambient = _ambient_from_args(args)
+    ambient = _ambient(args.ring, args.moduli)
     if args.exists:
         return {
             "exists": duality_mod.nontrivial_selfdual_exists(ambient, seed=args.seed),
@@ -148,7 +158,7 @@ def _cmd_self_dual(args):
 
 
 def _cmd_distance(args):
-    ambient = _ambient_from_args(args)
+    ambient = _ambient(args.ring, args.moduli)
     code = _code_from_args(args, ambient)
     if args.bound:
         return {"bound": distance_mod.distance_bound(code, budget=args.budget)}
@@ -168,15 +178,13 @@ def _cmd_kerdock_demo(args):
 
 def _oracle_ambients():
     presets = [
-        ('{"kind":"galois","p":2,"t":2,"l":1}', ["x^3-1"]),
-        ('{"kind":"galois","p":3,"t":2,"l":1}', ["x^2-1", "y^2-1"]),
-        ('{"kind":"galois","p":2,"t":2,"l":1}', ["x^7-1"]),
+        ({"kind": "galois", "p": 2, "t": 2, "l": 1}, ["x^3-1"]),
+        ({"kind": "galois", "p": 3, "t": 2, "l": 1}, ["x^2-1", "y^2-1"]),
+        ({"kind": "galois", "p": 2, "t": 2, "l": 1}, ["x^7-1"]),
     ]
-    for ring_json, moduli in presets:
-        ring = ring_from_json(ring_json)
-        yield f"{ring}/" + ",".join(moduli), Ambient(
-            ring, [parse_univariate(s, ring, var=i) for i, s in enumerate(moduli)]
-        )
+    for ring_desc, moduli in presets:
+        ambient = _ambient(ring_desc, moduli)
+        yield f"{ambient.ring}/" + ",".join(moduli), ambient
 
 
 def _cmd_oracle_check(args):
@@ -343,6 +351,13 @@ def main(argv=None):
 def _run(args, out):
     """Run the command, writing its JSON (or its error object) to ``out``."""
     try:
+        _parse_json_options(args)
+    except (RecursionError, ValueError) as exc:
+        # malformed text, nesting too deep for the parser, or an integer
+        # past Python's int-from-text digit limit
+        out.write(_dump({"code": "bad_json", "message": str(exc)}) + "\n")
+        return 2
+    try:
         result = globals()["_cmd_" + args.command.replace("-", "_")](args)
         for line in [_dump(result)] if isinstance(result, dict) else result:
             out.write(line + "\n")
@@ -355,9 +370,6 @@ def _run(args, out):
     except InternalError as exc:
         out.write(_dump({"code": "internal_error", "message": str(exc)}) + "\n")
         return 1
-    except json.JSONDecodeError as exc:
-        out.write(_dump({"code": "bad_json", "message": str(exc)}) + "\n")
-        return 2
     if args.command == "oracle-check" and not result["all_pass"]:
         return 1
     return 0

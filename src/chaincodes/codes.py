@@ -203,6 +203,8 @@ def code_from_exponents(ambient, exps, seed=0):
                 key = (key,)
             if not all(is_root_label(x) for x in key):
                 raise DomainError(f"bad class representative {key!r}")
+            if key in table:
+                raise DomainError(f"class representative {key!r} appears twice")
             table[key] = j
         ordered = []
         for cls in dec.classes:

@@ -16,11 +16,13 @@ For each cyclotomic class the decomposition records:
 The component ring R[X_1,...,X_r]/<q_1, z_2, ..., z_r> is realized as the
 iterated extension tower, so its chain-ring arithmetic comes for free.
 
-Each idempotent e_C is the lift of its residue e-bar = h-bar^(q^|C| - 1).
-Over F_q the q-th power f -> f(X^q) only moves monomials, so that power is
-taken as (h-bar * P)^(q - 1) with P = phi(h-bar) * ... * phi^(|C|-1)(h-bar),
-phi = `Ambient.frobenius`: |C| - 1 Frobenius images and about as many
-products instead of a square-and-multiply chain (Itoh & Tsujii, 1988).
+Each idempotent e_C is the lift of its residue e-bar = h-bar^(q^|C| - 1),
+taken as (h-bar * P)^(q - 1) with P = h-bar^q * h-bar^(q^2) * ... *
+h-bar^(q^(|C|-1)): each factor is the q-th power of the one before, so
+the chain costs |C| - 1 small powers and as many products instead of a
+square-and-multiply chain to q^|C| - 1 (Itoh & Tsujii, 1988).  Those
+q-th powers are plain `MPoly` powers through the one packed product
+kernel; there is no separate Frobenius map.
 The residue of the cofactor, e-bar * h-bar^(q^|C| - 2), reuses P as
 e-bar * h-bar^(q - 2) * P^(q - 1).  An idempotent lifts uniquely modulo
 the nilpotent radical, so the product of two lifts is an idempotent with
@@ -111,12 +113,13 @@ class ClassData:
 
     @cached_property
     def _frobenius_product(self):
-        """P = phi(h-bar) * ... * phi^(|C|-1)(h-bar) with phi(f) = f^q, or
-        None when |C| = 1; read by `e` and `g`, and dropped by `g`."""
-        hbar = self.h.residue()
-        image, P = hbar, None
+        """P = h-bar^q * h-bar^(q^2) * ... * h-bar^(q^(|C|-1)), or None when
+        |C| = 1; read by `e` and `g`, and dropped by `g`."""
+        q = self.h.ambient.ring.q
+        image = self.h.residue()
+        P = None
         for _ in range(self.cls.size - 1):
-            image = hbar.ambient.frobenius(image)
+            image = image ** q
             P = image if P is None else P * image
         return P
 

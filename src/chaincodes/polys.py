@@ -23,6 +23,7 @@ ring, and on ``zero``/``one``/``from_int``/``unit_inverse`` for elements.
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 
 from .errors import DomainError, InternalError
 from .kernel import convolve_fold, packed_product, product_box
@@ -370,36 +371,39 @@ def parse_poly_text(text, ring, nvars=1):
             if not factor:
                 raise DomainError(f"malformed term in {text!r}")
             if factor[0].isdigit():
-                if not factor.isdecimal():
-                    raise DomainError(f"bad coefficient {factor!r} in {text!r}")
-                coeff *= int(factor)
+                coeff *= _decimal(factor, "coefficient", text)
                 continue
-            namepart = factor
-            power = 1
-            if "^" in factor:
-                namepart, ppart = factor.split("^", 1)
-                if not ppart.isdecimal():
-                    raise DomainError(f"bad exponent {ppart!r} in {text!r}")
-                power = int(ppart)
-            idx = _var_index(namepart, nvars)
-            exps[idx] += power
+            namepart, caret, ppart = factor.partition("^")
+            exps[_var_index(namepart, nvars)] += _decimal(ppart, "exponent", text) if caret else 1
         key = tuple(exps)
         add = ring.from_int(sign * coeff)
         out[key] = out.get(key, ring.zero) + add
     return {e: c for e, c in out.items() if not c.is_zero()}
 
 
+def _decimal(digits, what, text):
+    """int(digits); DomainError unless digits is decimal text within
+    Python's int-from-text digit limit."""
+    if not digits.isdecimal():
+        raise DomainError(f"bad {what} {digits!r} in {text!r}")
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(f"bad {what}: {len(digits)} digits") from None
+
+
 def _var_index(name, nvars):
+    """x1..xr, or the bare aliases x, y, z, w of the first four variables.
+    With one variable any letter, bare or indexed, names it: univariate
+    moduli such as "y^4-1" are written in the letter of their variable."""
     name = name.lower()
-    if len(name) > 1 and name[0].isalpha() and name[1:].isdigit():
-        idx = int(name[1:]) - 1
-    elif len(name) == 1 and name.isalpha():
-        # bare letters: x is the first variable, y/z/w the next ones
-        idx = {"x": 0, "y": 1, "z": 2, "w": 3}.get(name, 0)
-        if nvars == 1:
-            idx = 0
-    else:
+    letter, index = name[:1], name[1:]
+    if not letter.isalpha() or nvars > 1 and not (letter == "x" if index else name in "xyzw"):
         raise DomainError(f"bad variable name {name!r}")
+    if index:
+        idx = _decimal(index, "variable name", name) - 1
+    else:
+        idx = 0 if nvars == 1 else "xyzw".index(name)
     if not 0 <= idx < nvars:
         raise DomainError(f"variable {name!r} out of range for {nvars} variables")
     return idx
@@ -450,9 +454,6 @@ class Ambient:
             )
         rules = tuple((m.degree, ring.fold_rule(m)) for m in self.moduli)
         self.layout = product_box(ring.lane_vars + rules) + (ring.lane_modulus,)
-        self._residue_ambient = None
-        self._tau_perm = None
-        self._frobenius_images = None
 
     def _check_semisimple(self):
         for m in self.moduli:
@@ -513,18 +514,16 @@ class Ambient:
             return ("x",)
         return tuple(f"x{i + 1}" for i in range(self.r))
 
-    @property
+    @cached_property
     def residue_ambient(self):
         """Same moduli over the residue field (identity when t = 1)."""
         if self.ring.t == 1:
             return self
-        if self._residue_ambient is None:
-            self._residue_ambient = Ambient(
-                self.ring.residue_field,
-                [m.residue() for m in self.moduli],
-                unchecked=self.unchecked,
-            )
-        return self._residue_ambient
+        return Ambient(
+            self.ring.residue_field,
+            [m.residue() for m in self.moduli],
+            unchecked=self.unchecked,
+        )
 
     # -- element construction ------------------------------------------------
 
@@ -603,55 +602,16 @@ class Ambient:
             terms[tuple(exps)] = elem
         return self.from_terms(terms)
 
+    @cached_property
     def tau_permutation(self):
         """Rank permutation of the inversion X_i -> X_i^{e_i - 1} (abelian)."""
-        if self._tau_perm is None:
-            es = self.exponents
-            if es is None:
-                raise DomainError("the inversion automorphism needs an abelian ambient")
-            perm = []
-            for rank in range(self.n):
-                exps = self.exps(rank)
-                perm.append(self.rank(tuple((-a) % e for a, e in zip(exps, es))))
-            self._tau_perm = tuple(perm)
-        return self._tau_perm
-
-    def frobenius(self, f):
-        """f**q over a field ambient (t = 1), as the ring map X^m -> X^(q*m):
-        the q-th power fixes F_q, so it only moves monomials.  The image of
-        each normal-form monomial, prod_k (X_k^(q*m_k) mod t_k), is built
-        once per ambient as (rank, payload) pairs; on abelian ambients it is
-        one monomial, so the map is a permutation."""
-        if self.ring.t != 1:
-            raise DomainError("the Frobenius map is defined over a field ambient")
-        if f.ambient is not self and f.ambient != self:
-            raise DomainError("polynomials live in different ambients")
-        if self._frobenius_images is None:
-            self._frobenius_images = self._frobenius_table()
-        ring = self.ring
-        add, mul, z = ring._add, ring._mul, ring._zero
-        out = [z] * self.n
-        for c, image in zip(f.coeffs, self._frobenius_images):
-            if c.data != z:
-                for rank, y in image:
-                    out[rank] = add(out[rank], mul(c.data, y))
-        return MPoly(self, [ring.elem(c) for c in out])
-
-    def _frobenius_table(self):
-        images = [((0, self.ring._one),)]
-        for m, stride in zip(self.moduli, self.strides):
-            xq = pow_mod(Poly.x(self.ring, var=m.var), self.ring.q, m)
-            powers = []
-            xe = Poly.one(self.ring, var=m.var)
-            for _ in range(m.degree):
-                powers.append([(j * stride, c.data) for j, c in enumerate(xe.coeffs) if not c.is_zero()])
-                xe = (xe * xq) % m
-            images = [
-                tuple((r + rj, self.ring._mul(c, cj)) for r, c in image for rj, cj in xe_terms)
-                for xe_terms in powers
-                for image in images
-            ]
-        return images
+        es = self.exponents
+        if es is None:
+            raise DomainError("the inversion automorphism needs an abelian ambient")
+        return tuple(
+            self.rank(tuple((-a) % e for a, e in zip(self.exps(rank), es)))
+            for rank in range(self.n)
+        )
 
 
 def _check_same_ambient(f, g):
@@ -750,7 +710,7 @@ class MPoly:
 
     def tau(self):
         """The weight-preserving inversion automorphism X_i -> X_i^{-1}."""
-        perm = self.ambient.tau_permutation()
+        perm = self.ambient.tau_permutation
         out = [self.ambient.ring.zero] * self.ambient.n
         for rank, c in enumerate(self.coeffs):
             out[perm[rank]] = c

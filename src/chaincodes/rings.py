@@ -552,6 +552,9 @@ def default_modulus(p, degree):
 def ring_construct(desc):
     """Build a chain ring from a `ChainRingDesc` (or an equivalent dict)."""
     if isinstance(desc, dict):
+        unknown = [k for k in desc if k not in ("kind", "p", "t", "l", "modulus")]
+        if unknown:
+            raise DomainError(f"ring descriptor has unknown keys {unknown}")
         try:
             desc = ChainRingDesc(
                 kind=desc["kind"],

@@ -10,6 +10,13 @@ from chaincodes.cli import main
 Z4 = '{"kind":"galois","p":2,"t":2,"l":1}'
 Z9 = '{"kind":"galois","p":3,"t":2,"l":1}'
 
+# JSON nested deeper than the parser's recursion allows, and an integer one
+# digit past Python's int-from-text limit (0 means no limit)
+DEEP = "[" * 10_000 + "]" * 10_000
+INT_LIMIT = sys.get_int_max_str_digits()
+BIG = "1" * (INT_LIMIT + 1)
+needs_int_limit = pytest.mark.skipif(INT_LIMIT == 0, reason="int-from-text is unlimited")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -271,12 +278,56 @@ def test_domain_error_exit_code(capsys):
          "[[[0],1],[[true],0],[[3],2]]"),
         ("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents",
          "[[[0],1],[[1],false],[[3],2]]"),
+        # a repeated representative, whichever entry would come last
+        ("info", "--ring", Z4, "--moduli", "x^3-1", "--exponents", "[[[0],1],[[1],2],[[1],0]]"),
+        # an unknown key is refused, not ignored: a misspelt modulus is not the default
+        ("classes", "--ring", '{"kind":"galois","p":2,"t":2,"l":2,"modulos":[1,1,1]}',
+         "--moduli", "x^3-1"),
+        # two variables: only x1, x2 and the aliases x, y name them
+        ("info", "--ring", Z4, "--moduli", "x^3-1", "y^3-1", "--gens", "q^2+q+1"),
+        ("info", "--ring", Z4, "--moduli", "x^3-1", "y^3-1", "--gens", "t2+1"),
+        ("factor", "--ring", Z4, "--moduli", "x\u00b2-1"),
+        pytest.param(("info", "--ring", Z4, "--moduli", "x^7-1", "--gens", f"{BIG}*x+1"),
+                     marks=needs_int_limit),
     ],
 )
 def test_malformed_input_is_a_domain_error(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1
     assert json.loads(out)["code"] == "domain_error"
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "moduli,what",
+    [(f"x^7-{BIG}", "coefficient"), (f"x^{BIG}-1", "exponent")],
+    ids=["coefficient", "exponent"],
+)
+def test_integer_text_past_the_digit_limit_is_named(capsys, moduli, what):
+    code, out = run(capsys, "factor", "--ring", Z4, "--moduli", moduli)
+    assert code == 1
+    assert json.loads(out)["message"] == f"bad {what}: {INT_LIMIT + 1} digits"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factor", "--ring", '{"kind":"galois",', "--moduli", "x^7-1"),
+        ("factor", "--ring", DEEP, "--moduli", "x^7-1"),
+        ("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents", DEEP),
+        pytest.param(("factor", "--ring", f'{{"kind":"galois","p":{BIG},"t":2,"l":1}}',
+                      "--moduli", "x^7-1"), marks=needs_int_limit),
+        pytest.param(("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents", f"[{BIG},0,2]"),
+                     marks=needs_int_limit),
+    ],
+    ids=["truncated", "deep-ring", "deep-exponents", "long-int-ring", "long-int-exponents"],
+)
+def test_unparseable_json_is_bad_json(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == "bad_json"
 
 
 def test_enumerate_writes_records_before_an_error(capsys, monkeypatch):

@@ -36,6 +36,9 @@ def test_exponent_validation(amb_x7):
         code_from_exponents(amb_x7, [0, 0, 3])
     with pytest.raises(DomainError):
         code_from_exponents(amb_x7, {(0,): 0, (1,): 0})
+    # 0 and (0,) name the same class; neither entry silently wins
+    with pytest.raises(DomainError, match="twice"):
+        code_from_exponents(amb_x7, {(0,): 1, 0: 2, (1,): 0, (3,): 2})
 
 
 @pytest.mark.parametrize(

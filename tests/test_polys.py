@@ -34,6 +34,10 @@ def test_poly_parse_and_format(z4):
     assert poly_to_text(f) == "x^7+3"
     assert parse_univariate("3*x+2", z4) == Poly.from_ints(z4, [2, 3])
     assert parse_univariate(poly_to_text(f), z4) == f
+    # one variable: any letter, bare or indexed 1, names it
+    assert parse_univariate("y^7-1", z4) == parse_univariate("t1^7-1", z4) == f
+    with pytest.raises(DomainError):
+        parse_univariate("x2^7-1", z4)
 
 
 def test_normal_form(z4, amb_x7, amb_x3y3):
@@ -171,3 +175,13 @@ def test_mixed_ambients_rejected(z4):
     # equal ambients built separately still mix
     a2 = Ambient(z4, [parse_univariate("x^7-1", z4)])
     assert a.one() * a2.one() + a2.one() == a.constant(z4.from_int(2))
+
+
+def test_multivariate_text_names_only_its_variables(z4, amb_x3y3):
+    """x1..xr and the aliases x, y, z, w; any other name is an error, not x1."""
+    for text in ("q^2+q+1", "t2", "x3", "z", "xy"):
+        with pytest.raises(DomainError):
+            amb_x3y3.parse(text)
+    assert amb_x3y3.parse("y^2+x") == amb_x3y3.parse("x2^2+x1")
+    amb4 = Ambient(z4, [Poly.from_ints(z4, [-1, 0, 0, 1], var=i) for i in range(4)])
+    assert amb4.parse("w*z+y+x") == amb4.parse("x4*x3+x2+x1")
