@@ -40,7 +40,6 @@ from .factor import (
     SplittingData,
     cyclotomic_classes,
     factor_squarefree,
-    is_squarefree,
     splitting_data,
 )
 from .hensel import LiftedFactorization, lift_factorization, lift_idempotent
@@ -63,7 +62,7 @@ from .oracle import (
     module_span,
     span_of_code,
 )
-from .polys import Ambient, MPoly, Poly, parse_univariate, poly_to_text
+from .polys import Ambient, MPoly, Poly, is_squarefree, parse_univariate, poly_to_text
 from .rings import (
     ChainRingDesc,
     ExtensionRing,

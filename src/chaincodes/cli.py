@@ -352,10 +352,14 @@ def _run(args, out):
     """Run the command, writing its JSON (or its error object) to ``out``."""
     try:
         _parse_json_options(args)
-    except (RecursionError, ValueError) as exc:
-        # malformed text, nesting too deep for the parser, or an integer
-        # past Python's int-from-text digit limit
+    except (RecursionError, json.JSONDecodeError) as exc:
+        # malformed text or nesting too deep for the parser
         out.write(_dump({"code": "bad_json", "message": str(exc)}) + "\n")
+        return 2
+    except ValueError:
+        # an integer past Python's int-from-text digit limit
+        message = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        out.write(_dump({"code": "bad_json", "message": message}) + "\n")
         return 2
     try:
         result = globals()["_cmd_" + args.command.replace("-", "_")](args)

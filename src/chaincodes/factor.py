@@ -1,13 +1,14 @@
 """Factorization over the residue field and cyclotomic classes of roots.
 
-`factor_squarefree` is a distinct-degree / equal-degree factorization with
-seeded pseudo-randomness, so the returned (sorted) factor list is
-deterministic and independent of the seed as a set.  `splitting_data` builds
-the common splitting field of the residue moduli from their factor lists and
-labels the roots: as exponents of a primitive root for abelian ambients, as
-field elements otherwise.  `cyclotomic_classes` partitions the root tuples
-into orbits of the simultaneous q-power map, a -> q*a mod e_i on exponent
-labels, so only non-abelian classes read the splitting field.
+`factor_squarefree` splits the stages of `polys.distinct_degree` by equal
+degree with seeded pseudo-randomness, so the returned (sorted) factor list
+is deterministic and independent of the seed as a set.  `splitting_data`
+builds the common splitting field of the residue moduli from their factor
+lists and labels the roots: as exponents of a primitive root for abelian
+ambients, otherwise as the field elements that equal-degree splitting finds
+as linear factors.  `cyclotomic_classes` partitions the root tuples into
+orbits of the simultaneous q-power map, a -> q*a mod e_i on exponent labels,
+so only non-abelian classes read the splitting field.
 """
 
 from __future__ import annotations
@@ -18,17 +19,23 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import DomainError, InternalError
-from .polys import Poly, pow_mod, poly_gcd, prime_factors, smallest_irreducible
+from .polys import Poly, distinct_degree, is_squarefree, pow_mod, poly_gcd, smallest_irreducible
 from .rings import ExtensionRing, IntegerModRing, default_modulus
 
 
-def is_squarefree(f):
-    """gcd(f, f') = 1 over the coefficient field."""
-    if f.is_zero():
-        raise DomainError("square-freeness of the zero polynomial is undefined")
-    if f.degree == 0:
-        return True
-    return poly_gcd(f, f.derivative()).degree == 0
+def prime_factors(n):
+    """The distinct prime factors of n, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def factor_squarefree(f, seed=0):
@@ -47,28 +54,7 @@ def factor_squarefree(f, seed=0):
     if not is_squarefree(f):
         raise DomainError("factor_squarefree expects a square-free polynomial")
     rng = random.Random(seed)
-    q = field.size
-    x = Poly.x(field, var=f.var)
-
-    # distinct-degree stage
-    stages = []  # (product of all irreducible factors of degree d, d)
-    rem = f
-    h = x
-    d = 0
-    while rem.degree > 2 * (d + 1) - 1:
-        d += 1
-        h = pow_mod(h, q, rem)
-        g = poly_gcd(h - x, rem)
-        if g.degree > 0:
-            stages.append((g, d))
-            rem = rem // g
-            h = h % rem
-    if rem.degree > 0:
-        stages.append((rem, rem.degree))
-
-    factors = []
-    for g, d in stages:
-        factors.extend(_equal_degree(g, d, rng))
+    factors = [h for g, d in distinct_degree(f) for h in _equal_degree(g, d, rng)]
     factors.sort(key=lambda p: p.rank_key())
 
     check = Poly.one(field, var=f.var)
@@ -204,14 +190,13 @@ def splitting_data(ambient, factor_lists):
         roots = tuple(tuple(range(e)) for e in exps)
         return SplittingData(M, big, roots, tuple(prim))
     embed = (lambda c: c) if big == field else big.embed
+    # The roots are the linear factors X - c over GF(q^M).  Sorted, they do
+    # not depend on the draws, so a fixed seed leaves the labels unchanged.
+    rng = random.Random(0)
     roots = []
-    for m in ambient.moduli:
-        m = m.residue() if ambient.ring.t > 1 else m
-        rs = [c for c in big.elements() if m.evaluate(c, embed).is_zero()]
-        if len(rs) != m.degree:
-            raise InternalError("modulus does not split over the splitting field")  # pragma: no cover
-        rs.sort(key=lambda c: tuple(c.coords()))
-        roots.append(tuple(rs))
+    for fl in factor_lists:
+        rs = [-lin.coeff(0) for f in fl for lin in _equal_degree(f.map_coeffs(embed, big), 1, rng)]
+        roots.append(tuple(sorted(rs, key=lambda c: tuple(c.coords()))))
     return SplittingData(M, big, tuple(roots), None)
 
 

@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, InternalError
-from .polys import Ambient, Poly, prime_factors, smallest_irreducible
+from .factor import prime_factors
+from .polys import Ambient, Poly, smallest_irreducible
 from .rings import ExtensionRing, default_modulus, ring_construct, ring_trace
 
 

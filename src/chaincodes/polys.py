@@ -15,6 +15,9 @@ products (`Poly`, `rings.ExtensionRing`) keep the `convolve_fold` loop on
 raw payloads.  `Poly` division runs on payloads too, and `RingElem`s are
 built only at the API edge.
 
+Over a field, `distinct_degree` is the one distinct-degree loop, and its
+first stage alone is Ben-Or's irreducibility test, `is_irreducible`.
+
 Everything here is generic over the coefficient ring: it relies on the raw
 payload operations ``_add``/``_neg``/``_mul``/``_zero`` and ``elem`` of the
 ring, and on ``zero``/``one``/``from_int``/``unit_inverse`` for elements.
@@ -25,8 +28,11 @@ from __future__ import annotations
 import operator
 from functools import cached_property
 
-from .errors import DomainError, InternalError
+from .errors import BudgetExceeded, DomainError, InternalError
 from .kernel import convolve_fold, packed_product, product_box
+
+# Bound on n = deg t_1 * ... * deg t_r, the length of an ambient's dense vectors
+MAX_AMBIENT_LENGTH = 2**16
 
 
 class Poly:
@@ -264,42 +270,39 @@ def pow_mod(f, e, mod):
     return power(f % mod, e, Poly.one(f.ring, var=f.var), lambda a, b: (a * b) % mod)
 
 
-def prime_factors(n):
-    """The distinct prime factors of n, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+def is_squarefree(f):
+    """gcd(f, f') = 1 over the coefficient field."""
+    if f.is_zero():
+        raise DomainError("square-freeness of the zero polynomial is undefined")
+    return poly_gcd(f, f.derivative()).degree == 0
+
+
+def distinct_degree(f):
+    """Lazy pairs (g, d), d ascending: g is the product of the degree-d
+    irreducible factors of a monic square-free f over F_q, and the last
+    pair is what is left once d passes half its degree.  For any f of
+    degree >= 1, square-free or not, the first pair has d = deg f exactly
+    when f is irreducible (Ben-Or): else it has a factor of degree <= deg/2."""
+    q = f.ring.size
+    x = Poly.x(f.ring, var=f.var)
+    rem, h, d = f, x, 0
+    while rem.degree >= 2 * (d + 1):
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+        h = pow_mod(h, q, rem)
+        g = poly_gcd(h - x, rem)
+        if g.degree > 0:
+            yield g, d
+            rem = rem // g
+            h = h % rem
+    if rem.degree > 0:
+        yield rem, rem.degree
 
 
 def is_irreducible(f):
-    """Irreducibility over the coefficient field (Rabin's test)."""
-    field = f.ring
-    if field.t != 1:
+    """Irreducibility over the coefficient field: Ben-Or's test, one `distinct_degree` stage."""
+    if f.ring.t != 1:
         raise DomainError("irreducibility test requires field coefficients")
-    d = f.degree
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    f = f.monic()
-    q = field.size
-    x = Poly.x(field, var=f.var)
-    h = pow_mod(x, q**d, f)
-    if h != x % f:
-        return False
-    for ell in prime_factors(d):
-        h = pow_mod(x, q ** (d // ell), f)
-        if poly_gcd(h - x, f).degree != 0:
-            return False
-    return True
+    return f.degree >= 1 and next(distinct_degree(f.monic()))[1] == f.degree
 
 
 def smallest_irreducible(field, degree):
@@ -414,6 +417,8 @@ def parse_univariate(text, ring, var=0):
     if not terms:
         return Poly.zero(ring, var=var)
     deg = max(e[0] for e in terms)
+    if deg > MAX_AMBIENT_LENGTH:
+        raise BudgetExceeded(f"modulus degree {deg} exceeds the bound {MAX_AMBIENT_LENGTH}")
     coeffs = [ring.zero] * (deg + 1)
     for (e,), c in terms.items():
         coeffs[e] = c
@@ -423,9 +428,9 @@ def parse_univariate(text, ring, var=0):
 class Ambient:
     """The quotient algebra R[X_1,...,X_r]/<t_1(X_1),...,t_r(X_r)>.
 
-    Construction checks each residue modulus is square-free (the semisimple
-    requirement) unless ``unchecked`` is passed; the term order (X_1 fastest)
-    is frozen here and shared by every coefficient vector downstream.
+    Construction bounds n by `MAX_AMBIENT_LENGTH` and, unless ``unchecked``,
+    checks that each residue modulus is square-free (semisimplicity); the
+    term order (X_1 fastest) is frozen here for every vector downstream.
     """
 
     def __init__(self, ring, moduli, unchecked=False):
@@ -446,21 +451,16 @@ class Ambient:
             strides.append(strides[-1] * d)
         self.strides = tuple(strides)
         self.n = strides[-1] * self.degs[-1]
+        if self.n > MAX_AMBIENT_LENGTH:
+            raise BudgetExceeded(f"ambient length {self.n} exceeds the bound {MAX_AMBIENT_LENGTH}")
         self.unchecked = bool(unchecked)
-        self.semisimple = self._check_semisimple()
+        self.semisimple = all(is_squarefree(m.residue() if ring.t > 1 else m) for m in self.moduli)
         if not self.semisimple and not unchecked:
             raise DomainError(
                 "residue moduli are not square-free; pass unchecked=True to force"
             )
         rules = tuple((m.degree, ring.fold_rule(m)) for m in self.moduli)
         self.layout = product_box(ring.lane_vars + rules) + (ring.lane_modulus,)
-
-    def _check_semisimple(self):
-        for m in self.moduli:
-            mr = m.residue() if self.ring.t > 1 else m
-            if poly_gcd(mr, mr.derivative()).degree != 0:
-                return False
-        return True
 
     @property
     def abelian(self):

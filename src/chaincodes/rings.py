@@ -561,7 +561,7 @@ def ring_construct(desc):
                 p=desc["p"],
                 t=desc["t"],
                 l=desc.get("l", 1),
-                modulus=tuple(desc["modulus"]) if desc.get("modulus") else None,
+                modulus=tuple(desc["modulus"]) if "modulus" in desc else None,
             )
         except KeyError as exc:
             raise DomainError(f"ring descriptor has no {exc.args[0]!r}") from None

@@ -310,24 +310,56 @@ def test_integer_text_past_the_digit_limit_is_named(capsys, moduli, what):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ("factor", "--ring", '{"kind":"galois",', "--moduli", "x^7-1"),
-        ("factor", "--ring", DEEP, "--moduli", "x^7-1"),
-        ("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents", DEEP),
+        (("factor", "--ring", '{"kind":"galois",', "--moduli", "x^7-1"), None),
+        (("factor", "--ring", DEEP, "--moduli", "x^7-1"), None),
+        (("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents", DEEP), None),
         pytest.param(("factor", "--ring", f'{{"kind":"galois","p":{BIG},"t":2,"l":1}}',
-                      "--moduli", "x^7-1"), marks=needs_int_limit),
-        pytest.param(("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents", f"[{BIG},0,2]"),
+                      "--moduli", "x^7-1"), f"an integer has more than {INT_LIMIT} digits",
                      marks=needs_int_limit),
+        pytest.param(("info", "--ring", Z4, "--moduli", "x^7-1", "--exponents", f"[{BIG},0,2]"),
+                     f"an integer has more than {INT_LIMIT} digits", marks=needs_int_limit),
     ],
     ids=["truncated", "deep-ring", "deep-exponents", "long-int-ring", "long-int-exponents"],
 )
-def test_unparseable_json_is_bad_json(capsys, argv):
+def test_unparseable_json_is_bad_json(capsys, argv, message):
     code, out = run(capsys, *argv)
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["code"] == "bad_json"
+    if message is not None:
+        # our own words: the advice in Python's text is no CLI option
+        assert json.loads(lines[0])["message"] == message
+
+
+@pytest.mark.parametrize(
+    "moduli,message",
+    [
+        (["x^99999999999999999999-1"], "modulus degree 99999999999999999999 exceeds the bound"),
+        (["x^65537-1"], "modulus degree 65537 exceeds the bound"),
+        (["x^300-1", "y^300-1"], "ambient length 90000 exceeds the bound"),
+    ],
+    ids=["overflowing-degree", "degree-65537", "length-90000"],
+)
+def test_ambient_length_past_the_bound_is_a_budget_error(capsys, moduli, message):
+    ring = '{"kind":"galois","p":2,"t":2,"l":1}'
+    code, out = run(capsys, "factor", "--ring", ring, "--moduli", *moduli)
+    assert code == 2
+    obj = json.loads(out)
+    assert obj["code"] == "budget_exceeded"
+    assert obj["message"].startswith(message)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("modulus", ["[]", "0", "false", "{}", "null"])
+def test_a_present_modulus_is_validated(capsys, modulus, l):
+    """A falsy "modulus" is not the default modulus."""
+    ring = f'{{"kind":"galois","p":2,"t":2,"l":{l},"modulus":{modulus}}}'
+    code, out = run(capsys, "factor", "--ring", ring, "--moduli", "x^7-1")
+    assert code == 1
+    assert json.loads(out)["code"] == "domain_error"
 
 
 def test_enumerate_writes_records_before_an_error(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Residue-field factorization, splitting fields and cyclotomic classes."""
 
+import functools
 from math import lcm
 
 import pytest
@@ -181,3 +182,67 @@ def test_equal_degree_gives_up_after_its_budget(monkeypatch):
     with pytest.raises(InternalError, match="no split"):
         factor._equal_degree(g, 1, random.Random(0))
     assert len(draws) == factor.SPLIT_DRAWS
+
+
+NON_ABELIAN = {
+    "Z4 x^3+x+1,y^2+y+1": ({"kind": "galois", "p": 2, "t": 2, "l": 1}, ["x^3+x+1", "y^2+y+1"]),
+    "GF(2) x^4+x+1,y^3+y+1": ({"kind": "galois", "p": 2, "t": 1, "l": 1}, ["x^4+x+1", "y^3+y+1"]),
+    "GF(2) x^5+x^2+1,y^3+y+1": (
+        {"kind": "galois", "p": 2, "t": 1, "l": 1}, ["x^5+x^2+1", "y^3+y+1"]
+    ),
+    "Z9 x^2+1,y^3+2y+1": ({"kind": "galois", "p": 3, "t": 2, "l": 1}, ["x^2+1", "y^3+2*y+1"]),
+    "GR(4,2) x^3+x+1,y^2+y+1": (
+        {"kind": "galois", "p": 2, "t": 2, "l": 2}, ["x^3+x+1", "y^2+y+1"]
+    ),
+    "F2[u]/u^2 x^3+x+1,y^5+y^2+1": (
+        {"kind": "truncated", "p": 2, "t": 2, "l": 1}, ["x^3+x+1", "y^5+y^2+1"]
+    ),
+}
+
+
+def _non_abelian_ambient(name):
+    from chaincodes import parse_univariate, ring_construct
+
+    desc, moduli = NON_ABELIAN[name]
+    ring = ring_construct(desc)
+    return Ambient(ring, [parse_univariate(m, ring, var=i) for i, m in enumerate(moduli)])
+
+
+@functools.cache
+def _scanned_roots(big, m):
+    """The roots of a residue modulus m by evaluation at every element of
+    the splitting field, sorted by coordinates: the reference for the
+    labels that `splitting_data` reads off equal-degree splitting.  Cached,
+    as the two ambients with M = 15 share both residue moduli."""
+    embed = (lambda c: c) if big == m.ring else big.embed
+    rs = [c for c in big.elements() if m.evaluate(c, embed).is_zero()]
+    assert len(rs) == m.degree
+    return tuple(sorted(rs, key=lambda c: tuple(c.coords())))
+
+
+@pytest.mark.parametrize("name", sorted(NON_ABELIAN))
+def test_split_root_labels_match_the_element_scan(name):
+    ambient = _non_abelian_ambient(name)
+    sd = decompose(ambient).splitting
+    assert sd.primitive_roots is None
+    for m, roots in zip(ambient.moduli, sd.roots):
+        m = m.residue() if ambient.ring.t > 1 else m
+        want = _scanned_roots(sd.field, m)
+        assert [c.coords() for c in roots] == [c.coords() for c in want]
+
+
+def test_non_abelian_splitting_scans_no_field(monkeypatch):
+    """Non-abelian root labels come from splitting, never from a scan of
+    the splitting field's elements."""
+    from chaincodes.factor import splitting_data
+    from chaincodes.rings import ExtensionRing
+
+    dec = decompose(_non_abelian_ambient("Z4 x^3+x+1,y^2+y+1"))
+
+    def no_scan(self):
+        raise AssertionError("the splitting field was scanned")
+
+    monkeypatch.setattr(ExtensionRing, "elements", no_scan)
+    sd = splitting_data(dec.ambient, dec.factor_lists)
+    assert isinstance(sd.field, ExtensionRing) and sd.M == 6
+    assert [len(rs) for rs in sd.roots] == [3, 2]

@@ -6,7 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaincodes import Ambient, DomainError, Poly, parse_univariate, poly_to_text
+from chaincodes import (
+    Ambient,
+    BudgetExceeded,
+    DomainError,
+    FiniteField,
+    Poly,
+    parse_univariate,
+    poly_to_text,
+)
+from chaincodes.factor import prime_factors
+from chaincodes.polys import (
+    MAX_AMBIENT_LENGTH,
+    is_irreducible,
+    poly_gcd,
+    pow_mod,
+    smallest_irreducible,
+)
 
 
 def test_product_reassembles_x7_minus_1(z4):
@@ -185,3 +201,89 @@ def test_multivariate_text_names_only_its_variables(z4, amb_x3y3):
     assert amb_x3y3.parse("y^2+x") == amb_x3y3.parse("x2^2+x1")
     amb4 = Ambient(z4, [Poly.from_ints(z4, [-1, 0, 0, 1], var=i) for i in range(4)])
     assert amb4.parse("w*z+y+x") == amb4.parse("x4*x3+x2+x1")
+
+
+def _rabin_is_irreducible(f):
+    """Irreducibility over the coefficient field (Rabin's test): the
+    reference for `is_irreducible`, which runs Ben-Or's test."""
+    field = f.ring
+    if field.t != 1:
+        raise DomainError("irreducibility test requires field coefficients")
+    d = f.degree
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    f = f.monic()
+    q = field.size
+    x = Poly.x(field, var=f.var)
+    h = pow_mod(x, q**d, f)
+    if h != x % f:
+        return False
+    for ell in prime_factors(d):
+        h = pow_mod(x, q ** (d // ell), f)
+        if poly_gcd(h - x, f).degree != 0:
+            return False
+    return True
+
+
+def _monic_polys(field, max_degree):
+    """Every monic polynomial of degree <= max_degree, the constant 1 included."""
+    for d in range(max_degree + 1):
+        for rank in range(field.size**d):
+            coeffs = []
+            for _ in range(d):
+                coeffs.append(field.from_rank(rank % field.size))
+                rank //= field.size
+            yield Poly(field, coeffs + [field.one])
+
+
+@pytest.mark.parametrize("p,l,max_degree", [(2, 1, 6), (3, 1, 6), (2, 2, 4)])
+def test_ben_or_agrees_with_rabin(p, l, max_degree):
+    field = FiniteField(p, l)
+    units = [field.from_rank(r) for r in range(2, field.size)]
+    irreducible = 0
+    for f in _monic_polys(field, max_degree):
+        want = _rabin_is_irreducible(f)
+        assert is_irreducible(f) == want, f
+        irreducible += want
+        # unit multiples: irreducibility ignores the leading coefficient
+        if f.degree >= 1 and f.coeff(0) == field.one:
+            for u in units:
+                assert is_irreducible(f * u) == want, (f, u)
+    # the counts of monic irreducibles, by Gauss's formula
+    assert irreducible == {2: 2 + 1 + 2 + 3 + 6 + 9, 3: 3 + 3 + 8 + 18 + 48 + 116,
+                           4: 4 + 6 + 20 + 60}[field.size]
+
+
+def test_is_irreducible_needs_field_coefficients(z4):
+    with pytest.raises(DomainError):
+        is_irreducible(Poly.from_ints(z4, [1, 1, 1]))
+
+
+@pytest.mark.parametrize(
+    "p,l,degree,low",
+    [
+        (2, 1, 40, [[1], [0], [0], [1], [1], [1]]),
+        (2, 2, 12, [[1, 0], [0, 1], [1, 0], [1, 0]]),
+        (3, 1, 20, [[1], [2], [0], [1]]),
+    ],
+    ids=["GF(2)^40", "GF(4)^12", "GF(3)^20"],
+)
+def test_smallest_irreducible_is_pinned(p, l, degree, low):
+    """The minimal-rank irreducibles that Rabin's test found stay the same:
+    ``low`` holds the coordinates of the coefficients below the zero run
+    that ends at the leading 1."""
+    got = smallest_irreducible(FiniteField(p, l), degree)
+    zero, one = [0] * l, [1] + [0] * (l - 1)
+    assert [list(c.coords()) for c in got.coeffs] == low + [zero] * (degree - len(low)) + [one]
+
+
+def test_ambient_length_is_bounded(z4):
+    with pytest.raises(BudgetExceeded, match="modulus degree 65537"):
+        parse_univariate("x^65537-1", z4)
+    assert parse_univariate(f"x^{MAX_AMBIENT_LENGTH}-1", z4).degree == MAX_AMBIENT_LENGTH
+    # each modulus is small, their product is not (and not square-free either)
+    moduli = [parse_univariate(t, z4, var=i) for i, t in enumerate(["x^300-1", "y^300-1"])]
+    with pytest.raises(BudgetExceeded, match="ambient length 90000"):
+        Ambient(z4, moduli)
