@@ -70,7 +70,6 @@ from .rings import (
     IntegerModRing,
     RingElem,
     TruncatedRing,
-    extend_ring,
     frobenius_lift,
     ring_construct,
     ring_from_json,

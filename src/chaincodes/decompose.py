@@ -314,7 +314,7 @@ class Decomposition:
             for rank in range(A.n):
                 if len(rows) == cd.cls.size:
                     break
-                row = [c.data for c in (A.monomial(A.exps(rank)) * cd.e).coeffs]
+                row = field._from_lanes((A.monomial(A.exps(rank)) * cd.e).lanes)
                 for pc, brow in zip(pivots, rows):
                     c = row[pc]
                     if c != zero:
@@ -424,18 +424,6 @@ class Decomposition:
     @property
     def class_count(self):
         return len(self.classes)
-
-    def idempotent_from_h(self, idx):
-        """Route-independent idempotent: a plain power of h_C."""
-        cd = self.data[idx]
-        t = self.ambient.ring.t
-        qc = self.ambient.ring.q ** cd.cls.size
-        exponent = t * (qc**t - qc ** (t - 1))
-        return cd.h**exponent
-
-    def class_data_from_rep(self, idx, rep):
-        """Recompute a class's data from an arbitrary representative."""
-        return self._build_class(self.classes[idx], rep=rep)
 
 
 def decompose(ambient, seed=0):

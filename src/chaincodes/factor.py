@@ -145,12 +145,12 @@ class SplittingData:
 def _splitting_field(base_field, M):
     if M == 1:
         return base_field
-    # deterministic minimal-rank irreducible of degree M over F_q
+    # the minimal-rank irreducible of degree M over F_q; its search proved it irreducible
     if isinstance(base_field, IntegerModRing):
         modulus = Poly.from_ints(base_field, default_modulus(base_field.p, M))
     else:
         modulus = smallest_irreducible(base_field, M)
-    return ExtensionRing(base_field, modulus)
+    return ExtensionRing(base_field, modulus, check=False)
 
 
 def _multiplicative_generator(field):
@@ -269,21 +269,3 @@ def cyclotomic_classes(ambient, splitting=None):
     if total != len(all_tuples):
         raise InternalError("classes do not partition the root tuples")  # pragma: no cover
     return classes
-
-
-def orbit_length(label, e_or_field, q):
-    """Length of the q-power orbit of a single root (the degree d_i)."""
-    if isinstance(label, int):
-        e = e_or_field
-        d = 1
-        cur = (label * q) % e
-        while cur != label:
-            cur = (cur * q) % e
-            d += 1
-        return d
-    d = 1
-    cur = label**q
-    while cur != label:
-        cur = cur**q
-        d += 1
-    return d

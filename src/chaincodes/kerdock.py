@@ -50,12 +50,12 @@ def kerdock_instance(q=2, m=3):
     if q != 2**lpow:
         raise DomainError("q must be a power of 2")
     R = ring_construct({"kind": "galois", "p": 2, "t": 2, "l": lpow})
+    # a monic lift of a searched irreducible residue is basic irreducible
     if lpow == 1:
         modulus = Poly.from_ints(R, default_modulus(2, m))
     else:
-        # a monic lift of an irreducible residue is basic irreducible
         modulus = smallest_irreducible(R.residue_field, m).map_coeffs(R.lift, R)
-    S = ExtensionRing(R, modulus)
+    S = ExtensionRing(R, modulus, check=False)
 
     tau = q**m - 1
     theta = _teichmuller_generator(S, tau)

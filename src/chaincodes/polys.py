@@ -5,22 +5,26 @@ with a nonzero leading coefficient; the zero polynomial has an empty tuple.
 Multivariate residue classes (`MPoly`) live in a fixed quotient
 R[X_1,...,X_r]/<t_1(X_1),...,t_r(X_r)> (an `Ambient`) and are kept in normal
 form: a dense coefficient vector indexed by the mixed-radix rank of the
-exponent tuple, X_1 varying fastest.
+exponent tuple, X_1 varying fastest.  An `MPoly` stores that vector only as
+its lanes: every ring here is a quotient of Z_m[Z_1..Z_k] (see
+`rings.ChainRing`), and each coefficient is its k-lane block of ints in
+[0, m), the ring's own variables fastest.
 
-Every product runs a kernel of `kernel.py`.  `MPoly.__mul__` flattens both
-operands to ints over Z_m in the ambient's box, the ring's own variables
-fastest (every ring here is a quotient of Z_m[Z_1..Z_k], see
-`rings.ChainRing`), and takes one packed big-int product; element-sized
-products (`Poly`, `rings.ExtensionRing`) keep the `convolve_fold` loop on
-raw payloads.  `Poly` division runs on payloads too, and `RingElem`s are
-built only at the API edge.
+Every product runs a kernel of `kernel.py`.  `MPoly.__mul__` is one packed
+big-int product of two lane vectors, and sums, negation, int scaling and
+equality are operations mod m on them; element-sized products (`Poly`,
+extension and truncated ring elements) run `convolve_fold` on raw payloads.
+`Poly` division runs on payloads too, and `RingElem`s are built only at the
+API edge.
 
 Over a field, `distinct_degree` is the one distinct-degree loop, and its
 first stage alone is Ben-Or's irreducibility test, `is_irreducible`.
 
 Everything here is generic over the coefficient ring: it relies on the raw
-payload operations ``_add``/``_neg``/``_mul``/``_zero`` and ``elem`` of the
-ring, and on ``zero``/``one``/``from_int``/``unit_inverse`` for elements.
+payload operations ``_add``/``_neg``/``_mul``/``_zero``/``_payload`` and
+``elem`` of the ring, on its lane maps ``_lanes``/``_from_lanes`` and
+``lane_modulus``, and on ``zero``/``one``/``from_int``/``unit_inverse`` for
+elements.
 """
 
 from __future__ import annotations
@@ -528,36 +532,37 @@ class Ambient:
     # -- element construction ------------------------------------------------
 
     def zero(self):
-        return MPoly(self, (self.ring.zero,) * self.n)
+        return MPoly(self, [0] * (self.n * self.ring.ncoords))
 
     def one(self):
-        return self.constant(self.ring.one)
+        return self.constant(1)
 
     def constant(self, c):
-        v = [self.ring.zero] * self.n
-        v[0] = c
-        return MPoly(self, v)
+        return self.monomial((0,) * self.r, c)
 
-    def monomial(self, exps, c=None):
-        v = [self.ring.zero] * self.n
-        v[self.rank(tuple(exps))] = self.ring.one if c is None else c
-        return MPoly(self, v)
+    def monomial(self, exps, c=1):
+        """c X^exps.  Here, in `constant` and in `from_vector`, c is an int
+        or an element of the ambient's ring (`ChainRing._payload`)."""
+        vec = [self.ring._zero] * self.n
+        vec[self.rank(tuple(exps))] = self.ring._payload(c)
+        return MPoly(self, self.ring._lanes(vec))
 
     def from_vector(self, coeffs):
-        coeffs = tuple(coeffs)
+        coeffs = list(coeffs)
         if len(coeffs) != self.n:
             raise DomainError(f"vector length {len(coeffs)} != ambient length {self.n}")
-        return MPoly(self, coeffs)
+        return MPoly(self, self.ring._lanes([self.ring._payload(c) for c in coeffs]))
 
     def from_terms(self, terms):
         """Normal form of a raw exponent dict {exps: coeff}."""
-        vec = [self.ring.zero] * self.n
+        ring = self.ring
+        vec = [ring._zero] * self.n
         for exps, c in terms.items():
             if c.is_zero():
                 continue
             for rank, cc in self._reduce_monomial(exps, c):
-                vec[rank] = vec[rank] + cc
-        return MPoly(self, vec)
+                vec[rank] = ring._add(vec[rank], cc.data)
+        return MPoly(self, ring._lanes(vec))
 
     def _reduce_monomial(self, exps, c):
         # reduce one raw monomial to normal form, variable by variable
@@ -614,36 +619,40 @@ class Ambient:
         )
 
 
-def _check_same_ambient(f, g):
-    if f.ambient is not g.ambient and f.ambient != g.ambient:
-        raise DomainError("polynomials live in different ambients")
-
-
 class MPoly:
-    """A residue class in an `Ambient`, always in normal form."""
+    """A residue class in an `Ambient`, always in normal form, held as its
+    lane vector only (see the module docstring).  ``MPoly(ambient, lanes)``
+    is internal: the `Ambient` constructors are the way in, and ``coeffs``
+    builds the `RingElem`s."""
 
-    __slots__ = ("ambient", "coeffs")
+    __slots__ = ("ambient", "lanes")
 
-    def __init__(self, ambient, coeffs):
+    def __init__(self, ambient, lanes):
         self.ambient = ambient
-        self.coeffs = tuple(coeffs)
+        self.lanes = tuple(lanes)
+
+    @property
+    def coeffs(self):
+        """The n coefficients as `RingElem`s, built anew on every read."""
+        ring = self.ambient.ring
+        return tuple([ring.elem(x) for x in ring._from_lanes(self.lanes)])
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
-            _check_same_ambient(self, other)
+            if other.ambient is not self.ambient and other.ambient != self.ambient:
+                raise DomainError("polynomials live in different ambients")
             return other
-        if isinstance(other, int):
-            return self.ambient.constant(self.ambient.ring.from_int(other))
-        return self.ambient.constant(other)  # bare ring element
+        return self.ambient.constant(other)  # an int or a bare ring element
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return MPoly(self.ambient, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        m = self.ambient.ring.lane_modulus
+        return MPoly(self.ambient, [(x + y) % m for x, y in zip(self.lanes, self._coerce(other).lanes)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.ambient, [-a for a in self.coeffs])
+        m = self.ambient.ring.lane_modulus
+        return MPoly(self.ambient, [-x % m for x in self.lanes])
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -652,21 +661,11 @@ class MPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, MPoly):
-            if isinstance(other, int):
-                c = self.ambient.ring.from_int(other)
-            else:
-                c = other
-            return MPoly(self.ambient, [a * c for a in self.coeffs])
-        _check_same_ambient(self, other)
         amb = self.ambient
-        ring = amb.ring
-        a = ring._lanes([c.data for c in self.coeffs])
-        b = a if other is self else ring._lanes([c.data for c in other.coeffs])
-        # a list, not an iterator: tuple() resizes a tuple built from an
-        # iterator, and freeing those fills CPython's per-size tuple free
-        # lists (2,000 each), 0.85 MB more peak RSS on perfbench `queries`
-        return MPoly(amb, [ring.elem(x) for x in ring._from_lanes(packed_product(a, b, amb.layout))])
+        if isinstance(other, int):
+            m = amb.ring.lane_modulus
+            return MPoly(amb, [x * other % m for x in self.lanes])
+        return MPoly(amb, packed_product(self.lanes, self._coerce(other).lanes, amb.layout))
 
     __rmul__ = __mul__
 
@@ -677,14 +676,17 @@ class MPoly:
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
-            other = self._coerce(other)
-        return self.ambient == other.ambient and self.coeffs == other.coeffs
+            try:
+                other = self._coerce(other)
+            except DomainError:
+                return False
+        return self.lanes == other.lanes and self.ambient == other.ambient
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.lanes)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.lanes)
 
     def weight(self):
         """Hamming weight of the coefficient vector."""
@@ -692,29 +694,26 @@ class MPoly:
 
     def valuation(self):
         """Minimum coefficient valuation (t for the zero class)."""
-        return min((c.valuation() for c in self.coeffs), default=self.ambient.ring.t)
-
-    def coeff_vector(self):
-        return self.coeffs
+        ring = self.ambient.ring
+        return min(ring._val(x) for x in ring._from_lanes(self.lanes))
 
     def residue(self):
         """Image in the residue quotient algebra."""
         ra = self.ambient.residue_ambient
         if ra is self.ambient:
             return self
-        return MPoly(ra, [c.residue() for c in self.coeffs])
+        return ra.from_vector([c.residue() for c in self.coeffs])
 
     def lift_to(self, ambient):
         """Coefficientwise lift into an ambient over the full chain ring."""
-        return MPoly(ambient, [ambient.ring.lift(c) for c in self.coeffs])
+        return ambient.from_vector([ambient.ring.lift(c) for c in self.coeffs])
 
     def tau(self):
         """The weight-preserving inversion automorphism X_i -> X_i^{-1}."""
-        perm = self.ambient.tau_permutation
-        out = [self.ambient.ring.zero] * self.ambient.n
-        for rank, c in enumerate(self.coeffs):
-            out[perm[rank]] = c
-        return MPoly(self.ambient, out)
+        amb, lanes = self.ambient, self.lanes
+        perm, k = amb.tau_permutation, amb.ring.ncoords
+        # an involution: rank s takes the coefficient at rank perm[s]
+        return MPoly(amb, [lanes[perm[s // k] * k + s % k] for s in range(len(lanes))])
 
     def evaluate(self, point, embed=None):
         """Evaluate at a tuple of elements of a (possibly larger) field."""
@@ -737,8 +736,9 @@ class MPoly:
         amb = self.ambient
         names = amb.var_names()
         terms = []
+        coeffs = self.coeffs
         for rank in range(amb.n - 1, -1, -1):
-            c = self.coeffs[rank]
+            c = coeffs[rank]
             if c.is_zero():
                 continue
             exps = amb.exps(rank)

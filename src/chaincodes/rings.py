@@ -167,6 +167,15 @@ class ChainRing:
     def elem(self, data):
         return RingElem(self, data)
 
+    def _payload(self, x):
+        """The payload of an int or of an element of this ring; anything
+        else, an element of another ring included, is a `DomainError`."""
+        if isinstance(x, int):
+            return self._from_int(x)
+        if isinstance(x, RingElem) and (x.ring is self or x.ring == self):
+            return x.data
+        raise DomainError(f"{x!r} is not an element of {self!r}")
+
     def from_int(self, v):
         return RingElem(self, self._from_int(int(v)))
 
@@ -328,7 +337,13 @@ class IntegerModRing(ChainRing):
 
 class _TupleRing(ChainRing):
     """Payload operations shared by rings whose elements are tuples of
-    ``_width`` payloads of a coefficient ring ``_inner``."""
+    ``_width`` payloads of a coefficient ring ``_inner``.  An element
+    product is `kernel.convolve_fold` on inner payloads in a box of
+    ``_box_size`` with ``_folds``, cut to the first ``_width`` positions."""
+
+    def _mul(self, a, b):
+        box = convolve_fold(enumerate(a), enumerate(b), self._box_size, self._folds, self._inner)
+        return tuple(box[: self._width])
 
     def _add(self, a, b):
         iadd = self._inner._add
@@ -361,9 +376,8 @@ class ExtensionRing(_TupleRing):
 
     Shares the radical generator and nilpotency index of the base; the
     residue field gains degree deg(modulus).  Elements are tuples of base
-    payloads, i.e. coordinates in the monomial basis 1, Z, ..., Z^{m-1}.
-    An element product is `kernel.convolve_fold` with the folds of the
-    modulus, on base payloads.
+    payloads, i.e. coordinates in the monomial basis 1, Z, ..., Z^{m-1};
+    an element product folds by the modulus.
     """
 
     def __init__(self, base, modulus, check=True):
@@ -394,10 +408,6 @@ class ExtensionRing(_TupleRing):
         rule = tuple((j, 0, base._neg(c.data)) for j, c in enumerate(modulus.coeffs[:m]) if not c.is_zero())
         _, self._box_size, self._folds = product_box(((m, rule),))
         self._residue_field = None
-
-    def _mul(self, a, b):
-        box = convolve_fold(enumerate(a), enumerate(b), self._box_size, self._folds, self.base)
-        return tuple(box[: self.deg])
 
     def _val(self, a):
         return min(self.base._val(x) for x in a)
@@ -449,7 +459,8 @@ class ExtensionRing(_TupleRing):
 
 
 class TruncatedRing(_TupleRing):
-    """F_q[u]/(u^t): chain ring of characteristic p with radical generator u."""
+    """F_q[u]/(u^t): chain ring of characteristic p with radical generator
+    u; an element product has no folds, since u^t = 0."""
 
     def __init__(self, field, t):
         if field.t != 1:
@@ -473,18 +484,7 @@ class TruncatedRing(_TupleRing):
         )
         self.lane_modulus = field.lane_modulus
         self.lane_vars = field.lane_vars + ((t, None),)
-
-    def _mul(self, a, b):
-        field = self.field
-        out = [field._zero] * self.t
-        for i, x in enumerate(a):
-            if x == field._zero:
-                continue
-            for j, y in enumerate(b):
-                if i + j >= self.t:
-                    break
-                out[i + j] = field._add(out[i + j], field._mul(x, y))
-        return tuple(out)
+        self._box_size, self._folds = 2 * t - 1, ()
 
     def _val(self, a):
         for i, x in enumerate(a):
@@ -583,6 +583,8 @@ def ring_construct(desc):
         raise DomainError("a modulus applies only when l > 1")
     if desc.l > 1 and modulus is None:
         modulus = default_modulus(desc.p, desc.l)
+    # a searched default is irreducible, and so is its monic lift; a user's modulus is checked
+    check = desc.modulus is not None
     if modulus is not None and len(modulus) != desc.l + 1:
         raise DomainError(f"modulus must have degree l = {desc.l}")
 
@@ -591,13 +593,13 @@ def ring_construct(desc):
         if desc.l == 1:
             ring = core
         else:
-            ring = ExtensionRing(core, Poly.from_ints(core, modulus))
+            ring = ExtensionRing(core, Poly.from_ints(core, modulus), check=check)
     else:
         if desc.l == 1:
             field = IntegerModRing(desc.p, 1)
         else:
             fp = IntegerModRing(desc.p, 1)
-            field = ExtensionRing(fp, Poly.from_ints(fp, modulus))
+            field = ExtensionRing(fp, Poly.from_ints(fp, modulus), check=check)
         ring = TruncatedRing(field, desc.t)
     ring.descriptor = desc
     return ring
@@ -620,11 +622,6 @@ def FiniteField(p, l=1, modulus=None):
     return ring_construct(ChainRingDesc("galois", p, 1, l, modulus))
 
 
-def extend_ring(ring, modulus):
-    """S = ring[Z]/(modulus) for monic `modulus` with irreducible residue."""
-    return ExtensionRing(ring, modulus)
-
-
 def frobenius_lift(ring, x, q=None):
     """The automorphism acting on Teichmuller digits by q-th powers."""
     if q is None:
@@ -643,7 +640,7 @@ def frobenius_lift(ring, x, q=None):
 def ring_trace(ext, x):
     """Trace of x from an extension ring down to its base ring."""
     if not isinstance(ext, ExtensionRing):
-        raise DomainError("ring_trace expects an extension built by extend_ring")
+        raise DomainError("ring_trace expects an ExtensionRing")
     q = ext.base.q
     total = x
     y = x

@@ -51,3 +51,27 @@ def amb_z9(z9):
         z9,
         [Poly.from_ints(z9, [-1, 0, 1], var=0), Poly.from_ints(z9, [-1, 0, 1], var=1)],
     )
+
+
+@pytest.fixture(scope="session")
+def orbit_length():
+    """Length of the q-power orbit of a single root (the degree d_i), the
+    reference that the class sizes are checked against."""
+
+    def orbit_length(label, e_or_field, q):
+        if isinstance(label, int):
+            e = e_or_field
+            d = 1
+            cur = (label * q) % e
+            while cur != label:
+                cur = (cur * q) % e
+                d += 1
+            return d
+        d = 1
+        cur = label**q
+        while cur != label:
+            cur = cur**q
+            d += 1
+        return d
+
+    return orbit_length

@@ -23,7 +23,6 @@ from chaincodes import (
     trivial_selfdual,
 )
 from chaincodes.cli import main as cli_main
-from chaincodes.factor import orbit_length
 from chaincodes.oracle import (
     annihilator_bruteforce,
     distance_bruteforce,
@@ -63,7 +62,7 @@ def test_criterion_1_hensel_factorization(capsys):
         _finish(1, "Hensel factorization of x^7-1 over Z4", started, 1.0)
 
 
-def test_criterion_2_class_census(amb_x7, amb_x3y3, amb_z9, capsys):
+def test_criterion_2_class_census(amb_x7, amb_x3y3, amb_z9, orbit_length, capsys):
     started = time.monotonic()
     expectations = [
         (amb_x7, 3, [1, 3, 3]),

@@ -227,7 +227,7 @@ def _field_basis_reference(code):
             continue
         for rank in range(A.n):
             mp = A.monomial(A.exps(rank)) * cd.e
-            row = [c.data for c in mp.coeff_vector()]
+            row = [c.data for c in mp.coeffs]
             for pc, brow in zip(pivots, basis):
                 c = row[pc]
                 if c != zero:

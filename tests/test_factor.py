@@ -15,7 +15,6 @@ from chaincodes import (
     factor_squarefree,
     is_squarefree,
 )
-from chaincodes.factor import orbit_length
 
 
 def test_is_squarefree():
@@ -109,7 +108,7 @@ def test_classes_z9(amb_z9):
     assert all(c.size == 1 for c in classes)
 
 
-def test_class_partition_and_lcm(amb_x7, amb_x3y3, amb_z9):
+def test_class_partition_and_lcm(amb_x7, amb_x3y3, amb_z9, orbit_length):
     for amb in (amb_x7, amb_x3y3, amb_z9):
         classes = cyclotomic_classes(amb)
         q = amb.ring.q

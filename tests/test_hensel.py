@@ -4,8 +4,8 @@ import pytest
 
 from chaincodes import (
     DomainError,
+    ExtensionRing,
     Poly,
-    extend_ring,
     factor_squarefree,
     lift_factorization,
     lift_idempotent,
@@ -56,7 +56,7 @@ def test_lift_single_factor(z4):
 
 def test_lift_over_extension_tower(z4):
     # lifting over S = Z4[X]/(X^2+X+1), as needed by the z/sigma liftings
-    ext = extend_ring(z4, Poly.from_ints(z4, [1, 1, 1]))
+    ext = ExtensionRing(z4, Poly.from_ints(z4, [1, 1, 1]))
     f = Poly.from_ints(ext, [1, 1, 1])
     rf = factor_squarefree(f.residue(), seed=0)
     lifted = lift_factorization(f, rf)

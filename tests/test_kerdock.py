@@ -119,7 +119,7 @@ def test_polycyclic_embedding_is_tensor(inst, words):
     assert len(set(embedded)) == 256
     # coefficient vectors equal word (x) units in the fixed term order
     for word, mp in zip(words[:32], embedded[:32]):
-        vec = mp.coeff_vector()
+        vec = mp.coeffs
         for rank in range(ambient.n):
             i1, i2 = ambient.exps(rank)
             unit = inst.units[i2]

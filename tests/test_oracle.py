@@ -79,16 +79,16 @@ def test_monomial_multiples_match_mpoly():
                 amb.from_vector([ring.from_rank(rng.randrange(ring.size)) for _ in range(amb.n)])
                 for _ in range(2)
             )
-            mults = monomial_multiples(amb, tuple(c.data for c in f.coeff_vector()))
+            mults = monomial_multiples(amb, tuple(c.data for c in f.coeffs))
             expected = [ring._zero] * amb.n
-            for rank, c in enumerate(g.coeff_vector()):
+            for rank, c in enumerate(g.coeffs):
                 for i, m in enumerate(mults[rank]):
                     expected[i] = ring._add(expected[i], ring._mul(c.data, m))
-            got = [c.data for c in (f * g).coeff_vector()]
+            got = [c.data for c in (f * g).coeffs]
             assert got == expected, (ring, moduli)
             for rank in range(amb.n):
                 mono = amb.monomial(amb.exps(rank))
-                assert tuple(c.data for c in (mono * f).coeff_vector()) == mults[rank]
+                assert tuple(c.data for c in (mono * f).coeffs) == mults[rank]
 
 
 def test_dual_bruteforce_extremes(amb_x3):
@@ -111,7 +111,7 @@ def test_dual_bruteforce_involution(amb_x3):
 
 def test_annihilator_examples(amb_x3):
     ring = amb_x3.ring
-    one = tuple(c.data for c in amb_x3.one().coeff_vector())
+    one = tuple(c.data for c in amb_x3.one().coeffs)
     ann = annihilator_bruteforce(amb_x3, amb_x3.one())
     assert ann.cardinality == 1
     two = amb_x3.one() * 2  # a^{t-1}

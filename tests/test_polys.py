@@ -108,13 +108,41 @@ def test_mpoly_json_round_trip(amb_x3y3, gr42):
 
 def test_coeff_vector(z4, amb_x3y3):
     amb = Ambient(z4, [Poly.from_ints(z4, [-1, 0, 0, 1])])
-    assert [c.data for c in amb.one().coeff_vector()] == [1, 0, 0]
+    assert [c.data for c in amb.one().coeffs] == [1, 0, 0]
     f = amb.parse("2+2*x+2*x^2")
-    assert [c.data for c in f.coeff_vector()] == [2, 2, 2]
+    assert [c.data for c in f.coeffs] == [2, 2, 2]
     y = amb_x3y3.monomial((0, 1))
-    vec = y.coeff_vector()
+    vec = y.coeffs
     assert [c.data for c in vec] == [0, 0, 0, 1, 0, 0, 0, 0, 0]
     assert amb_x3y3.from_vector(vec) == y
+
+
+def test_foreign_ring_elements_are_domain_errors(z4):
+    """The lanes of another ring's element mean nothing in this ambient."""
+    amb = Ambient(z4, [parse_univariate("x^3-1", z4)])
+    one2 = FiniteField(2).one
+    f = amb.parse("x^2+3")
+    for op in (
+        lambda: amb.from_vector([one2] * 3),
+        lambda: amb.constant(one2),
+        lambda: amb.monomial((1,), one2),
+        lambda: f * one2,
+        lambda: one2 * f,
+        lambda: f + one2,
+        lambda: f - one2,
+        lambda: f * None,
+        lambda: f + "x",
+    ):
+        with pytest.raises(DomainError):
+            op()
+
+
+def test_equality_with_non_members_is_false(z4, amb_x3):
+    f = amb_x3.one()
+    for other in (None, "x", 1.0, FiniteField(2).one, Ambient(z4, [parse_univariate("x^2+x+1", z4)]).one()):
+        assert not f == other and f != other
+    assert f == 1 and f == 5 and f == z4.one and amb_x3.zero() == 0 and amb_x3.zero() != 1
+    assert amb_x3.from_vector([z4.one, z4.zero, z4.zero]) == f
 
 
 def test_ring_axioms_random_triples(amb_x7, amb_z9):

@@ -2,9 +2,11 @@
 
 `Poly.__mul__`, `Poly.__divmod__` and `ExtensionRing._mul` once ran
 per-coefficient loops: `RingElem` loops for `Poly`, and a convolution plus a
-fold table built with `Poly` pow and mod for extension rings.  `MPoly.__mul__`
+fold table built with `Poly` pow and mod for extension rings.
+`TruncatedRing._mul` had its own row loop, stopped at u^t.  `MPoly.__mul__`
 once ran `convolve_fold` on coefficient payloads in the box of the old
-`product_box(moduli)`.  Those are kept here verbatim as references, and the
+`product_box(moduli)`, and every other `MPoly` operation ran one `RingElem`
+operation per coefficient.  Those are kept here as references, and the
 payloads of today's results must equal theirs on seeded random inputs over
 every ring family, degree-1 extensions and tower rings.
 """
@@ -15,7 +17,7 @@ import pytest
 
 from chaincodes import Ambient, DomainError, MPoly, Poly, decompose, polys, rings, ring_construct
 from chaincodes.polys import convolve_fold, parse_univariate
-from chaincodes.rings import ExtensionRing, IntegerModRing, TruncatedRing
+from chaincodes.rings import ChainRing, ExtensionRing, IntegerModRing, RingElem, TruncatedRing
 
 
 def _poly_mul_reference(self, other):
@@ -226,6 +228,30 @@ def test_extension_mul_matches_fold_table(ring):
                 assert ext._mul(a, b) == ref._mul(a, b)
 
 
+def _truncated_mul_reference(self, a, b):
+    """The replaced `TruncatedRing._mul`, verbatim."""
+    field = self.field
+    out = [field._zero] * self.t
+    for i, x in enumerate(a):
+        if x == field._zero:
+            continue
+        for j, y in enumerate(b):
+            if i + j >= self.t:
+                break
+            out[i + j] = field._add(out[i + j], field._mul(x, y))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p, t, l", [(3, 2, 1), (2, 3, 1), (2, 2, 2)])
+def test_truncated_mul_matches_row_loop(p, t, l):
+    """F_3[u]/u^2, F_2[u]/u^3 and GF(4)[u]/u^2, on every pair of elements."""
+    ring = _truncated(p, t, l)
+    elems = [ring._from_rank(r) for r in range(ring.size)]
+    for a in elems:
+        for b in elems:
+            assert ring._mul(a, b) == _truncated_mul_reference(ring, a, b)
+
+
 def test_residue_field_is_built_once(ring):
     assert ring.residue_field is ring.residue_field
     assert ring.residue_field.t == 1 and ring.residue_field.q == ring.q
@@ -269,7 +295,7 @@ def _mpoly_mul_reference(self, other):
     place, box_size, folds = _product_box_reference(amb.moduli)
     a, b = ([c.data for c in f.coeffs] for f in (self, other))
     box = convolve_fold(zip(place, a), zip(place, b), box_size, folds, ring)
-    return MPoly(amb, [ring.elem(box[p]) for p in place])
+    return amb.from_vector([ring.elem(box[p]) for p in place])
 
 
 MPOLY_RINGS = {
@@ -392,3 +418,77 @@ def test_mpoly_mul_calls_no_element_product(monkeypatch):
     for f, g, want, square in cases:
         assert _payloads(f * g) == _payloads(want)
         assert _payloads(f * f) == _payloads(square)
+
+
+def _coeffwise(f, op, *others):
+    """The payloads of ``op`` applied to the `RingElem` coefficients of f
+    (and of ``others``), one coefficient at a time."""
+    return [op(*cs).data for cs in zip(f.coeffs, *(g.coeffs for g in others))]
+
+
+def test_mpoly_ops_match_per_coefficient_reference(ring):
+    """Every lane-vector operation of `MPoly` against one `RingElem`
+    operation per coefficient, on every ring family."""
+    rng = random.Random(25)
+    for moduli in (("x^5-1",), ("x^3-1", "y^2-1")):
+        amb = _ambient(ring, moduli)
+        ra = amb.residue_ambient
+        operands = [amb.zero(), amb.one()] + [_mpoly(amb, rng, density) for density in (0.3, 1.0)]
+        for f in operands:
+            c = _elem(ring, rng)
+            assert _payloads(-f) == _coeffwise(f, lambda a: -a)
+            for k in (0, 1, 3, -1, -5, ring.lane_modulus + 2):
+                want = _coeffwise(f, lambda a: a * ring.from_int(k))
+                assert _payloads(k * f) == _payloads(f * k) == want
+            assert _payloads(f * c) == _payloads(c * f) == _coeffwise(f, lambda a: a * c)
+            assert _payloads(f + c) == _payloads(f + amb.constant(c))
+            for g in operands:
+                assert _payloads(f + g) == _coeffwise(f, lambda a, b: a + b, g)
+                assert _payloads(f - g) == _coeffwise(f, lambda a, b: a - b, g)
+                want = _mpoly_mul_reference(f, g)
+                assert _payloads(f * g) == _payloads(want)
+                assert (f * g == want) and hash(f * g) == hash(want)
+                assert (f + g == f) == (g.is_zero()) == all(c.is_zero() for c in g.coeffs)
+            cube = _mpoly_mul_reference(_mpoly_mul_reference(f, f), f)
+            assert _payloads(f**3) == _payloads(cube) and f**0 == amb.one()
+            assert _payloads(f.residue()) == [a.residue().data for a in f.coeffs]
+            assert f.residue().ambient is ra
+            assert _payloads(f.residue().lift_to(amb)) == [ring.lift(a.residue()).data for a in f.coeffs]
+            tau = [None] * amb.n
+            for rank, a in enumerate(f.coeffs):
+                tau[amb.tau_permutation[rank]] = a.data
+            assert _payloads(f.tau()) == tau
+            # the same class from every constructor is equal and hashes equal
+            terms = {amb.exps(rank): a for rank, a in enumerate(f.coeffs) if not a.is_zero()}
+            for g in (amb.from_vector(f.coeffs), amb.from_terms(terms), f * amb.one(), amb.one() * f):
+                assert g == f and hash(g) == hash(f) and g.lanes == f.lanes
+        x, y = amb.parse("x"), amb.parse("x^3+2*x+3")
+        for g in (
+            (x + 1) * amb.parse("x^2-x+3"),
+            amb.from_terms({amb.exps(0): ring.from_int(3), amb.exps(1): ring.from_int(2), (3,) + (0,) * (amb.r - 1): ring.one}),
+            x**3 + 2 * x + 3,
+        ):
+            assert g == y and hash(g) == hash(y)
+
+
+def test_mpoly_sums_and_comparisons_build_no_ring_element(monkeypatch):
+    """Sums, differences, negation, int scaling, products, equality, hashing
+    and `is_zero` run on lane vectors alone: no `RingElem` is built."""
+    cases = []
+    for ring in (_galois(2, 2), _galois(2, 2, 2), _truncated(3, 2), _towers()[0]):
+        amb = _ambient(ring, ("x^5-1",))
+        rng = random.Random(26)
+        f, g = _mpoly(amb, rng, 0.6), _mpoly(amb, rng, 0.6)
+        cases.append((f, g, amb.from_vector(f.coeffs), _mpoly_mul_reference(f, g)))
+
+    def forbidden(*args):
+        raise AssertionError("a RingElem was built")
+
+    monkeypatch.setattr(ChainRing, "elem", forbidden)
+    monkeypatch.setattr(RingElem, "__init__", forbidden)
+    for f, g, same, product in cases:
+        assert f + g == g + f and f - g == -(g - f) and -(-f) == f
+        assert 3 * f == f + f + f and f * 3 == 3 * f and f + 0 == f and 1 + f == f + 1
+        assert f * g == product and hash(f * g) == hash(product)
+        assert f == same and hash(f) == hash(same) and f != g
+        assert (f - same).is_zero() and not f.is_zero()

@@ -8,7 +8,6 @@ from chaincodes import (
     DomainError,
     ExtensionRing,
     Poly,
-    extend_ring,
     ring_construct,
     ring_from_json,
     ring_to_json,
@@ -96,14 +95,14 @@ def test_ideals_form_chain(z4, gr42):
 
 
 def test_extend_ring(z4, gr42):
-    ext = extend_ring(z4, Poly.from_ints(z4, [1, 1, 1]))
+    ext = ExtensionRing(z4, Poly.from_ints(z4, [1, 1, 1]))
     assert ext.size == 16 and ext.q == 4 and ext.t == 2
     assert ext.embed(z4.from_int(3)) == ext.from_int(3)
     # degree-1 extension is isomorphic to the base
-    triv = extend_ring(z4, Poly.from_ints(z4, [-1, 1]))
+    triv = ExtensionRing(z4, Poly.from_ints(z4, [-1, 1]))
     assert triv.size == 4 and triv.q == 2
     with pytest.raises(DomainError):
-        extend_ring(z4, Poly.from_ints(z4, [1, 0, 1]))
+        ExtensionRing(z4, Poly.from_ints(z4, [1, 0, 1]))
     # extension of GR(4,2) by a residue-irreducible cubic: GR(4,6)-sized
     fq = gr42.residue_field
     cubic = None
@@ -118,7 +117,7 @@ def test_extend_ring(z4, gr42):
         if is_irreducible(cand):
             cubic = cand.map_coeffs(gr42.lift, gr42)
             break
-    big = extend_ring(gr42, cubic)
+    big = ExtensionRing(gr42, cubic)
     assert big.q == 4**3 and big.size == 4**6 and big.t == 2
 
 
@@ -254,7 +253,7 @@ def test_divide_by_a_power_is_repeated_single_steps():
         ring_construct({"kind": "galois", "p": 3, "t": 2, "l": 1}),
         ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 2}),
         ring_construct({"kind": "truncated", "p": 3, "t": 3, "l": 1}),
-        extend_ring(gr82, Poly.from_ints(gr82, [1, 1, 0, 1])),  # a tower over GR(8, 2)
+        ExtensionRing(gr82, Poly.from_ints(gr82, [1, 1, 0, 1])),  # a tower over GR(8, 2)
     ]
     rng = random.Random(7)
     for ring in rings:
@@ -270,3 +269,26 @@ def test_divide_by_a_power_is_repeated_single_steps():
             if y.valuation() == 0 and ring.t > 1:
                 with pytest.raises(DomainError):
                     ring.divide_by_a(ring.a * y, 2)
+
+
+def test_searched_moduli_are_not_rechecked(monkeypatch):
+    """A modulus found by `default_modulus` or `smallest_irreducible` is
+    irreducible, and so is its monic lift, so building GR(4,2), GF(4) and
+    the splitting field of GF(4) x^21-1 runs no irreducibility test; a
+    user's modulus still gets one."""
+    from chaincodes import Ambient, decompose, parse_univariate, rings
+    from chaincodes.rings import default_modulus
+
+    default_modulus(2, 2)
+
+    def forbidden(f):
+        raise AssertionError("irreducibility test on a searched modulus")
+
+    monkeypatch.setattr(rings, "is_irreducible", forbidden)
+    assert ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 2}).size == 16
+    gf4 = ring_construct({"kind": "galois", "p": 2, "t": 1, "l": 2})
+    assert gf4.size == 4
+    big = decompose(Ambient(gf4, [parse_univariate("x^21-1", gf4)])).splitting.field
+    assert big.size == 4**3
+    with pytest.raises(AssertionError, match="searched modulus"):
+        ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 2, "modulus": [1, 1, 1]})
