@@ -96,11 +96,11 @@ class SemisimpleCode:
         for cd, j in zip(self.dec.data, self.exps):
             slot = 0 if j == t else j + 1
             gs[slot] = gs[slot] + cd.e
-        G = A.zero()
+        G = gs[1]
         apow = A.ring.one
-        for i in range(t):
-            G = G + gs[i + 1] * apow
+        for i in range(1, t):
             apow = apow * A.ring.a
+            G = G + gs[i + 1] * apow
         return CanonicalGenerators(gs=tuple(gs), G=G)
 
     def definition_generators(self):

@@ -97,6 +97,23 @@ def _flatten_tower(x, base):
     return out
 
 
+def _lane_width(p):
+    """Bits per F_p digit in a packed word: 1 for p = 2, where addition is
+    XOR, else bitlen(p - 1) + 1, so a lane sum s <= 2p - 2 never carries."""
+    return 1 if p == 2 else (p - 1).bit_length() + 1
+
+
+def _pack_rows(field, rows):
+    """The words u_m * b, m < l, of each payload row b over F_q = F_p^l,
+    row by row: u_m is the m-th unit coordinate vector, and F_p digit m' of
+    coordinate pos sits in the `_lane_width` lane m' * n + pos."""
+    n, l, w = len(rows[0]), field.l, _lane_width(field.p)
+    shifts = [w * (m * n + pos) for pos in range(n) for m in range(l)]
+    units = [field._from_coords([int(m == j) for m in range(l)]) for j in range(l)]
+    lanes = (field._lanes([field._mul(u, c) for c in row]) for row in rows for u in units)
+    return [sum(d << s for d, s in zip(word, shifts)) for word in lanes]
+
+
 @dataclass
 class ClassData:
     """Everything attached to one cyclotomic class."""
@@ -290,8 +307,9 @@ class Decomposition:
 
     @cached_property
     def rows(self):
-        """Over a field (t = 1), an F_q-basis of each minimal ideal <e_C>:
-        |C| payload tuples per class, in `data` order.
+        """Over a field (t = 1), per class in `data` order, the `_pack_rows`
+        words u_m * b of |C| F_q-rows b spanning the minimal ideal <e_C>: the
+        packed F_p-generators that the distance walk reads.
 
         The multiples X^g * e_C are eliminated in rank order until |C| are
         independent, or `InternalError` if all n leave fewer.  So dim <e_C>
@@ -328,7 +346,7 @@ class Decomposition:
                 pivots.append(pc)
             if len(rows) != cd.cls.size:  # pragma: no cover
                 raise InternalError("minimal ideal dimension is below the class size")
-            out.append(rows)
+            out.append(_pack_rows(field, rows))
         return out
 
     # -- construction ---------------------------------------------------------

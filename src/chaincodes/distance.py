@@ -5,28 +5,31 @@ which is carried by the residue-field code L generated by the residues of
 the canonical generators; so every exact distance computation enumerates
 a field code over an F_q-basis b_0, ..., b_{k-1}.  The code is the direct
 sum of the minimal ideals <e_C> of its classes with j = 0, and the basis
-is the concatenation of their rows from the `Decomposition.rows` stage,
-built once per field ambient.
+is the concatenation of their rows from the `Decomposition.rows` stage.
+That stage holds each row already packed, once per decomposition, so a
+distance on a warm ambient does nothing but the walk.
 
-Words are packed into one int.  With q = p^l, write u_0, ..., u_{l-1} for
-the F_p-basis of F_q given by the unit coordinate vectors; F_p digit m of
-coordinate pos sits in lane m*n + pos, which is w bits wide.  For p = 2,
-w = 1 and addition is XOR.  For odd p, w = bitlen(p-1) + 1, so a lane sum
-s <= 2p - 2 never carries into the next lane; adding 2^(w-1) - p to every
-lane sets a lane's top bit exactly where s >= p, and p is subtracted in
-those lanes.  Likewise adding 2^(w-1) - 1 sets the top bit of exactly the
-nonzero lanes; the weight ORs the l digit planes of those bits together and
-counts them.
+Words are packed into one int (`decompose._pack_rows`).  With q = p^l,
+write u_0, ..., u_{l-1} for the F_p-basis of F_q given by the unit
+coordinate vectors; F_p digit m of coordinate pos sits in lane m*n + pos,
+which is w bits wide, and each row b comes as the l words u_m*b.  For
+p = 2, w = 1 and addition is XOR.  For odd p, w = bitlen(p-1) + 1, so a
+lane sum s <= 2p - 2 never carries into the next lane; adding 2^(w-1) - p
+to every lane sets a lane's top bit exactly where s >= p, and p is
+subtracted in those lanes.  Likewise adding 2^(w-1) - 1 sets the top bit
+of exactly the nonzero lanes; the weight ORs the l digit planes of those
+bits together and counts them.
 
 For any basis, a nonzero word has a unique leading row i, the first with a
 nonzero coefficient, so it is an F_q-multiple of exactly one word b_i + (an
 F_q-combination of b_{i+1}, ..., b_{k-1}).  So for each leading row i the
-walk starts at b_i and follows the modular p-ary Gray code on the l(k-1-i)
-generators u_m*b_j, j > i: step s adds the generator numbered by the count
-of trailing zero base-p digits of s.  The walk examines (q^k - 1)/(q - 1)
-words, one per projective point, at one packed add and one bit count each,
-and stops at weight 1.  The budget still counts all q^k codewords and is
-checked before any work.
+walk starts at b_i = u_0*b_i and follows the modular p-ary Gray code on the
+l(k-1-i) generators u_m*b_j, j > i: step s adds the generator numbered by
+the count of trailing zero base-p digits of s, read within a block of
+steps from a table built once per walk.  The walk examines
+(q^k - 1)/(q - 1) words, one per projective point, at one packed add and
+one bit count each, and stops at weight 1.  The budget still counts all
+q^k codewords and is checked before any work.
 
 The multivariable lower bound splits the defining classes by their first-
 variable minimal polynomial and recursively multiplies a univariate exact
@@ -39,7 +42,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .codes import code_from_generators
-from .decompose import _flatten_tower, decompose
+from .decompose import _flatten_tower, _lane_width, decompose
 from .errors import BudgetExceeded, DomainError, InternalError
 from .polys import Ambient, Poly
 from .rings import ExtensionRing
@@ -60,35 +63,36 @@ def min_distance(code, budget=DEFAULT_BUDGET):
         field_code = code
     else:
         field_code = code.socle_field_code()
-    basis = _field_basis(field_code)
-    return _min_weight(field_code.ambient, basis, budget)
+    return _min_weight(field_code.ambient, _field_basis(field_code), budget)
 
 
 def _field_basis(code):
-    """An F_q-basis of a t = 1 code: the rows of its classes with j = 0.
+    """The packed F_p-generators of a t = 1 code: the `Decomposition.rows`
+    words of its classes with j = 0, l per F_q-row.
 
     The sum of the minimal ideals is direct, as the idempotents are
     orthogonal, so the concatenation needs no elimination.
     """
     if code.ambient.ring.t != 1:
         raise DomainError("basis extraction expects a field code")
-    return [row for rows, j in zip(code.dec.rows, code.exps) if j == 0 for row in rows]
+    return [word for words, j in zip(code.dec.rows, code.exps) if j == 0 for word in words]
 
 
-def _min_weight(ambient, basis, budget):
-    """Least weight of a nonzero word in the F_q-span of a basis.
+def _min_weight(ambient, words, budget):
+    """Least weight of a nonzero word in the F_q-span of packed rows, given
+    as the words u_m * b_i of `decompose._pack_rows`.
 
-    A Gray-code walk over packed F_p lanes that examines one word per
-    projective point; the budget still counts all q^k codewords.
+    A Gray-code walk that examines one word per projective point; the
+    budget still counts all q^k codewords.
     """
     field = ambient.ring
-    k = len(basis)
+    n, p, l = ambient.n, field.p, field.l
+    k = len(words) // l
     if field.size**k > budget:
         raise BudgetExceeded(
             f"enumerating {field.size}^{k} codewords exceeds the budget {budget}"
         )
-    n, p, l = ambient.n, field.p, field.l
-    w = 1 if p == 2 else (p - 1).bit_length() + 1
+    w = _lane_width(p)
     ones = sum(1 << (w * lane) for lane in range(l * n))
     top = ones << (w - 1)
     wrap = ones * ((1 << (w - 1)) - p)
@@ -96,26 +100,20 @@ def _min_weight(ambient, basis, budget):
     plane = (1 << (w * n)) - 1
     folds = [w * n << j for j in range((l - 1).bit_length())]
 
-    def pack(row):
-        word = 0
-        for pos, c in enumerate(row):
-            for m, d in enumerate(field._coords(c)):
-                word |= d << (w * (m * n + pos))
-        return word
-
-    units = [field._from_coords([int(m == j) for m in range(l)]) for j in range(l)]
-    gens = [pack([field._mul(u, c) for c in row]) for row in basis for u in units]
+    # Gray steps s = hi * p^r + lo run in blocks of p^r: step lo > 0 adds
+    # steps[nu(lo)], read from the ruler nu(1), ..., nu(p^r - 1), and the
+    # block's first step adds steps[r + nu(hi)] (nothing, i.e. 0, in the
+    # first block, which starts at b_i).
+    r, ruler = 0, []
+    while r < l * (k - 1) and p ** (r + 1) <= _GRAY_BLOCK:
+        ruler = (ruler + [r]) * (p - 1) + ruler
+        r += 1
     best = n
-    for i, row in enumerate(basis):
-        word = pack(row)
-        steps = gens[l * (i + 1) :]
-        # Gray steps s = hi * p^r + lo run in blocks of p^r: step lo > 0 adds
-        # steps[nu(lo)], and the block's first step adds steps[r + nu(hi)]
-        # (nothing, i.e. 0, in the first block, which starts at b_i).
-        r = 0
-        while r < len(steps) and p ** (r + 1) <= _GRAY_BLOCK:
-            r += 1
-        block = [0] + [steps[_trailing_zero_digits(lo, p)] for lo in range(1, p**r)]
+    for i in range(k):
+        word = words[l * i]
+        steps = words[l * (i + 1) :]
+        r = min(r, len(steps))
+        block = [0] + [steps[d] for d in ruler[: p**r - 1]]
         for hi in range(p ** (len(steps) - r)):
             if hi:
                 block[0] = steps[r + _trailing_zero_digits(hi, p)]

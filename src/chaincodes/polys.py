@@ -541,10 +541,14 @@ class Ambient:
         return self.monomial((0,) * self.r, c)
 
     def monomial(self, exps, c=1):
-        """c X^exps.  Here, in `constant` and in `from_vector`, c is an int
-        or an element of the ambient's ring (`ChainRing._payload`)."""
+        """c X^exps, for exponents in normal form 0 <= e_i < deg t_i.  Here,
+        in `constant`, `from_vector` and `from_terms`, c is an int or an
+        element of the ambient's ring (`ChainRing._payload`)."""
+        exps = tuple(exps)
+        if len(exps) != self.r or not all(0 <= e < d for e, d in zip(exps, self.degs)):
+            raise DomainError(f"exponents {exps} are not in normal form for degrees {self.degs}")
         vec = [self.ring._zero] * self.n
-        vec[self.rank(tuple(exps))] = self.ring._payload(c)
+        vec[self.rank(exps)] = self.ring._payload(c)
         return MPoly(self, self.ring._lanes(vec))
 
     def from_vector(self, coeffs):
@@ -558,26 +562,26 @@ class Ambient:
         ring = self.ring
         vec = [ring._zero] * self.n
         for exps, c in terms.items():
-            if c.is_zero():
+            c = ring._payload(c)
+            if c == ring._zero:
                 continue
             for rank, cc in self._reduce_monomial(exps, c):
-                vec[rank] = ring._add(vec[rank], cc.data)
+                vec[rank] = ring._add(vec[rank], cc)
         return MPoly(self, ring._lanes(vec))
 
     def _reduce_monomial(self, exps, c):
-        # reduce one raw monomial to normal form, variable by variable
+        # reduce one raw monomial with payload c to normal form, variable by variable
+        ring = self.ring
         parts = [(0, c)]
         for k, e in enumerate(exps):
-            m = self.moduli[k]
-            d = self.degs[k]
-            if e < d:
-                expansion = [(e, self.ring.one)]
-            else:
-                xe = pow_mod(Poly.x(self.ring, var=k), e, m)
-                expansion = [(j, cc) for j, cc in enumerate(xe.coeffs) if not cc.is_zero()]
             stride = self.strides[k]
+            if e < self.degs[k]:
+                parts = [(rank + e * stride, cc) for rank, cc in parts]
+                continue
+            xe = pow_mod(Poly.x(ring, var=k), e, self.moduli[k])
+            expansion = [(j, ce.data) for j, ce in enumerate(xe.coeffs) if not ce.is_zero()]
             parts = [
-                (rank + j * stride, cc * ce)
+                (rank + j * stride, ring._mul(cc, ce))
                 for rank, cc in parts
                 for j, ce in expansion
             ]
@@ -688,10 +692,6 @@ class MPoly:
     def is_zero(self):
         return not any(self.lanes)
 
-    def weight(self):
-        """Hamming weight of the coefficient vector."""
-        return sum(1 for c in self.coeffs if not c.is_zero())
-
     def valuation(self):
         """Minimum coefficient valuation (t for the zero class)."""
         ring = self.ambient.ring
@@ -714,23 +714,6 @@ class MPoly:
         perm, k = amb.tau_permutation, amb.ring.ncoords
         # an involution: rank s takes the coefficient at rank perm[s]
         return MPoly(amb, [lanes[perm[s // k] * k + s % k] for s in range(len(lanes))])
-
-    def evaluate(self, point, embed=None):
-        """Evaluate at a tuple of elements of a (possibly larger) field."""
-        if embed is None:
-            embed = lambda c: c
-        target = point[0].ring
-        acc = target.zero
-        amb = self.ambient
-        for rank, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            term = embed(c)
-            for x, e in zip(point, amb.exps(rank)):
-                if e:
-                    term = term * x**e
-            acc = acc + term
-        return acc
 
     def to_text(self):
         amb = self.ambient

@@ -212,3 +212,21 @@ def test_code_json(amb_x7):
     rec = K.to_json()
     assert rec["cardinality"] == "128"
     assert [tuple(rep) for rep, _ in rec["exponents"]] == [(0,), (1,), (3,)]
+
+
+def test_generators_skip_the_product_by_one(amb_x7, monkeypatch):
+    """G = G_1 + a G_2 for t = 2 takes one MPoly product, the one by a."""
+    from chaincodes.polys import MPoly
+
+    K = code_from_exponents(amb_x7, [0, 1, 2])
+    A = amb_x7
+    K.dec.data  # the idempotents, built before counting
+    calls = []
+    real = MPoly.__mul__
+    monkeypatch.setattr(MPoly, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    gens = K.generators()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    gs = gens.gs
+    assert gens.G == A.zero() + gs[1] * A.ring.one + gs[2] * A.ring.a
+    assert gens.G.to_text() == (gs[1] + 2 * gs[2]).to_text()

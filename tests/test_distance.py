@@ -21,6 +21,7 @@ from chaincodes import (
     ring_construct,
 )
 from chaincodes import distance
+from chaincodes.decompose import _pack_rows
 from chaincodes.oracle import distance_bruteforce, span_of_code
 from chaincodes.polys import parse_univariate
 
@@ -251,6 +252,17 @@ def _field(p, t, l, kind="galois"):
     return ring_construct({"kind": kind, "p": p, "t": t, "l": l})
 
 
+def _unpack(field, n, words):
+    """The payload rows of packed words: F_p digit m of coordinate pos is
+    the w-bit lane m*n + pos, w = 1 for p = 2 and bitlen(p-1) + 1 else."""
+    w = 1 if field.p == 2 else (field.p - 1).bit_length() + 1
+    digit = lambda word, lane: word >> (w * lane) & ((1 << w) - 1)
+    return [
+        [field._from_coords([digit(word, m * n + pos) for m in range(field.l)]) for pos in range(n)]
+        for word in words
+    ]
+
+
 def _walk(fn, ambient, basis, budget):
     """fn's least weight, or "over budget"."""
     try:
@@ -259,10 +271,14 @@ def _walk(fn, ambient, basis, budget):
         return "over budget"
 
 
-def _both(ambient, basis, budget):
-    """(packed walk, recursive reference), or both raising over the budget."""
-    fns = (distance._min_weight, _min_weight_reference)
-    return [_walk(fn, ambient, basis, budget) for fn in fns]
+def _both(ambient, words, budget):
+    """(packed walk on the words u_m*b_i, recursive reference on the rows
+    b_i = u_0*b_i), or both raising over the budget."""
+    rows = _unpack(ambient.ring, ambient.n, words[:: ambient.ring.l])
+    return [
+        _walk(distance._min_weight, ambient, words, budget),
+        _walk(_min_weight_reference, ambient, rows, budget),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -295,8 +311,10 @@ def test_packed_walk_matches_reference_on_carriers(ring, moduli, budget):
 @pytest.mark.parametrize("p, l", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_packed_walk_matches_reference_on_random_bases(p, l):
     """Seeded full-rank bases with q^k <= 2^12: a unit at each row's pivot,
-    zeros at the earlier rows' pivots, random entries elsewhere."""
+    zeros at the earlier rows' pivots, random entries elsewhere.  Each row
+    b is packed as its l words u_m*b, which unpack to u_m*b."""
     field = _field(p, 1, l)
+    units = [field._from_coords([int(m == j) for m in range(l)]) for j in range(l)]
     rng = random.Random(p * 10 + l)
     kmax = max(k for k in range(1, 13) if field.size**k <= 2**12)
     for k in range(1, kmax + 1):
@@ -311,7 +329,11 @@ def test_packed_walk_matches_reference_on_random_bases(p, l):
                 row[pc] = field._from_rank(rng.randrange(1, field.size))
                 basis.append(row)
             amb = SimpleNamespace(ring=field, n=n)
-            new, old = _both(amb, basis, 2**12)
+            words = _pack_rows(field, basis)
+            assert _unpack(field, n, words) == [
+                [field._mul(u, c) for c in row] for row in basis for u in units
+            ]
+            new, old = _both(amb, words, 2**12)
             assert new == old != "over budget", (k, n)
 
 
@@ -325,7 +347,7 @@ def test_budget_counts_all_q_to_the_k_words(amb_z9, gr42, q):
         K = code_from_exponents(amb, [0, 1, 2])
     L = K.socle_field_code()
     assert L.ambient.ring.size == q
-    k = len(distance._field_basis(L))
+    k = len(distance._field_basis(L)) // L.ambient.ring.l
     assert k >= 2
     d = distance_bruteforce(span_of_code(K.socle()))
     assert min_distance(K, budget=q**k) == d
@@ -385,8 +407,10 @@ def test_class_rows_match_per_code_elimination(ring, moduli):
         L = K if t == 1 else K.socle_field_code()
         field = L.ambient.ring
         new = distance._field_basis(L)
+        rows = _unpack(field, L.ambient.n, new)
         old = _field_basis_reference(L)
-        assert len(new) == len(old) == _rank(field, new + old), exps
+        assert len(new) == field.l * len(old), exps
+        assert _rank(field, rows[:: field.l]) == len(old) == _rank(field, rows + old), exps
         assert _walk(distance._min_weight, L.ambient, new, 2**12) == _walk(
             _min_weight_reference, L.ambient, old, 2**12
         ), exps
@@ -394,13 +418,14 @@ def test_class_rows_match_per_code_elimination(ring, moduli):
 
 @pytest.mark.parametrize("ring, moduli", _ROW_AMBIENTS, ids=_ROW_IDS)
 def test_class_rows_lie_in_their_minimal_ideal(ring, moduli):
-    """Each class has |C| rows, and e-bar_C fixes every one of them."""
+    """Each class has |C| rows, packed as l|C| words, and e-bar_C fixes every
+    one of them."""
     Abar = _row_ambient(ring, moduli).residue_ambient
     field = Abar.ring
     dec = decompose(Abar)
-    for cd, rows in zip(dec.data, dec.rows):
-        assert len(rows) == cd.cls.size
-        for row in rows:
+    for cd, words in zip(dec.data, dec.rows):
+        assert len(words) == field.l * cd.cls.size
+        for row in _unpack(field, Abar.n, words):
             v = Abar.from_vector([field.elem(c) for c in row])
             assert cd.e * v == v
 
@@ -431,3 +456,44 @@ def test_class_rows_stop_at_the_class_size(ring, moduli, exact, monkeypatch):
         assert len(calls) == amb.n
     else:
         assert amb.n <= len(calls) < amb.n * dec.class_count
+
+
+@pytest.mark.parametrize(
+    "ring, moduli, exps",
+    [
+        (_field(2, 1, 2), ["x^15-1"], None),
+        (_field(2, 2, 2), ["x^15-1"], None),
+        (_field(3, 2, 1), ["x^8-1"], None),
+        (_field(2, 1, 1), ["x^23-1"], (0, 1, 0)),
+    ],
+    ids=["GF4", "GR(4,2)", "Z9", "GF2-Golay"],
+)
+def test_warm_distance_only_walks(ring, moduli, exps, monkeypatch):
+    """A second min_distance on the same warm decomposition packs nothing:
+    the carrier field's _coords and _mul raise, and the distance is unchanged.
+    Without a pinned code, a seeded sample of 12 nonzero codes whose carrier
+    has q^k <= 2^16 is taken."""
+    amb = _row_ambient(ring, moduli)
+    dec = decompose(amb)
+    t, q = ring.t, ring.q
+    if exps:
+        codes = [code_from_exponents(amb, exps)]
+    else:
+        def carrier_dim(e):
+            return sum(c.size for c, j in zip(dec.classes, e) if j < t)
+
+        fits = [
+            e
+            for e in itertools.product(range(t + 1), repeat=dec.class_count)
+            if 0 < carrier_dim(e) and q ** carrier_dim(e) <= 2**16
+        ]
+        codes = [code_from_exponents(amb, e) for e in random.Random(len(fits)).sample(fits, 12)]
+    first = [min_distance(K) for K in codes]
+    field = amb.residue_ambient.ring
+
+    def boom(*args):
+        raise AssertionError("a warm distance repacked a row")
+
+    monkeypatch.setattr(type(field), "_coords", boom)
+    monkeypatch.setattr(type(field), "_mul", boom)
+    assert [min_distance(K) for K in codes] == first
