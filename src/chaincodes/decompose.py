@@ -371,11 +371,17 @@ class Decomposition:
             else:  # pragma: no cover
                 raise InternalError("no residue factor vanishes at the class root")
 
+        # Every tower modulus is basic irreducible by construction, so no
+        # ExtensionRing repeats the irreducibility test: q_polys[0] lifts a
+        # `factor_squarefree` output, irreducible by the distinct-degree and
+        # equal-degree argument, and each z lifts a w that is either such an
+        # output over the field below or has degree 1 (when pi = 1, z is
+        # q_emb, whose residue p_emb is w).
         w_polys = [None]
         pi_polys = [None]
         z_polys = [None]
         sigma_polys = [None]
-        tower = [ExtensionRing(R, q_polys[0])]
+        tower = [ExtensionRing(R, q_polys[0], check=False)]
         for v in range(1, r):
             ring_below = tower[-1]
             field_below = ring_below.residue_field
@@ -411,7 +417,7 @@ class Decomposition:
             pi_polys.append(pi)
             z_polys.append(z)
             sigma_polys.append(sigma)
-            tower.append(ExtensionRing(ring_below, z))
+            tower.append(ExtensionRing(ring_below, z, check=False))
 
         if tower[-1].q != Fq.size ** cls.size:  # pragma: no cover
             raise InternalError("component residue degree does not match the class size")

@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import DomainError, InternalError
-from .polys import Poly, distinct_degree, is_squarefree, pow_mod, poly_gcd, smallest_irreducible
+from .kernel import packed_product
+from .polys import (
+    Poly, distinct_degree, is_squarefree, mod_lanes, packed_layout, pow_mod, poly_gcd, smallest_irreducible
+)
 from .rings import ExtensionRing, IntegerModRing, default_modulus
 
 
@@ -92,19 +95,20 @@ def _equal_degree(g, d, rng):
         return [g.monic()]
     field = g.ring
     q = field.size
+    layout = packed_layout(field, (g,)) if field.p == 2 else None
     for _ in range(SPLIT_DRAWS):
         r = _random_poly(field, 2 * d, rng)
         if r.degree < 1:
             continue
         if field.p == 2:
-            # trace map over F_2 splits in characteristic 2
-            s = r
-            acc = r
-            bits = d * field.l
-            for _ in range(bits - 1):
-                s = (s * s) % g
-                acc = acc + s
-            cand = poly_gcd(acc, g)
+            # the trace map to F_2 splits in characteristic 2: the sum of the
+            # dl - 1 repeated squares of r, as packed products in F_q[X]/(g)
+            # whose lanes are bits
+            s = acc = mod_lanes(r, g)
+            for _ in range(d * field.l - 1):
+                s = packed_product(s, s, layout)
+                acc = [x ^ y for x, y in zip(acc, s)]
+            cand = poly_gcd(Poly.from_lanes(field, acc, var=r.var), g)
         else:
             s = pow_mod(r, (q**d - 1) // 2, g)
             cand = poly_gcd(s - Poly.one(field, var=g.var), g)

@@ -2,8 +2,12 @@
 
 Lifting raises a pairwise-coprime monic factorization over the residue
 field to an exact factorization over the chain ring, one radical power per
-step; t - 1 linear steps reach full precision.  Idempotents lift by the
-cubic iteration e -> 3e^2 - 2e^3, which squares the radical-adic error.
+step; t - 1 linear steps reach full precision.  The Bezout cofactor of each
+residue factor g comes from one exact division per factor: fbar // g is the
+product of the other factors, and one extended Euclid of g against it mod g
+gives the cofactor, its gcd being the coprimality check.  Idempotents lift
+by the cubic iteration e -> 3e^2 - 2e^3, which squares the radical-adic
+error.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalError
-from .polys import Poly, poly_ext_gcd, poly_gcd
+from .polys import Poly, poly_ext_gcd
 
 
 @dataclass
@@ -43,10 +47,17 @@ def lift_factorization(f, residue_factors):
         prod = prod * g
     if prod != fbar:
         raise DomainError("residue factors do not multiply to the residue of f")
-    for i in range(len(residue_factors)):
-        for j in range(i + 1, len(residue_factors)):
-            if poly_gcd(residue_factors[i], residue_factors[j]).degree != 0:
+    # Bezout cofactors: beta_i * prod_{j != i} g_j == 1 (mod g_i), with
+    # deg beta_i < deg g_i.  The cofactor product is fbar // g_i, and the gcd
+    # of the extended Euclid is the coprimality check: g_i is prime to every
+    # other g_j exactly when it is prime to their product.
+    betas = []
+    if len(residue_factors) > 1:
+        for g in residue_factors:
+            d, _, beta = poly_ext_gcd(g, (fbar // g) % g)
+            if d.degree != 0:
                 raise DomainError("residue factors are not pairwise coprime")
+            betas.append(beta)
 
     if len(residue_factors) <= 1 or ring.t == 1:
         if len(residue_factors) == 1 and ring.t == 1:
@@ -56,18 +67,6 @@ def lift_factorization(f, residue_factors):
         else:
             factors = tuple(residue_factors)
         return LiftedFactorization(f, factors, tuple(residue_factors))
-
-    # Bezout cofactors: beta_i * prod_{j != i} g_j == 1 (mod g_i)
-    betas = []
-    for i, g in enumerate(residue_factors):
-        h = Poly.one(field, var=f.var)
-        for j, other in enumerate(residue_factors):
-            if j != i:
-                h = h * other
-        d, _, beta = poly_ext_gcd(g, h)
-        if d.degree != 0:
-            raise InternalError("cofactor computation failed")  # pragma: no cover
-        betas.append(beta % g)
 
     lift_poly = lambda g: g.map_coeffs(ring.lift, ring)
     factors = [lift_poly(g) for g in residue_factors]

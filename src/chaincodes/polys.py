@@ -12,10 +12,10 @@ its lanes: every ring here is a quotient of Z_m[Z_1..Z_k] (see
 
 Every product runs a kernel of `kernel.py`.  `MPoly.__mul__` is one packed
 big-int product of two lane vectors, and sums, negation, int scaling and
-equality are operations mod m on them; element-sized products (`Poly`,
-extension and truncated ring elements) run `convolve_fold` on raw payloads.
-`Poly` division runs on payloads too, and `RingElem`s are built only at the
-API edge.
+equality are operations mod m on them; `pow_mod` runs the same packed
+product in R[X]/(g).  Element-sized products (`Poly` and extension ring
+elements) run `convolve_fold` on raw payloads.  `Poly` division runs on
+payloads too, and `RingElem`s are built only at the API edge.
 
 Over a field, `distinct_degree` is the one distinct-degree loop, and its
 first stage alone is Ben-Or's irreducibility test, `is_irreducible`.
@@ -60,6 +60,11 @@ class Poly:
     def from_data(cls, ring, data, var=0):
         """Wrap raw coefficient payloads (the inverse of `data`)."""
         return cls(ring, map(ring.elem, data), var=var)
+
+    @classmethod
+    def from_lanes(cls, ring, lanes, var=0):
+        """Wrap a lane vector (the inverse of `mod_lanes`)."""
+        return cls.from_data(ring, ring._from_lanes(lanes), var=var)
 
     @classmethod
     def constant(cls, ring, c, var=0):
@@ -269,9 +274,33 @@ def power(base, e, one, mul=operator.mul):
     return result
 
 
+def packed_layout(ring, moduli):
+    """The `kernel.packed_product` layout of ring[X_1..X_r]/(moduli) for
+    monic moduli, X_1 fastest after the ring's own lane variables: an
+    `Ambient`'s, and that of R[X]/(g) in `pow_mod` and `factor`."""
+    rules = tuple((m.degree, ring.fold_rule(m)) for m in moduli)
+    return product_box(ring.lane_vars + rules) + (ring.lane_modulus,)
+
+
+def mod_lanes(f, mod):
+    """The lane vector of f % mod, the `packed_layout` operand of
+    R[X]/(mod): ncoords lanes for each of the deg(mod) coefficients."""
+    ring = f.ring
+    data = (f % mod).data()
+    return ring._lanes(data + [ring._zero] * (mod.degree - len(data)))
+
+
 def pow_mod(f, e, mod):
-    """f**e modulo ``mod``."""
-    return power(f % mod, e, Poly.one(f.ring, var=f.var), lambda a, b: (a * b) % mod)
+    """f**e modulo a monic ``mod`` of degree >= 1, in the variable of f.
+    The square-and-multiply runs in R[X]/(mod) as packed products of
+    lane vectors; `Poly`s are built only for f % mod and the result."""
+    if not mod.is_monic() or mod.degree < 1:
+        raise DomainError("pow_mod needs a monic modulus of degree >= 1")
+    ring = f.ring
+    layout = packed_layout(ring, (mod,))
+    one = ring._lanes([ring._one] + [ring._zero] * (mod.degree - 1))
+    lanes = power(mod_lanes(f, mod), e, one, lambda a, b: packed_product(a, b, layout))
+    return Poly.from_lanes(ring, lanes, var=f.var)
 
 
 def is_squarefree(f):
@@ -463,8 +492,7 @@ class Ambient:
             raise DomainError(
                 "residue moduli are not square-free; pass unchecked=True to force"
             )
-        rules = tuple((m.degree, ring.fold_rule(m)) for m in self.moduli)
-        self.layout = product_box(ring.lane_vars + rules) + (ring.lane_modulus,)
+        self.layout = packed_layout(ring, self.moduli)
 
     @property
     def abelian(self):
@@ -558,10 +586,13 @@ class Ambient:
         return MPoly(self, self.ring._lanes([self.ring._payload(c) for c in coeffs]))
 
     def from_terms(self, terms):
-        """Normal form of a raw exponent dict {exps: coeff}."""
+        """Normal form of a raw exponent dict {exps: coeff}; each exps is a
+        tuple of r ints >= 0, and one >= deg t_k reduces through `pow_mod`."""
         ring = self.ring
         vec = [ring._zero] * self.n
         for exps, c in terms.items():
+            if not (type(exps) is tuple and len(exps) == self.r and all(type(e) is int and e >= 0 for e in exps)):
+                raise DomainError(f"exponents {exps!r} are not {self.r} non-negative integers")
             c = ring._payload(c)
             if c == ring._zero:
                 continue

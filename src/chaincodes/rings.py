@@ -337,13 +337,7 @@ class IntegerModRing(ChainRing):
 
 class _TupleRing(ChainRing):
     """Payload operations shared by rings whose elements are tuples of
-    ``_width`` payloads of a coefficient ring ``_inner``.  An element
-    product is `kernel.convolve_fold` on inner payloads in a box of
-    ``_box_size`` with ``_folds``, cut to the first ``_width`` positions."""
-
-    def _mul(self, a, b):
-        box = convolve_fold(enumerate(a), enumerate(b), self._box_size, self._folds, self._inner)
-        return tuple(box[: self._width])
+    ``_width`` payloads of a coefficient ring ``_inner``."""
 
     def _add(self, a, b):
         iadd = self._inner._add
@@ -377,7 +371,7 @@ class ExtensionRing(_TupleRing):
     Shares the radical generator and nilpotency index of the base; the
     residue field gains degree deg(modulus).  Elements are tuples of base
     payloads, i.e. coordinates in the monomial basis 1, Z, ..., Z^{m-1};
-    an element product folds by the modulus.
+    an element product is `kernel.convolve_fold`, folding by the modulus.
     """
 
     def __init__(self, base, modulus, check=True):
@@ -408,6 +402,10 @@ class ExtensionRing(_TupleRing):
         rule = tuple((j, 0, base._neg(c.data)) for j, c in enumerate(modulus.coeffs[:m]) if not c.is_zero())
         _, self._box_size, self._folds = product_box(((m, rule),))
         self._residue_field = None
+
+    def _mul(self, a, b):
+        box = convolve_fold(enumerate(a), enumerate(b), self._box_size, self._folds, self.base)
+        return tuple(box[: self.deg])
 
     def _val(self, a):
         return min(self.base._val(x) for x in a)
@@ -460,7 +458,7 @@ class ExtensionRing(_TupleRing):
 
 class TruncatedRing(_TupleRing):
     """F_q[u]/(u^t): chain ring of characteristic p with radical generator
-    u; an element product has no folds, since u^t = 0."""
+    u; an element product forms only the coordinates below u^t = 0."""
 
     def __init__(self, field, t):
         if field.t != 1:
@@ -484,7 +482,18 @@ class TruncatedRing(_TupleRing):
         )
         self.lane_modulus = field.lane_modulus
         self.lane_vars = field.lane_vars + ((t, None),)
-        self._box_size, self._folds = 2 * t - 1, ()
+
+    def _mul(self, a, b):
+        # only the t(t+1)/2 products below u^t: row i meets b's first t - i coordinates
+        field = self.field
+        add, mul, z = field._add, field._mul, field._zero
+        out = [z] * self.t
+        for i, x in enumerate(a):
+            if x != z:
+                for j, y in enumerate(b[: self.t - i], i):
+                    if y != z:
+                        out[j] = add(out[j], mul(x, y))
+        return tuple(out)
 
     def _val(self, a):
         for i, x in enumerate(a):

@@ -318,3 +318,30 @@ def test_decomposition_cache_is_keyed_by_seed(z4):
     distance_bound(code)
     assert set(amb._decompositions) == {5}
     assert set(amb.residue_ambient._decompositions) == {5}
+
+
+def test_class_towers_repeat_no_irreducibility_test(monkeypatch):
+    """Every tower modulus of `_build_class` lifts a `factor_squarefree`
+    output or a degree-1 factor, so building the class data runs no
+    irreducibility test; a user's reducible ring modulus still fails it."""
+    from chaincodes import rings
+    from chaincodes.rings import ring_construct
+
+    z4 = ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 1})
+    gr = ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 2})
+    ambients = [
+        Ambient(gr, [parse_univariate("x^15-1", gr)]),
+        Ambient(z4, [parse_univariate(m, z4, var=i) for i, m in enumerate(("x^3-1", "y^3-1", "z^3-1"))]),
+    ]
+
+    def forbidden(f):
+        raise AssertionError("irreducibility test while building class data")
+
+    monkeypatch.setattr(rings, "is_irreducible", forbidden)
+    for amb in ambients:
+        dec = decompose(amb)
+        assert sum(cd.cls.size for cd in dec.data) == amb.n
+        assert max(len(cd.tower) for cd in dec.data) == amb.r
+    monkeypatch.undo()
+    with pytest.raises(DomainError, match="not basic irreducible"):
+        ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 2, "modulus": [1, 0, 1]})

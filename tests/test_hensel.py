@@ -133,3 +133,132 @@ def test_shift_down_divides_once(monkeypatch):
     monkeypatch.setattr(ring, "_div_a", counted)
     assert hensel._shift_down(ring, ring.from_int(3 * 2**250), 250) == ring.from_int(3)
     assert calls == [250]
+
+
+def _lift_factorization_reference(f, residue_factors):
+    """The replaced `lift_factorization`, verbatim: a pairwise gcd check and
+    each Bezout cofactor from the product of the other N - 1 factors."""
+    from chaincodes.hensel import LiftedFactorization, _shift_down
+    from chaincodes.polys import poly_ext_gcd, poly_gcd
+
+    ring = f.ring
+    field = ring.residue_field
+    if not f.is_monic():
+        raise DomainError("only monic polynomials can be lifted")
+    residue_factors = list(residue_factors)
+    for g in residue_factors:
+        if not g.is_monic():
+            raise DomainError("residue factors must be monic")
+    fbar = f.residue() if ring.t > 1 else f
+    prod = Poly.one(field, var=f.var)
+    for g in residue_factors:
+        prod = prod * g
+    if prod != fbar:
+        raise DomainError("residue factors do not multiply to the residue of f")
+    for i in range(len(residue_factors)):
+        for j in range(i + 1, len(residue_factors)):
+            if poly_gcd(residue_factors[i], residue_factors[j]).degree != 0:
+                raise DomainError("residue factors are not pairwise coprime")
+
+    if len(residue_factors) <= 1 or ring.t == 1:
+        if len(residue_factors) == 1 and ring.t == 1:
+            factors = (residue_factors[0],)
+        elif len(residue_factors) == 1:
+            factors = (f,)
+        else:
+            factors = tuple(residue_factors)
+        return LiftedFactorization(f, factors, tuple(residue_factors))
+
+    betas = []
+    for i, g in enumerate(residue_factors):
+        h = Poly.one(field, var=f.var)
+        for j, other in enumerate(residue_factors):
+            if j != i:
+                h = h * other
+        d, _, beta = poly_ext_gcd(g, h)
+        assert d.degree == 0
+        betas.append(beta % g)
+
+    lift_poly = lambda g: g.map_coeffs(ring.lift, ring)
+    factors = [lift_poly(g) for g in residue_factors]
+    for step in range(1, ring.t):
+        prod = Poly.one(ring, var=f.var)
+        for g in factors:
+            prod = prod * g
+        defect = f - prod
+        if defect.is_zero():
+            break
+        scaled = defect.map_coeffs(lambda c: _shift_down(ring, c, step), ring)
+        dbar = scaled.residue()
+        a_pow = ring.a**step
+        for i, g in enumerate(residue_factors):
+            delta = (dbar * betas[i]) % g
+            if delta.is_zero():
+                continue
+            factors[i] = factors[i] + lift_poly(delta).map_coeffs(lambda c: c * a_pow, ring)
+    return LiftedFactorization(f, tuple(factors), tuple(residue_factors))
+
+
+# every modulus of the benchmark's structure and census ambients
+LIFT_CASES = [
+    ({"kind": "galois", "p": 2, "t": 2, "l": 1}, ["x^15-1", "x^31-1", "x^45-1", "x^3-1", "x^3+x+1", "y^2+y+1"]),
+    ({"kind": "galois", "p": 2, "t": 2, "l": 2}, ["x^15-1"]),
+    ({"kind": "galois", "p": 2, "t": 3, "l": 1}, ["x^15-1"]),
+    ({"kind": "truncated", "p": 3, "t": 2, "l": 1}, ["x^13-1"]),
+    ({"kind": "galois", "p": 2, "t": 1, "l": 2}, ["x^21-1"]),
+    ({"kind": "galois", "p": 3, "t": 2, "l": 1}, ["x^4-1", "y^4-1", "x^8-1"]),
+]
+
+
+@pytest.mark.parametrize("desc, moduli", LIFT_CASES, ids=["Z4", "GR(4,2)", "Z8", "F3[u]/u^2", "GF(4)", "Z9"])
+def test_lift_factorization_matches_pairwise_reference(desc, moduli):
+    from chaincodes.polys import parse_univariate
+
+    ring = ring_construct(desc)
+    for text in moduli:
+        var = 1 if text.startswith("y") else 0
+        f = parse_univariate(text, ring, var=var)
+        fbar = f.residue() if ring.t > 1 else f
+        for seed in range(4):
+            rf = factor_squarefree(fbar, seed=seed)
+            got, want = lift_factorization(f, rf), _lift_factorization_reference(f, rf)
+            assert [(g.var, [c.data for c in g.coeffs]) for g in got.factors] == [
+                (g.var, [c.data for c in g.coeffs]) for g in want.factors
+            ]
+            assert got.residue_factors == want.residue_factors
+
+
+@pytest.mark.parametrize(
+    "desc", [{"kind": "galois", "p": 2, "t": 2, "l": 1}, {"kind": "galois", "p": 2, "t": 1, "l": 1}], ids=["Z4", "GF(2)"]
+)
+def test_lift_rejects_a_repeated_factor(desc):
+    """(x+1)^2 = (x+1)(x+1) multiplies back but is not coprime, for t = 2
+    and for t = 1, where nothing is lifted."""
+    ring = ring_construct(desc)
+    f = Poly.from_ints(ring, [1, 2, 1])
+    x1 = Poly.from_ints(ring.residue_field, [1, 1])
+    with pytest.raises(DomainError, match="not pairwise coprime"):
+        lift_factorization(f, [x1, x1])
+
+
+def test_lift_takes_no_pairwise_gcd(monkeypatch):
+    from chaincodes import hensel, polys
+
+    cases = []
+    for desc in ({"kind": "galois", "p": 2, "t": 2, "l": 1}, {"kind": "galois", "p": 2, "t": 2, "l": 2},
+                 {"kind": "galois", "p": 2, "t": 1, "l": 1}):
+        ring = ring_construct(desc)
+        f = Poly.from_ints(ring, [-1] + [0] * 14 + [1])
+        cases.append((f, factor_squarefree(f.residue() if ring.t > 1 else f, seed=0)))
+
+    def forbidden(*args):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(polys, "poly_gcd", forbidden)
+    monkeypatch.setattr(hensel, "poly_gcd", forbidden, raising=False)
+    for f, rf in cases:
+        lifted = lift_factorization(f, rf)
+        prod = Poly.one(f.ring)
+        for g in lifted.factors:
+            prod = prod * g
+        assert prod == f and len(lifted.factors) == len(rf) > 1

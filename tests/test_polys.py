@@ -161,6 +161,20 @@ def test_from_terms_takes_int_coefficients(z4, amb_x3y3):
         amb_x3y3.from_terms({(1, 0): FiniteField(2).one})
 
 
+def test_from_terms_checks_raw_exponent_tuples(z4, amb_x3y3):
+    """A raw exponent tuple holds r ints >= 0: a negative exponent, a short
+    tuple and a long one are DomainErrors through from_terms and from_json,
+    not x1^2*x2^2, a padded x1 or an IndexError."""
+    for exps in ((-1, 0), (1,), (0, 0, 1), (1.0, 0), (True, 0), (0, "1")):
+        with pytest.raises(DomainError, match="non-negative integers"):
+            amb_x3y3.from_terms({exps: 1})
+        with pytest.raises(DomainError, match="non-negative integers"):
+            amb_x3y3.from_json({"vars": 2, "coeffs": [[list(exps), 1]]})
+    # exponents at or above the degree still reduce, through pow_mod
+    assert amb_x3y3.from_json({"vars": 2, "coeffs": [[[4, 6], 3]]}) == amb_x3y3.parse("3*x1")
+    assert amb_x3y3.from_terms({(2**70 + 1, 5): 1}) == amb_x3y3.parse("x1^2*x2^2")
+
+
 def test_equality_with_non_members_is_false(z4, amb_x3):
     f = amb_x3.one()
     for other in (None, "x", 1.0, FiniteField(2).one, Ambient(z4, [parse_univariate("x^2+x+1", z4)]).one()):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from chaincodes import Ambient, DomainError, Poly, ring_construct
+from chaincodes import Ambient, DomainError, Poly, polys, ring_construct
 from chaincodes.polys import MPoly, parse_univariate, pow_mod, power
 
 Z4 = {"kind": "galois", "p": 2, "t": 2, "l": 1}
@@ -116,13 +116,19 @@ def test_products_are_the_binary_minimum(monkeypatch):
     h**0
     assert calls == []
 
+    # pow_mod reduces f once and then multiplies packed lane vectors only
     mod = Poly.from_ints(f.ring, [1, 1, 0, 1])
-    products, reductions = [], []
-    real_mul, real_divmod = Poly.__mul__, Poly.__divmod__
+    products, reductions, packed = [], [], []
+    real_mul, real_divmod, real_packed = Poly.__mul__, Poly.__divmod__, polys.packed_product
     monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
     monkeypatch.setattr(Poly, "__divmod__", lambda a, b: reductions.append(1) or real_divmod(a, b))
-    pow_mod(f, 2, mod)
-    assert (len(products), len(reductions)) == (1, 2)
+    monkeypatch.setattr(polys, "packed_product", lambda *a: packed.append(1) or real_packed(*a))
+    for e in (1, 2, 3, 8, 13, LARGE):
+        for counts in (products, reductions, packed):
+            counts.clear()
+        pow_mod(f, e, mod)
+        assert (len(products), len(reductions)) == (0, 1)
+        assert len(packed) == e.bit_length() - 1 + bin(e).count("1") - 1
 
 
 def test_power_helper_returns_one_only_for_zero():

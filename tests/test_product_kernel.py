@@ -3,8 +3,9 @@
 `Poly.__mul__`, `Poly.__divmod__` and `ExtensionRing._mul` once ran
 per-coefficient loops: `RingElem` loops for `Poly`, and a convolution plus a
 fold table built with `Poly` pow and mod for extension rings.
-`TruncatedRing._mul` had its own row loop, stopped at u^t.  `MPoly.__mul__`
-once ran `convolve_fold` on coefficient payloads in the box of the old
+`TruncatedRing._mul` had its own row loop, stopped at u^t.  `pow_mod` once
+took a `Poly` product and a `Poly` division per step.  `MPoly.__mul__` once
+ran `convolve_fold` on coefficient payloads in the box of the old
 `product_box(moduli)`, and every other `MPoly` operation ran one `RingElem`
 operation per coefficient.  Those are kept here as references, and the
 payloads of today's results must equal theirs on seeded random inputs over
@@ -252,6 +253,19 @@ def test_truncated_mul_matches_row_loop(p, t, l):
             assert ring._mul(a, b) == _truncated_mul_reference(ring, a, b)
 
 
+def test_truncated_mul_forms_only_products_below_u_t(monkeypatch):
+    """Dense elements of F_3[u]/u^3 take t(t+1)/2 = 6 field products, not
+    t^2 = 9: the products that would land at u^3 or above are never formed."""
+    ring = _truncated(3, 3)
+    a, b = (1, 2, 1), (2, 2, 1)
+    want = _truncated_mul_reference(ring, a, b)
+    calls = []
+    real = ring.field._mul
+    monkeypatch.setattr(ring.field, "_mul", lambda x, y: calls.append(1) or real(x, y))
+    assert ring._mul(a, b) == want
+    assert len(calls) == 6
+
+
 def test_residue_field_is_built_once(ring):
     assert ring.residue_field is ring.residue_field
     assert ring.residue_field.t == 1 and ring.residue_field.q == ring.q
@@ -264,6 +278,42 @@ def test_mixing_coefficient_rings_is_a_domain_error():
         with pytest.raises(DomainError):
             op()
     assert f * Poly.from_ints(_galois(2, 2), [1, 1]) == Poly.from_ints(z4, [1, 2, 1])
+
+
+def _pow_mod_reference(f, e, mod):
+    """The replaced `polys.pow_mod`, verbatim: every step a `Poly` product
+    and a `Poly` division."""
+    return polys.power(f % mod, e, Poly.one(f.ring, var=f.var), lambda a, b: (a * b) % mod)
+
+
+def _monic_moduli(ring, rng):
+    """Random monic moduli of degrees 1 to 8, then reducible ones: products
+    of two random monic factors, and a square."""
+    out = [_poly(ring, rng, d, lead=ring.one) for d in range(1, 9)]
+    for d1, d2 in ((1, 1), (1, 2), (2, 3), (3, 5)):
+        out.append(_poly(ring, rng, d1, lead=ring.one) * _poly(ring, rng, d2, lead=ring.one))
+    g = _poly(ring, rng, 2, lead=ring.one)
+    return out + [g * g]
+
+
+def test_pow_mod_matches_reference(ring):
+    """Packed `pow_mod` against the `Poly` product-and-division loop, for
+    e in {0, 1, 2, q, (q^d - 1)/2, a random 200-bit e}, on dividends of
+    degree up to 2 deg g; the result keeps the dividend's variable."""
+    rng = random.Random(14)
+    big = rng.getrandbits(200) | 1 << 199
+    for g in _monic_moduli(ring, rng):
+        d = g.degree
+        f = _poly(ring, rng, rng.randrange(-1, 2 * d + 1), var=2)
+        exponents = [0, 1, 2, ring.q, (ring.q**d - 1) // 2]
+        if ring.size < 64 or d <= 3:
+            exponents.append(big)
+        for e in exponents:
+            got = polys.pow_mod(f, e, g)
+            assert _data(got) == _data(_pow_mod_reference(f, e, g)), (g, e)
+            assert got.var == f.var == 2
+    with pytest.raises(DomainError):
+        polys.pow_mod(f, 2, Poly(ring, [ring.one, ring.one, ring.a]) if ring.t > 1 else Poly.one(ring))
 
 
 def _product_box_reference(moduli):
