@@ -341,7 +341,7 @@ class Decomposition:
                 pc = next((i for i, c in enumerate(row) if c != zero), None)
                 if pc is None:
                     continue
-                inv = field.unit_inverse(field.elem(row[pc])).data
+                inv = field._inverse(row[pc])
                 rows.append(tuple(field._mul(c, inv) for c in row))
                 pivots.append(pc)
             if len(rows) != cd.cls.size:  # pragma: no cover

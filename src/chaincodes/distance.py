@@ -212,7 +212,7 @@ def _delta_distance(Abar, rdec, group, budget):
     theta = ext.gen if p1.degree > 1 else -p1.coeff(0)
     embed = (lambda c: ext.embed(c)) if p1.degree > 1 else (lambda c: c)
     moduli = [
-        Poly(ext, [embed(c) for c in m.coeffs], var=v)
+        Poly.from_coeffs(ext, [embed(c) for c in m.coeffs], var=v)
         for v, m in enumerate(Abar.moduli[1:])
     ]
     V = Ambient(ext, moduli)
@@ -226,7 +226,7 @@ def _delta_distance(Abar, rdec, group, budget):
             if not rem.is_zero():  # pragma: no cover
                 raise InternalError("class polynomial does not divide its modulus")
             term = term * V.from_polynomial(
-                Poly(ext, [embed(c) for c in quot.coeffs], var=k - 1)
+                Poly.from_coeffs(ext, [embed(c) for c in quot.coeffs], var=k - 1)
             )
             term = term * _substitute_first_var(
                 cd.pi_polys[k], field, ext, theta, embed, V, k - 1

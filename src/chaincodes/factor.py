@@ -69,8 +69,7 @@ def factor_squarefree(f, seed=0):
 
 
 def _random_poly(field, degree, rng):
-    coeffs = [field.from_rank(rng.randrange(field.size)) for _ in range(degree)]
-    return Poly(field, coeffs)
+    return Poly(field, [field._from_rank(rng.randrange(field.size)) for _ in range(degree)])
 
 
 # Draws `_equal_degree` makes before it gives up on one split.

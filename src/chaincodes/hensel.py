@@ -5,14 +5,18 @@ field to an exact factorization over the chain ring, one radical power per
 step; t - 1 linear steps reach full precision.  The Bezout cofactor of each
 residue factor g comes from one exact division per factor: fbar // g is the
 product of the other factors, and one extended Euclid of g against it mod g
-gives the cofactor, its gcd being the coprimality check.  Idempotents lift
-by the cubic iteration e -> 3e^2 - 2e^3, which squares the radical-adic
-error.
+gives the cofactor, its gcd being the coprimality check.  A `Poly` holds
+payloads, and so does the lift loop: step k divides each coefficient of
+the defect f - prod by a^k once, and adds a^k times the coordinatewise
+lift of each correction.  Idempotents lift by the cubic iteration
+e -> 3e^2 - 2e^3, which squares the radical-adic error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .errors import DomainError, InternalError
 from .polys import Poly, poly_ext_gcd
@@ -42,10 +46,7 @@ def lift_factorization(f, residue_factors):
         if not g.is_monic():
             raise DomainError("residue factors must be monic")
     fbar = f.residue() if ring.t > 1 else f
-    prod = Poly.one(field, var=f.var)
-    for g in residue_factors:
-        prod = prod * g
-    if prod != fbar:
+    if reduce(mul, residue_factors, Poly.one(field, var=f.var)) != fbar:
         raise DomainError("residue factors do not multiply to the residue of f")
     # Bezout cofactors: beta_i * prod_{j != i} g_j == 1 (mod g_i), with
     # deg beta_i < deg g_i.  The cofactor product is fbar // g_i, and the gcd
@@ -59,50 +60,30 @@ def lift_factorization(f, residue_factors):
                 raise DomainError("residue factors are not pairwise coprime")
             betas.append(beta)
 
+    if len(residue_factors) == 1 and ring.t > 1:
+        return LiftedFactorization(f, (f,), tuple(residue_factors))
     if len(residue_factors) <= 1 or ring.t == 1:
-        if len(residue_factors) == 1 and ring.t == 1:
-            factors = (residue_factors[0],)
-        elif len(residue_factors) == 1:
-            factors = (f,)
-        else:
-            factors = tuple(residue_factors)
-        return LiftedFactorization(f, factors, tuple(residue_factors))
+        return LiftedFactorization(f, tuple(residue_factors), tuple(residue_factors))
 
-    lift_poly = lambda g: g.map_coeffs(ring.lift, ring)
-    factors = [lift_poly(g) for g in residue_factors]
+    lift, residue, div_a, times = ring._lift, ring._residue, ring._div_a, ring._mul
+    factors = [Poly(ring, [lift(c) for c in g.data], g.var) for g in residue_factors]
+    a_pow = ring._one
     for step in range(1, ring.t):
-        prod = Poly.one(ring, var=f.var)
-        for g in factors:
-            prod = prod * g
-        defect = f - prod
+        defect = f - reduce(mul, factors, Poly.one(ring, var=f.var))
         if defect.is_zero():
             break
-        scaled = defect.map_coeffs(
-            lambda c: _shift_down(ring, c, step), ring
-        )
-        dbar = scaled.residue()
-        a_pow = ring.a**step
+        if any(ring._val(c) < step for c in defect.data):
+            raise InternalError("defect has unexpectedly small valuation")  # pragma: no cover
+        dbar = Poly(field, [residue(div_a(c, step)) for c in defect.data], f.var)
+        a_pow = times(a_pow, ring._a)
         for i, g in enumerate(residue_factors):
             delta = (dbar * betas[i]) % g
-            if delta.is_zero():
-                continue
-            factors[i] = factors[i] + lift_poly(delta).map_coeffs(
-                lambda c: c * a_pow, ring
-            )
+            if not delta.is_zero():
+                factors[i] = factors[i] + Poly(ring, [times(lift(c), a_pow) for c in delta.data], f.var)
 
-    prod = Poly.one(ring, var=f.var)
-    for g in factors:
-        prod = prod * g
-    if prod != f:
+    if reduce(mul, factors, Poly.one(ring, var=f.var)) != f:
         raise InternalError("Hensel lifting failed to reassemble the input")  # pragma: no cover
     return LiftedFactorization(f, tuple(factors), tuple(residue_factors))
-
-
-def _shift_down(ring, c, k):
-    """Divide by a^k, assuming valuation(c) >= k."""
-    if c.valuation() < k:
-        raise InternalError("defect has unexpectedly small valuation")  # pragma: no cover
-    return ring.elem(ring._div_a(c.data, k))
 
 
 def lift_idempotent(e):

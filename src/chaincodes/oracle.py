@@ -85,7 +85,7 @@ def _fold_coeffs(ambient, k):
     """X_k^{deg t_k} = -(lower part of t_k), as payloads."""
     m = ambient.moduli[k]
     ring = ambient.ring
-    return [ring._neg(c.data) for c in m.coeffs[:-1]]
+    return [ring._neg(c) for c in m.data[:-1]]
 
 
 def _var_shift(ambient, vec, k, fold):

@@ -1,7 +1,8 @@
 """Exact polynomial arithmetic over chain rings and finite fields.
 
-Univariate polynomials (`Poly`) are coefficient tuples in ascending degree
-with a nonzero leading coefficient; the zero polynomial has an empty tuple.
+A univariate polynomial (`Poly`) holds payloads: it is the tuple of its raw
+coefficient payloads in ascending degree, with a nonzero leading one; the
+zero polynomial has an empty tuple.
 Multivariate residue classes (`MPoly`) live in a fixed quotient
 R[X_1,...,X_r]/<t_1(X_1),...,t_r(X_r)> (an `Ambient`) and are kept in normal
 form: a dense coefficient vector indexed by the mixed-radix rank of the
@@ -14,17 +15,19 @@ Every product runs a kernel of `kernel.py`.  `MPoly.__mul__` is one packed
 big-int product of two lane vectors, and sums, negation, int scaling and
 equality are operations mod m on them; `pow_mod` runs the same packed
 product in R[X]/(g).  Element-sized products (`Poly` and extension ring
-elements) run `convolve_fold` on raw payloads.  `Poly` division runs on
-payloads too, and `RingElem`s are built only at the API edge.
+elements) run `convolve_fold` on raw payloads.  Every other `Poly`
+operation runs on payloads too: `RingElem`s are built only at the API
+edge, by the ``coeffs``/``coeff``/``leading`` views, `evaluate` and
+`map_coeffs`, and `Poly.from_coeffs` takes ints and elements in.
 
 Over a field, `distinct_degree` is the one distinct-degree loop, and its
 first stage alone is Ben-Or's irreducibility test, `is_irreducible`.
 
 Everything here is generic over the coefficient ring: it relies on the raw
-payload operations ``_add``/``_neg``/``_mul``/``_zero``/``_payload`` and
-``elem`` of the ring, on its lane maps ``_lanes``/``_from_lanes`` and
-``lane_modulus``, and on ``zero``/``one``/``from_int``/``unit_inverse`` for
-elements.
+payload operations ``_add``/``_neg``/``_mul``/``_inverse``/``_zero``/
+``_payload`` and ``elem`` of the ring, on its lane maps ``_lanes``/
+``_from_lanes`` and ``lane_modulus``, and on ``zero``/``one``/``from_int``
+for elements.
 """
 
 from __future__ import annotations
@@ -40,96 +43,88 @@ MAX_AMBIENT_LENGTH = 2**16
 
 
 class Poly:
-    """Univariate polynomial with exact coefficients, ascending degree."""
+    """Univariate polynomial: the tuple ``data`` of its raw coefficient
+    payloads, ascending degree, with no trailing zero (see the module
+    docstring).  ``Poly(ring, data, var)`` is internal; `from_coeffs` is the
+    way in for ints and elements, and ``coeffs`` builds the `RingElem`s."""
 
-    __slots__ = ("ring", "coeffs", "var")
+    __slots__ = ("ring", "data", "var")
 
-    def __init__(self, ring, coeffs, var=0):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+    def __init__(self, ring, data, var=0):
+        z = ring._zero
+        n = len(data)
+        while n and data[n - 1] == z:
+            n -= 1
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.data = tuple(data[:n])
         self.var = var
 
     @classmethod
-    def from_ints(cls, ring, ints, var=0):
-        return cls(ring, [ring.from_int(c) for c in ints], var=var)
+    def from_coeffs(cls, ring, coeffs, var=0):
+        """The polynomial with these ints or elements of ``ring`` as
+        coefficients, ascending degree (`ChainRing._payload`)."""
+        return cls(ring, [ring._payload(c) for c in coeffs], var)
 
-    @classmethod
-    def from_data(cls, ring, data, var=0):
-        """Wrap raw coefficient payloads (the inverse of `data`)."""
-        return cls(ring, map(ring.elem, data), var=var)
+    from_ints = from_coeffs  # the public name for int coefficients, kept
 
     @classmethod
     def from_lanes(cls, ring, lanes, var=0):
         """Wrap a lane vector (the inverse of `mod_lanes`)."""
-        return cls.from_data(ring, ring._from_lanes(lanes), var=var)
-
-    @classmethod
-    def constant(cls, ring, c, var=0):
-        return cls(ring, [c], var=var)
+        return cls(ring, ring._from_lanes(lanes), var)
 
     @classmethod
     def one(cls, ring, var=0):
-        return cls(ring, [ring.one], var=var)
+        return cls(ring, (ring._one,), var)
 
     @classmethod
     def zero(cls, ring, var=0):
-        return cls(ring, [], var=var)
+        return cls(ring, (), var)
 
     @classmethod
     def x(cls, ring, var=0):
-        return cls(ring, [ring.zero, ring.one], var=var)
+        return cls(ring, (ring._zero, ring._one), var)
+
+    @property
+    def coeffs(self):
+        """The coefficients as `RingElem`s, built anew on every read."""
+        return tuple([self.ring.elem(c) for c in self.data])
 
     @property
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.data) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.data
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ring.zero
+        return self.ring.elem(self.data[i]) if 0 <= i < len(self.data) else self.ring.zero
 
     @property
     def leading(self):
-        if not self.coeffs:
-            return self.ring.zero
-        return self.coeffs[-1]
+        return self.coeff(len(self.data) - 1)
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
-
-    def data(self):
-        """The raw coefficient payloads, ascending degree."""
-        return [c.data for c in self.coeffs]
+        return bool(self.data) and self.data[-1] == self.ring._one
 
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.ring is not self.ring and other.ring != self.ring:
                 raise DomainError(f"mixing polynomials over {self.ring} and {other.ring}")
             return other
-        if isinstance(other, int):
-            return Poly(self.ring, [self.ring.from_int(other)], var=self.var)
-        # a bare ring element
-        return Poly(self.ring, [other], var=self.var)
+        # an int or a bare ring element
+        return Poly(self.ring, (self.ring._payload(other),), self.var)
 
     def __add__(self, other):
-        a, b = self.data(), self._coerce(other).data()
+        a, b = self.data, self._coerce(other).data
         if len(a) < len(b):
             a, b = b, a
-        add = self.ring._add
-        return Poly.from_data(self.ring, [add(x, y) for x, y in zip(a, b)] + a[len(b):], var=self.var)
+        return Poly(self.ring, tuple(map(self.ring._add, a, b)) + a[len(b):], self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.ring._neg
-        return Poly.from_data(self.ring, [neg(c) for c in self.data()], var=self.var)
+        return Poly(self.ring, tuple(map(self.ring._neg, self.data)), self.var)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -138,12 +133,11 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.ring, var=self.var)
-        size = len(self.coeffs) + len(other.coeffs) - 1
-        box = convolve_fold(enumerate(self.data()), enumerate(other.data()), size, (), self.ring)
-        return Poly.from_data(self.ring, box, var=self.var)
+        a, b = self.data, self._coerce(other).data
+        if not a or not b:
+            return Poly(self.ring, (), self.var)
+        box = convolve_fold(enumerate(a), enumerate(b), len(a) + len(b) - 1, (), self.ring)
+        return Poly(self.ring, box, self.var)
 
     __rmul__ = __mul__
 
@@ -158,24 +152,27 @@ class Poly:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead = other.leading
-        if lead.valuation() != 0:
+        ring = self.ring
+        lead = other.data[-1]
+        if ring._val(lead) != 0:
             raise DomainError("divisor leading coefficient is not a unit")
         dv = other.degree
-        if len(self.coeffs) <= dv:
-            return Poly.zero(self.ring, var=self.var), self
-        ring = self.ring
+        if len(self.data) <= dv:
+            return Poly(ring, (), self.var), self
+        # divide by the monic other / lead, then scale the quotient by 1 / lead;
+        # step k leaves its coefficient at rem[k], which no later step touches
         add, mul, z = ring._add, ring._mul, ring._zero
-        inv = ring.unit_inverse(lead).data
-        rem = self.data()
-        div = [ring._neg(b) for b in other.data()]
-        quo = [z] * (len(rem) - dv)
-        for k in range(len(quo) - 1, -1, -1):
-            c = quo[k] = mul(rem[k + dv], inv)
+        monic = lead == ring._one
+        inv = lead if monic else ring._inverse(lead)
+        div = [ring._neg(b if monic else mul(b, inv)) for b in other.data[:-1]]
+        rem = list(self.data)
+        for k in range(len(rem) - 1, dv - 1, -1):
+            c = rem[k]
             if c != z:
-                for j, b in enumerate(div):
-                    rem[k + j] = add(rem[k + j], mul(c, b))
-        return Poly.from_data(ring, quo, var=self.var), Poly.from_data(ring, rem[:dv], var=self.var)
+                for j, b in enumerate(div, k - dv):
+                    rem[j] = add(rem[j], mul(c, b))
+        quo = rem[dv:] if monic else [mul(c, inv) for c in rem[dv:]]
+        return Poly(ring, quo, self.var), Poly(ring, rem[:dv], self.var)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -185,11 +182,14 @@ class Poly:
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
-            other = self._coerce(other)
-        return self.ring == other.ring and self.coeffs == other.coeffs
+            try:
+                other = self._coerce(other)
+            except DomainError:
+                return False
+        return self.ring == other.ring and self.data == other.data
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self.data))
 
     def evaluate(self, x, embed=None):
         """Horner evaluation at ``x``; ``embed`` maps coefficients into
@@ -202,30 +202,29 @@ class Poly:
         return acc
 
     def derivative(self):
-        return Poly(
-            self.ring,
-            [self.coeffs[i] * self.ring.from_int(i) for i in range(1, len(self.coeffs))],
-            var=self.var,
-        )
+        mul, from_int = self.ring._mul, self.ring._from_int
+        return Poly(self.ring, [mul(c, from_int(i)) for i, c in enumerate(self.data[1:], 1)], self.var)
 
     def monic(self):
         """Unit-normalize so the leading coefficient is one."""
         if self.is_zero() or self.is_monic():
             return self
-        inv = self.ring.unit_inverse(self.leading)
-        return Poly(self.ring, [c * inv for c in self.coeffs], var=self.var)
+        ring = self.ring
+        inv = ring._inverse(self.data[-1])
+        return Poly(ring, [ring._mul(c, inv) for c in self.data], self.var)
 
     def map_coeffs(self, fn, ring=None):
-        return Poly(ring if ring is not None else self.ring, [fn(c) for c in self.coeffs], var=self.var)
+        return Poly.from_coeffs(ring or self.ring, [fn(c) for c in self.coeffs], self.var)
 
     def residue(self):
         """Coefficientwise reduction to the residue field."""
-        return self.map_coeffs(lambda c: c.residue(), self.ring.residue_field)
+        ring = self.ring
+        return Poly(ring.residue_field, [ring._residue(c) for c in self.data], self.var)
 
     def rank_key(self):
         """Deterministic sort key: (degree, coefficient rank), the rank
         comparing coefficients from the leading one down."""
-        return (self.degree, tuple(tuple(c.coords()) for c in reversed(self.coeffs)))
+        return (self.degree, tuple(tuple(self.ring._coords(c)) for c in reversed(self.data)))
 
     def __repr__(self):
         return f"Poly({poly_to_text(self)!r})"
@@ -253,8 +252,7 @@ def poly_ext_gcd(f, g):
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    inv = ring.unit_inverse(r0.leading)
-    unit = Poly.constant(ring, inv, var=f.var)
+    unit = Poly(ring, (ring._inverse(r0.data[-1]),), f.var)
     return r0 * unit, s0 * unit, t0 * unit
 
 
@@ -286,8 +284,8 @@ def mod_lanes(f, mod):
     """The lane vector of f % mod, the `packed_layout` operand of
     R[X]/(mod): ncoords lanes for each of the deg(mod) coefficients."""
     ring = f.ring
-    data = (f % mod).data()
-    return ring._lanes(data + [ring._zero] * (mod.degree - len(data)))
+    data = (f % mod).data
+    return ring._lanes(data + (ring._zero,) * (mod.degree - len(data)))
 
 
 def pow_mod(f, e, mod):
@@ -347,9 +345,9 @@ def smallest_irreducible(field, degree):
         coeffs = []
         r = rank
         for _ in range(degree):
-            coeffs.append(field.from_rank(r % size))
+            coeffs.append(field._from_rank(r % size))
             r //= size
-        cand = Poly(field, coeffs + [field.one])
+        cand = Poly(field, coeffs + [field._one])
         if is_irreducible(cand):
             return cand
     raise InternalError(f"no irreducible of degree {degree} over {field}")  # pragma: no cover
@@ -452,10 +450,10 @@ def parse_univariate(text, ring, var=0):
     deg = max(e[0] for e in terms)
     if deg > MAX_AMBIENT_LENGTH:
         raise BudgetExceeded(f"modulus degree {deg} exceeds the bound {MAX_AMBIENT_LENGTH}")
-    coeffs = [ring.zero] * (deg + 1)
+    data = [ring._zero] * (deg + 1)
     for (e,), c in terms.items():
-        coeffs[e] = c
-    return Poly(ring, coeffs, var=var)
+        data[e] = c.data
+    return Poly(ring, data, var)
 
 
 class Ambient:
@@ -471,12 +469,10 @@ class Ambient:
         if not moduli:
             raise DomainError("ambient needs at least one modulus")
         for i, m in enumerate(moduli):
-            if not m.is_monic() or m.degree < 1:
-                raise DomainError(f"modulus {i + 1} must be monic of degree >= 1")
+            if not m.is_monic() or m.degree < 1 or m.ring != ring:
+                raise DomainError(f"modulus {i + 1} must be monic of degree >= 1 over {ring}")
         self.ring = ring
-        self.moduli = tuple(
-            Poly(ring, m.coeffs, var=i) for i, m in enumerate(moduli)
-        )
+        self.moduli = tuple(Poly(ring, m.data, i) for i, m in enumerate(moduli))
         self.degs = tuple(m.degree for m in moduli)
         self.r = len(moduli)
         strides = [1]
@@ -501,17 +497,12 @@ class Ambient:
     @property
     def exponents(self):
         """(e_1,...,e_r) when every modulus is X_i^e_i - 1, else None."""
-        out = []
-        minus_one = -self.ring.one
+        ring = self.ring
+        minus_one = ring._neg(ring._one)
         for m in self.moduli:
-            e = m.degree
-            ok = m.coeff(0) == minus_one and all(
-                m.coeff(i).is_zero() for i in range(1, e)
-            )
-            if not ok:
+            if m.data[:-1] != (minus_one,) + (ring._zero,) * (m.degree - 1):
                 return None
-            out.append(e)
-        return tuple(out)
+        return self.degs
 
     def rank(self, exps):
         return sum(e * s for e, s in zip(exps, self.strides))
@@ -526,7 +517,7 @@ class Ambient:
     def key(self):
         return (
             self.ring,
-            tuple(tuple(c.coords() for c in m.coeffs) for m in self.moduli),
+            tuple(m.data for m in self.moduli),
         )
 
     def __eq__(self, other):
@@ -591,14 +582,17 @@ class Ambient:
         ring = self.ring
         vec = [ring._zero] * self.n
         for exps, c in terms.items():
-            if not (type(exps) is tuple and len(exps) == self.r and all(type(e) is int and e >= 0 for e in exps)):
-                raise DomainError(f"exponents {exps!r} are not {self.r} non-negative integers")
+            self._check_raw(exps)
             c = ring._payload(c)
             if c == ring._zero:
                 continue
             for rank, cc in self._reduce_monomial(exps, c):
                 vec[rank] = ring._add(vec[rank], cc)
         return MPoly(self, ring._lanes(vec))
+
+    def _check_raw(self, exps):
+        if not (type(exps) is tuple and len(exps) == self.r and all(type(e) is int and e >= 0 for e in exps)):
+            raise DomainError(f"exponents {exps!r} are not {self.r} non-negative integers")
 
     def _reduce_monomial(self, exps, c):
         # reduce one raw monomial with payload c to normal form, variable by variable
@@ -610,7 +604,7 @@ class Ambient:
                 parts = [(rank + e * stride, cc) for rank, cc in parts]
                 continue
             xe = pow_mod(Poly.x(ring, var=k), e, self.moduli[k])
-            expansion = [(j, ce.data) for j, ce in enumerate(xe.coeffs) if not ce.is_zero()]
+            expansion = [(j, ce) for j, ce in enumerate(xe.data) if ce != ring._zero]
             parts = [
                 (rank + j * stride, ring._mul(cc, ce))
                 for rank, cc in parts
@@ -631,15 +625,20 @@ class Ambient:
         return self.from_terms(parse_poly_text(text, self.ring, nvars=self.r))
 
     def from_json(self, obj):
-        """Inverse of MPoly.to_json."""
-        if obj.get("vars", self.r) != self.r:
-            raise DomainError("polynomial JSON has the wrong number of variables")
+        """Inverse of MPoly.to_json: {"vars": r, "coeffs": [[exps, c], ...]}
+        with exps a list of r ints >= 0 and c an int or a list of int
+        coordinates; terms with the same exps sum, as in `parse`."""
+        if not isinstance(obj, dict) or type(obj.get("coeffs")) is not list or obj.get("vars", self.r) != self.r:
+            raise DomainError(f'polynomial JSON must be {{"vars": {self.r}, "coeffs": [...]}}')
         terms = {}
-        for exps, c in obj["coeffs"]:
-            elem = (
-                self.ring.from_coords(c) if isinstance(c, list) else self.ring.from_int(c)
-            )
-            terms[tuple(exps)] = elem
+        for term in obj["coeffs"]:
+            c = term[1] if type(term) is list and len(term) == 2 and type(term[0]) is list else None
+            if not (type(c) is int or type(c) is list and all(type(x) is int for x in c)):
+                raise DomainError("a polynomial JSON term is not [exponent list, int or list of ints]")
+            exps = tuple(term[0])
+            self._check_raw(exps)
+            c = self.ring.from_coords(c) if type(c) is list else self.ring.from_int(c)
+            terms[exps] = terms[exps] + c if exps in terms else c
         return self.from_terms(terms)
 
     @cached_property

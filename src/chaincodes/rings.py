@@ -22,10 +22,11 @@ elements can be shared freely between threads.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InternalError
+from .errors import BudgetExceeded, DomainError, InternalError
 from .kernel import convolve_fold, product_box
 from .polys import Poly, is_irreducible, power, smallest_irreducible
 
@@ -146,8 +147,7 @@ class ChainRing:
         """X^d = -(modulus - X^d) for a monic modulus of degree d over this
         ring, as the (j, lane, value) triples of `kernel.product_box`: value
         times X^j times the lane-th monomial of `lane_vars`."""
-        coeffs = modulus.coeffs[: modulus.degree]
-        lanes = self._lanes([self._neg(c.data) for c in coeffs])
+        lanes = self._lanes([self._neg(c) for c in modulus.data[:-1]])
         k = self.ncoords
         return tuple((i // k, i % k, v) for i, v in enumerate(lanes) if v)
 
@@ -206,18 +206,23 @@ class ChainRing:
         return RingElem(self, self._div_a(x.data, k))
 
     def unit_inverse(self, x):
-        """Multiplicative inverse of a unit."""
-        if self._val(x.data) != 0:
+        """Multiplicative inverse of a unit; `_inverse` on its payload is
+        x^(q-2) over a field, else Newton steps v <- v(2 - xv) from the
+        lifted residue inverse."""
+        return RingElem(self, self._inverse(x.data))
+
+    def _inverse(self, a):
+        if self._val(a) != 0:
             raise DomainError("not a unit")
         if self.t == 1:
-            return x ** (self.size - 2) if self.size > 2 else x
-        v = self.lift(self.residue_field.unit_inverse(x.residue()))
-        two = self.from_int(2)
+            return power(a, self.size - 2, self._one, self._mul)
+        v = self._lift(self.residue_field._inverse(self._residue(a)))
+        two = self._from_int(2)
         for _ in range(self.t.bit_length() + 1):
-            err = x * v
-            if err == self.one:
+            err = self._mul(a, v)
+            if err == self._one:
                 return v
-            v = v * (two - err)
+            v = self._mul(v, self._add(two, self._neg(err)))
         raise InternalError("unit inversion did not converge")  # pragma: no cover
 
     # -- Teichmuller machinery ------------------------------------------------
@@ -323,9 +328,9 @@ class IntegerModRing(ChainRing):
             self._residue_field = IntegerModRing(self.p, 1)
         return self._residue_field
 
-    def unit_inverse(self, x):
+    def _inverse(self, a):
         try:
-            return RingElem(self, pow(x.data, -1, self.size))
+            return pow(a, -1, self.size)
         except ValueError:
             raise DomainError("not a unit") from None
 
@@ -393,13 +398,13 @@ class ExtensionRing(_TupleRing):
         self.q = base.q**m
         self.size = base.size**m
         self.ncoords = base.ncoords * m
-        self.key = ("ext", base.key, tuple(c.data for c in modulus.coeffs))
+        self.key = ("ext", base.key, modulus.data)
         self._zero = (base._zero,) * m
         self._one = (base._one,) + (base._zero,) * (m - 1)
         self._a = (base._a,) + (base._zero,) * (m - 1)
         self.lane_modulus = base.lane_modulus
         self.lane_vars = base.lane_vars + ((m, base.fold_rule(modulus)),)
-        rule = tuple((j, 0, base._neg(c.data)) for j, c in enumerate(modulus.coeffs[:m]) if not c.is_zero())
+        rule = tuple((j, 0, base._neg(c)) for j, c in enumerate(modulus.data[:m]) if c != base._zero)
         _, self._box_size, self._folds = product_box(((m, rule),))
         self._residue_field = None
 
@@ -434,7 +439,7 @@ class ExtensionRing(_TupleRing):
         """The adjoined root Z of the modulus."""
         return RingElem(
             self, (self.base._zero, self.base._one) + (self.base._zero,) * (self.deg - 2)
-        ) if self.deg > 1 else RingElem(self, (self.base._neg(self.modulus.coeff(0).data),))
+        ) if self.deg > 1 else RingElem(self, (self.base._neg(self.modulus.data[0]),))
 
     def embed(self, x):
         """The base ring inside the extension."""
@@ -554,8 +559,7 @@ def default_modulus(p, degree):
     """The minimal-rank monic irreducible of the given degree over F_p, as
     ascending coefficients including the leading 1: the reproducible
     default for Galois ring and field extensions, searched once per process."""
-    f = smallest_irreducible(IntegerModRing(p, 1), degree)
-    return tuple(c.data for c in f.coeffs)
+    return smallest_irreducible(IntegerModRing(p, 1), degree).data
 
 
 def ring_construct(desc):
@@ -587,6 +591,12 @@ def ring_construct(desc):
         raise DomainError(f"p = {desc.p} is not prime")
     if desc.t < 1 or desc.l < 1:
         raise DomainError("t and l must both be >= 1")
+    # A Galois ring's coordinates are ints below p^t; each must print within
+    # the int-to-text digit limit, p^t <= 10^limit.  p^t >= 2^((bitlen(p) - 1) t)
+    # refuses a large t before p^t is formed, and no int is converted to text.
+    limit, p, t = sys.get_int_max_str_digits(), desc.p, desc.t
+    if desc.kind == "galois" and limit and not ((p.bit_length() - 1) * t < 4 * limit and p**t <= 10**limit):
+        raise BudgetExceeded(f"p^t = {p}^{t} has coordinates past the {limit}-digit int-to-text limit")
     modulus = desc.modulus
     if desc.l == 1 and modulus is not None:
         raise DomainError("a modulus applies only when l > 1")

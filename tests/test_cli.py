@@ -468,3 +468,20 @@ def test_unbounded_split_retry_is_an_internal_error(capsys, monkeypatch):
         "code": "internal_error",
         "message": f"no split of a degree-6 product in {factor.SPLIT_DRAWS} draws",
     }
+
+
+@needs_int_limit
+def test_ring_past_the_print_limit_is_a_budget_error(capsys):
+    """A coordinate of Z_(2^t) is an int below 2^t.  The largest t with
+    2^t <= 10^limit still prints; one more is refused up front, not a
+    `ValueError` from printing a coefficient."""
+    t = (10**INT_LIMIT).bit_length() - 1
+    for p, big_t in ((2, t + 1), (2, 15000), (3, 10**18)):
+        ring = json.dumps({"kind": "galois", "p": p, "t": big_t})
+        code, out = run(capsys, "factor", "--ring", ring, "--moduli", "x-1")
+        assert code == 2
+        [line] = out.splitlines()
+        assert json.loads(line)["code"] == "budget_exceeded"
+    code, out = run(capsys, "factor", "--ring", json.dumps({"kind": "galois", "p": 2, "t": t}), "--moduli", "x-1")
+    assert code == 0
+    assert len(json.loads(out)["factorizations"][0]["lifted_factors"][0]) == len("x+") + INT_LIMIT

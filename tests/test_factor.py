@@ -155,7 +155,7 @@ def test_split_chance_per_draw(p, l, split):
 
     field = FiniteField(p, l)
     a = field.from_rank(2 if p > 2 else 0)
-    g = Poly(field, [-field.one, field.one]) * Poly(field, [-a, field.one])
+    g = Poly.from_coeffs(field, [-field.one, field.one]) * Poly.from_coeffs(field, [-a, field.one])
     splits = 0
     for ranks in product(range(field.size), repeat=2):
         try:

@@ -5,6 +5,7 @@ import pytest
 from chaincodes import (
     DomainError,
     ExtensionRing,
+    InternalError,
     Poly,
     factor_squarefree,
     lift_factorization,
@@ -120,25 +121,46 @@ def test_lift_idempotent_high_nilpotency():
 
 
 def test_shift_down_divides_once(monkeypatch):
-    from chaincodes import hensel
+    """Step k of the lift divides each coefficient of its defect f - prod
+    by a^k with one `_div_a` call.  Over Z_{2^t} the factors that enter
+    step k are the final lifts mod 2^k: each step adds one binary digit."""
+    for t in (2, 5, 300):
+        ring = ring_construct({"kind": "galois", "p": 2, "t": t, "l": 1})
+        f = Poly.from_ints(ring, [-1, 0, 0, 0, 0, 0, 0, 1])
+        rf = factor_squarefree(f.residue(), seed=0)
+        final = lift_factorization(f, rf).factors
+        want = []
+        for k in range(1, t):
+            prod = Poly.one(ring)
+            for g in final:
+                prod = prod * Poly.from_ints(ring, [c % 2**k for c in g.data])
+            defect = f - prod
+            if defect.is_zero():
+                break
+            want += [(c, k) for c in defect.data]
+        real = ring._div_a
+        calls = []
 
-    ring = ring_construct({"kind": "galois", "p": 2, "t": 300, "l": 1})
-    real = ring._div_a
-    calls = []
+        def counted(a, k):
+            calls.append((a, k))
+            return real(a, k)
 
-    def counted(a, k):
-        calls.append(k)
-        return real(a, k)
+        monkeypatch.setattr(ring, "_div_a", counted)
+        assert lift_factorization(f, rf).factors == final
+        assert calls == want and len({k for _, k in want}) == t - 1
 
-    monkeypatch.setattr(ring, "_div_a", counted)
-    assert hensel._shift_down(ring, ring.from_int(3 * 2**250), 250) == ring.from_int(3)
-    assert calls == [250]
+
+def _shift_down(ring, c, k):
+    """Divide by a^k, assuming valuation(c) >= k."""
+    if c.valuation() < k:
+        raise InternalError("defect has unexpectedly small valuation")  # pragma: no cover
+    return ring.elem(ring._div_a(c.data, k))
 
 
 def _lift_factorization_reference(f, residue_factors):
     """The replaced `lift_factorization`, verbatim: a pairwise gcd check and
     each Bezout cofactor from the product of the other N - 1 factors."""
-    from chaincodes.hensel import LiftedFactorization, _shift_down
+    from chaincodes.hensel import LiftedFactorization
     from chaincodes.polys import poly_ext_gcd, poly_gcd
 
     ring = f.ring

@@ -175,6 +175,50 @@ def test_from_terms_checks_raw_exponent_tuples(z4, amb_x3y3):
     assert amb_x3y3.from_terms({(2**70 + 1, 5): 1}) == amb_x3y3.parse("x1^2*x2^2")
 
 
+def test_from_json_sums_repeated_exponents_and_refuses_bad_shapes(amb_x3y3):
+    """Two terms with one exponent list sum, as in `parse`; a term, an
+    exponent list or a coefficient of another shape is a DomainError."""
+    twice = {"vars": 2, "coeffs": [[[1, 0], 1], [[1, 0], 1]]}
+    assert amb_x3y3.from_json(twice) == amb_x3y3.parse("x1+x1") == amb_x3y3.parse("2*x1")
+    for obj in (
+        {"vars": 2, "coeffs": [[5, 1]]},
+        {"vars": 2, "coeffs": [[[1, 0]]]},
+        {"vars": 2, "coeffs": [[[1, 0], 1, 1]]},
+        {"vars": 2, "coeffs": [[[[1], 0], 1]]},
+        {"vars": 2, "coeffs": [[[1, 0], "1"]]},
+        {"vars": 2, "coeffs": [[[1, 0], True]]},
+        {"vars": 2, "coeffs": [[[1, 0], [1, "0"]]]},
+        {"vars": 2, "coeffs": {"x1": 1}},
+        {"vars": 2},
+        [[[1, 0], 1]],
+        {"vars": 3, "coeffs": []},
+    ):
+        with pytest.raises(DomainError):
+            amb_x3y3.from_json(obj)
+
+
+def test_poly_refuses_foreign_values(z4):
+    """`Poly.from_coeffs` and the operators take ints and elements of the
+    polynomial's ring; anything else is a DomainError."""
+    gf2, gf4 = FiniteField(2), FiniteField(2, 2)
+    x = Poly.x(z4)
+    for op in (
+        lambda: Poly.from_coeffs(z4, [gf2.one, z4.one]),
+        lambda: Poly.from_coeffs(z4, ["1"]),
+        lambda: x + gf4.one,
+        lambda: x * gf2.one,
+        lambda: gf2.one - x,
+        lambda: divmod(x, gf4.one),
+        lambda: x + None,
+        lambda: x.map_coeffs(lambda c: gf2.one),
+    ):
+        with pytest.raises(DomainError):
+            op()
+    f = Poly.from_coeffs(z4, [1, 2, z4.one, 0, 4])
+    assert f.data == (1, 2, 1) and f == Poly.from_ints(z4, [1, 2, 1])
+    assert x != gf2.one and x != None and x + 1 == Poly.from_coeffs(z4, [1, 1])
+
+
 def test_equality_with_non_members_is_false(z4, amb_x3):
     f = amb_x3.one()
     for other in (None, "x", 1.0, FiniteField(2).one, Ambient(z4, [parse_univariate("x^2+x+1", z4)]).one()):
@@ -301,7 +345,7 @@ def _monic_polys(field, max_degree):
             for _ in range(d):
                 coeffs.append(field.from_rank(rank % field.size))
                 rank //= field.size
-            yield Poly(field, coeffs + [field.one])
+            yield Poly.from_coeffs(field, coeffs + [field.one])
 
 
 @pytest.mark.parametrize("p,l,max_degree", [(2, 1, 6), (3, 1, 6), (2, 2, 4)])

@@ -50,7 +50,7 @@ def _cases():
     gr = ring_construct(GR42)
     z4 = ring_construct(Z4)
     unit = gr.from_coords([3, 1])
-    f = Poly(z4, [z4.from_int(rng.randrange(4)) for _ in range(5)] + [z4.one])
+    f = Poly.from_coeffs(z4, [z4.from_int(rng.randrange(4)) for _ in range(5)] + [z4.one])
     amb = Ambient(gr, [parse_univariate("x^5-1", gr)])
     h = amb.from_vector([gr.from_rank(rng.randrange(gr.size)) for _ in range(amb.n)])
     return unit, f, h

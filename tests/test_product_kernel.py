@@ -31,7 +31,7 @@ def _poly_mul_reference(self, other):
             continue
         for j, b in enumerate(other.coeffs):
             out[i + j] = out[i + j] + a * b
-    return Poly(self.ring, out, var=self.var)
+    return Poly.from_coeffs(self.ring, out, var=self.var)
 
 
 def _poly_divmod_reference(self, other):
@@ -55,8 +55,8 @@ def _poly_divmod_reference(self, other):
         for j, b in enumerate(other.coeffs):
             rem[k + j] = rem[k + j] - c * b
     return (
-        Poly(self.ring, quo, var=self.var),
-        Poly(self.ring, rem[: other.degree], var=self.var),
+        Poly.from_coeffs(self.ring, quo, var=self.var),
+        Poly.from_coeffs(self.ring, rem[: other.degree], var=self.var),
     )
 
 
@@ -155,7 +155,7 @@ def _poly(ring, rng, degree, var=0, lead=None):
     coeffs = [_elem(ring, rng) for _ in range(degree)]
     if degree >= 0:
         coeffs.append(lead if lead is not None else _elem(ring, rng, unit=True))
-    return Poly(ring, coeffs, var=var)
+    return Poly.from_coeffs(ring, coeffs, var=var)
 
 
 def _data(f):
@@ -172,8 +172,8 @@ def test_poly_mul_matches_reference(ring):
         assert got.var == want.var == 1
     # zero divisors of the ring: products whose leading terms cancel
     if ring.t > 1:
-        f = Poly(ring, [ring.one, ring.a])
-        g = Poly(ring, [ring.one, ring.a ** (ring.t - 1)])
+        f = Poly.from_coeffs(ring, [ring.one, ring.a])
+        g = Poly.from_coeffs(ring, [ring.one, ring.a ** (ring.t - 1)])
         assert _data(f * g) == _data(_poly_mul_reference(f, g))
         assert (f * g).degree < 2
 
@@ -200,9 +200,110 @@ def test_poly_divmod_matches_reference(ring):
         assert q * g + r == f and r.degree < g.degree
     if ring.t > 1:
         with pytest.raises(DomainError):
-            divmod(_poly(ring, rng, 4), Poly(ring, [ring.one, ring.a]))
+            divmod(_poly(ring, rng, 4), Poly.from_coeffs(ring, [ring.one, ring.a]))
     with pytest.raises(ZeroDivisionError):
         divmod(_poly(ring, rng, 3), Poly.zero(ring))
+
+
+def _padded(f, n):
+    return list(f.coeffs) + [f.ring.zero] * (n - len(f.coeffs))
+
+
+def _poly_add_reference(self, other):
+    other = self._coerce(other)
+    n = max(len(self.coeffs), len(other.coeffs))
+    return Poly.from_coeffs(self.ring, [a + b for a, b in zip(_padded(self, n), _padded(other, n))], var=self.var)
+
+
+def _poly_neg_reference(self):
+    return Poly.from_coeffs(self.ring, [-c for c in self.coeffs], var=self.var)
+
+
+def _poly_derivative_reference(self):
+    return Poly.from_coeffs(
+        self.ring,
+        [self.coeffs[i] * self.ring.from_int(i) for i in range(1, len(self.coeffs))],
+        var=self.var,
+    )
+
+
+def _poly_monic_reference(self):
+    if self.is_zero() or self.is_monic():
+        return self
+    inv = self.ring.unit_inverse(self.leading)
+    return Poly.from_coeffs(self.ring, [c * inv for c in self.coeffs], var=self.var)
+
+
+def _poly_residue_reference(self):
+    return Poly.from_coeffs(self.ring.residue_field, [c.residue() for c in self.coeffs], var=self.var)
+
+
+def _rank_key_reference(self):
+    return (self.degree, tuple(tuple(c.coords()) for c in reversed(self.coeffs)))
+
+
+def test_poly_ops_match_per_coefficient_reference(ring):
+    """Sums, differences, negation, monic, derivative, residue and rank_key
+    on payloads against the `RingElem` forms they replaced: results, their
+    variable and the trailing-zero normal form, cancelling leads included."""
+    rng = random.Random(15)
+    operands = [Poly.zero(ring, var=1)] + [_poly(ring, rng, d, var=1) for d in (0, 1, 3, 6, 6)]
+    operands.append(-operands[-1] + _poly(ring, rng, 2, var=1))  # cancels down to degree 2
+    c = _elem(ring, rng)
+    for f in operands:
+        assert (-f).data == _poly_neg_reference(f).data and (-f).var == 1
+        assert f.derivative().data == _poly_derivative_reference(f).data
+        assert f.monic().data == _poly_monic_reference(f).data
+        assert f.monic().is_zero() or f.monic().leading == ring.one
+        res = f.residue()
+        assert res.ring is ring.residue_field and res.var == 1
+        assert res.data == _poly_residue_reference(f).data
+        assert f.rank_key() == _rank_key_reference(f)
+        for other in (c, 3, -1):
+            assert (f + other).data == _poly_add_reference(f, other).data == (other + f).data
+        for g in operands:
+            assert (f + g).data == _poly_add_reference(f, g).data and (f + g).var == 1
+            assert (f - g).data == _poly_add_reference(f, _poly_neg_reference(g)).data
+            assert all(x != ring._zero for x in (f + g).data[-1:])
+        assert (f - f).is_zero() and (f - f).data == ()
+    if ring.t > 1:
+        with pytest.raises(DomainError):
+            Poly.from_coeffs(ring, [ring.one, ring.a]).monic()
+
+
+def test_poly_ops_build_no_ring_element(ring, monkeypatch):
+    """+ - * divmod == hash monic derivative residue rank_key pow_mod and
+    poly_gcd run on payloads alone: no `RingElem` is built."""
+    rng = random.Random(16)
+    unit = _elem(ring, rng, unit=True)
+    f, g = _poly(ring, rng, 6), _poly(ring, rng, 3, lead=unit)
+    mod = _poly(ring, rng, 4, lead=ring.one)
+    field = ring.residue_field
+    u = _poly(field, rng, 6) * _poly(field, rng, 2)
+    v = _poly(field, rng, 4, lead=_elem(field, rng, unit=True)) * _poly(field, rng, 2)
+    ops = {
+        "+": lambda: f + g + 1,
+        "-": lambda: (f - g, 2 - f, -f),
+        "*": lambda: (f * g, 3 * f),
+        "divmod": lambda: divmod(f, g),
+        "==": lambda: (f == g, f == f * 1, f == unit),
+        "hash": lambda: hash(f),
+        "monic": lambda: g.monic(),
+        "derivative": lambda: f.derivative(),
+        "residue": lambda: f.residue(),
+        "rank_key": lambda: f.rank_key(),
+        "pow_mod": lambda: polys.pow_mod(f, ring.q + 3, mod),
+        "poly_gcd": lambda: polys.poly_gcd(u, v),
+    }
+    want = {name: op() for name, op in ops.items()}
+
+    def forbidden(*args):
+        raise AssertionError("a RingElem was built")
+
+    monkeypatch.setattr(ChainRing, "elem", forbidden)
+    monkeypatch.setattr(RingElem, "__init__", forbidden)
+    for name, op in ops.items():
+        assert op() == want[name], name
 
 
 def _extensions(ring):
@@ -313,7 +414,7 @@ def test_pow_mod_matches_reference(ring):
             assert _data(got) == _data(_pow_mod_reference(f, e, g)), (g, e)
             assert got.var == f.var == 2
     with pytest.raises(DomainError):
-        polys.pow_mod(f, 2, Poly(ring, [ring.one, ring.one, ring.a]) if ring.t > 1 else Poly.one(ring))
+        polys.pow_mod(f, 2, Poly.from_coeffs(ring, [ring.one, ring.one, ring.a]) if ring.t > 1 else Poly.one(ring))
 
 
 def _product_box_reference(moduli):
@@ -417,7 +518,7 @@ def test_mpoly_mul_matches_payload_kernel_over_towers():
     for ring in towers:
         for degs in ((1,), (2,), (3,), (2, 2)):
             moduli = [
-                Poly(ring, [ring.from_rank(rng.randrange(ring.size)) for _ in range(d)] + [ring.one], var=i)
+                Poly.from_coeffs(ring, [ring.from_rank(rng.randrange(ring.size)) for _ in range(d)] + [ring.one], var=i)
                 for i, d in enumerate(degs)
             ]
             if len(degs) > 1:

@@ -111,7 +111,7 @@ def test_extend_ring(z4, gr42):
         for _ in range(3):
             coeffs.append(fq.from_rank(r % fq.size))
             r //= fq.size
-        cand = Poly(fq, coeffs + [fq.one])
+        cand = Poly.from_coeffs(fq, coeffs + [fq.one])
         from chaincodes.polys import is_irreducible
 
         if is_irreducible(cand):
