@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .decompose import decompose
 from .errors import DomainError, InternalError
+from .factor import label_key
 
 
 @dataclass(frozen=True)
@@ -156,12 +157,9 @@ class SemisimpleCode:
         )
 
     def to_json(self, with_generator=True):
-        def enc(label):
-            return label if isinstance(label, int) else list(label.coords())
-
         out = {
             "exponents": [
-                [[enc(x) for x in cls.rep], j]
+                [[label_key(x) for x in cls.rep], j]
                 for cls, j in zip(self.dec.classes, self.exps)
             ],
             "cardinality": str(self.cardinality()),
@@ -192,11 +190,6 @@ def code_from_exponents(ambient, exps, seed=0):
     or a dict keyed by class representative tuples)."""
     dec = decompose(ambient, seed=seed)
     if isinstance(exps, dict):
-        def enc_key(rep):
-            return tuple(
-                x if isinstance(x, int) else tuple(x.coords()) for x in rep
-            )
-
         table = {}
         for key, j in exps.items():
             if not isinstance(key, tuple):
@@ -208,7 +201,7 @@ def code_from_exponents(ambient, exps, seed=0):
             table[key] = j
         ordered = []
         for cls in dec.classes:
-            key = enc_key(cls.rep)
+            key = tuple(map(label_key, cls.rep))
             if key not in table:
                 raise DomainError(f"missing exponent for class {key}")
             ordered.append(table[key])

@@ -14,7 +14,11 @@ For each cyclotomic class the decomposition records:
   cofactor g_C with g_C * h_C = e_C.
 
 The component ring R[X_1,...,X_r]/<q_1, z_2, ..., z_r> is realized as the
-iterated extension tower, so its chain-ring arithmetic comes for free.
+iterated extension tower, so its chain-ring arithmetic comes for free.  A
+tower element's lanes are its coordinates over R, one block per monomial in
+the roots, so a tower polynomial is placed into the ambient by copying lane
+blocks (`_poly_over_tower_to_mpoly`), and a polynomial over R enters the
+tower by padding its lanes (`_embed_poly`).
 
 Each idempotent e_C is the lift of its residue e-bar = h-bar^(q^|C| - 1),
 taken as (h-bar * P)^(q - 1) with P = h-bar^q * h-bar^(q^2) * ... *
@@ -32,8 +36,9 @@ still checked whenever the class data is built, orthogonality with one
 product per class against a running suffix sum.
 
 The stages -- the splitting field GF(q^M), classes, lifted factorizations,
-class data with h_C and e_C, the cofactors g_C, and over a field `rows`,
-|C| F_q-rows of each minimal ideal <e_C> for all classes at once -- are
+class data with h_C and e_C, the cofactors g_C, over a field `rows`, |C|
+F_q-rows of each minimal ideal <e_C> for all classes at once, and on an
+abelian ambient `inverse_map`, the class of the inverse roots -- are
 computed on first use; only the residue factor lists are built with the
 decomposition.  So a caller that needs the lifted factorizations alone
 never computes an idempotent, and neither it nor abelian classes, whose
@@ -48,17 +53,18 @@ from functools import cached_property
 from .errors import DomainError, InternalError
 from .factor import cyclotomic_classes, factor_squarefree, splitting_data
 from .hensel import lift_factorization, lift_idempotent
-from .polys import Poly
+from .polys import MPoly, Poly, poly_to_text
 from .rings import ExtensionRing, RingElem
 
 
-def _const_embed(ring, base, x):
-    """Embed an element of ``base`` into a tower of extensions over it."""
-    if x.ring == ring:
-        return x
-    if ring == base:
-        return x
-    return ring.embed(_const_embed(ring.base, base, x))
+def _embed_poly(f, ring):
+    """f over ``ring``, a tower of extensions of f.ring: a base coordinate
+    vector padded with zeros is the same element in the tower, so each
+    coefficient's lanes are padded to ring.ncoords."""
+    k = f.ring.ncoords
+    lanes, pad = f.ring._lanes(f.data), (0,) * (ring.ncoords - k)
+    padded = [x for i in range(0, len(lanes), k) for x in (*lanes[i : i + k], *pad)]
+    return Poly.from_lanes(ring, padded, f.var)
 
 
 def _tower_eval(x, base, images, embed_base):
@@ -82,19 +88,6 @@ def _tower_depth(ring, base):
         depth += 1
         cur = cur.base
     return depth
-
-
-def _flatten_tower(x, base):
-    """Tower element -> {exponent tuple: base element}, first root innermost."""
-    ring = x.ring
-    if ring == base:
-        return {(): x} if not x.is_zero() else {}
-    out = {}
-    for j in range(ring.deg):
-        sub = _flatten_tower(RingElem(ring.base, x.data[j]), base)
-        for exps, c in sub.items():
-            out[exps + (j,)] = c
-    return out
 
 
 def _lane_width(p):
@@ -186,24 +179,16 @@ class ClassData:
     def ideal_generators(self, ambient):
         """Generators of I_C = <q_1, z_2, ..., z_r> as ambient elements."""
         gens = [ambient.from_polynomial(self.q_polys[0])]
-        base = ambient.ring
         for v in range(1, len(self.p_polys)):
-            gens.append(_poly_over_tower_to_mpoly(self.z_polys[v], base, ambient, v))
+            gens.append(_poly_over_tower_to_mpoly(self.z_polys[v], ambient, v))
         return gens
 
     def to_json(self, ambient):
-        base = ambient.ring
         names = ambient.var_names()
-
-        def ptext(f):
-            from .polys import poly_to_text
-
-            return poly_to_text(f, names)
-
         out = {
             "class": self.cls.to_json(),
-            "p": [ptext(f) for f in self.p_polys],
-            "q": [ptext(f) for f in self.q_polys],
+            "p": [poly_to_text(f, names) for f in self.p_polys],
+            "q": [poly_to_text(f, names) for f in self.q_polys],
             "h": self.h.to_text(),
             "e": self.e.to_text(),
             "g": self.g.to_text(),
@@ -212,35 +197,41 @@ class ClassData:
         r = len(self.p_polys)
         if r > 1:
             ra = ambient.residue_ambient
-            out["w"] = [
-                _poly_over_tower_to_mpoly(self.w_polys[v], ra.ring, ra, v).to_text()
-                for v in range(1, r)
-            ]
-            out["pi"] = [
-                _poly_over_tower_to_mpoly(self.pi_polys[v], ra.ring, ra, v).to_text()
-                for v in range(1, r)
-            ]
-            out["z"] = [
-                _poly_over_tower_to_mpoly(self.z_polys[v], base, ambient, v).to_text()
-                for v in range(1, r)
-            ]
-            out["sigma"] = [
-                _poly_over_tower_to_mpoly(self.sigma_polys[v], base, ambient, v).to_text()
-                for v in range(1, r)
-            ]
+            for key, polys, amb in (
+                ("w", self.w_polys, ra),
+                ("pi", self.pi_polys, ra),
+                ("z", self.z_polys, ambient),
+                ("sigma", self.sigma_polys, ambient),
+            ):
+                out[key] = [_poly_over_tower_to_mpoly(polys[v], amb, v).to_text() for v in range(1, r)]
         return out
 
 
-def _poly_over_tower_to_mpoly(f, base, ambient, var):
-    """A polynomial in X_{var+1} with tower coefficients, as an ambient element."""
-    terms = {}
-    r = ambient.r
-    for j, c in enumerate(f.coeffs):
-        for exps, cc in _flatten_tower(c, base).items():
-            full = list(exps) + [0] * (r - len(exps))
-            full[var] = j
-            terms[tuple(full)] = cc
-    return ambient.from_terms(terms)
+def _poly_over_tower_to_mpoly(f, ambient, var):
+    """f, a polynomial in X_{var+1} whose coefficients lie in a tower of
+    ``var`` extensions of ambient.ring, root i (from 0) standing for
+    X_{i+1}, as an ambient element.
+
+    A tower element's lanes are its coordinates over ambient.ring: one
+    ncoords block per monomial in the roots, the first root fastest.  Once f
+    is reduced modulo the embedded t_{var+1}, every power of X_{var+1} and
+    of each root is below its modulus's degree, so each block is copied to
+    the lanes of its monomial's rank."""
+    ring, k = f.ring, ambient.ring.ncoords
+    degs, level = [], ring
+    for _ in range(var):
+        degs.append(level.deg)
+        level = level.base
+    offsets = [0]
+    for stride, d in zip(ambient.strides, reversed(degs)):
+        offsets = [o + e * stride for e in range(d) for o in offsets]
+    f = f % _embed_poly(ambient.moduli[var], ring)
+    src = ring._lanes(f.data)
+    lanes = [0] * (ambient.n * k)
+    ranks = [o + j * ambient.strides[var] for j in range(len(f.data)) for o in offsets]
+    for b, rank in enumerate(ranks):
+        lanes[rank * k : (rank + 1) * k] = src[b * k : (b + 1) * k]
+    return MPoly(ambient, lanes)
 
 
 def check_idempotent_family(ambient, es):
@@ -289,6 +280,16 @@ class Decomposition:
     def classes(self):
         """The cyclotomic classes in canonical order."""
         return cyclotomic_classes(self.ambient, None if self.ambient.abelian else self.splitting)
+
+    @cached_property
+    def inverse_map(self):
+        """index -> index of the class of the inverse roots mu^{-1}, for
+        abelian ambients."""
+        es = self.ambient.exponents
+        if es is None:
+            raise DomainError("class inversion requires an abelian ambient")
+        lookup = {mu: idx for idx, cls in enumerate(self.classes) for mu in cls.members}
+        return tuple(lookup[tuple((-a) % e for a, e in zip(cls.rep, es))] for cls in self.classes)
 
     @cached_property
     def lifted_factorizations(self):
@@ -385,9 +386,7 @@ class Decomposition:
         for v in range(1, r):
             ring_below = tower[-1]
             field_below = ring_below.residue_field
-            p_emb = p_polys[v].map_coeffs(
-                lambda c: _const_embed(field_below, Fq, c), field_below
-            )
+            p_emb = _embed_poly(p_polys[v], field_below)
             if p_emb.degree == 1:
                 w = p_emb
             else:
@@ -405,9 +404,7 @@ class Decomposition:
             pi, rem = divmod(p_emb, w)
             if not rem.is_zero():  # pragma: no cover
                 raise InternalError("w does not divide p")
-            q_emb = q_polys[v].map_coeffs(
-                lambda c: _const_embed(ring_below, R, c), ring_below
-            )
+            q_emb = _embed_poly(q_polys[v], ring_below)
             if pi.degree == 0:
                 z, sigma = q_emb, Poly.one(ring_below, var=v)
             else:
@@ -429,7 +426,7 @@ class Decomposition:
                 raise InternalError("lifted factor does not divide the modulus")
             h = h * A.from_polynomial(quot)
         for v in range(1, r):
-            h = h * _poly_over_tower_to_mpoly(sigma_polys[v], R, A, v)
+            h = h * _poly_over_tower_to_mpoly(sigma_polys[v], A, v)
 
         return ClassData(
             cls=cls,

@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .codes import code_from_generators
-from .decompose import _flatten_tower, _lane_width, decompose
+from .decompose import _embed_poly, _lane_width, _poly_over_tower_to_mpoly, decompose
 from .errors import BudgetExceeded, DomainError, InternalError
 from .polys import Ambient, Poly
 from .rings import ExtensionRing
@@ -205,51 +205,28 @@ def distance_bound(code, budget=DEFAULT_BUDGET):
 
 
 def _delta_distance(Abar, rdec, group, budget):
-    """Distance of the code generated by sum_j F_ij over F_q[X_1]/(p_i)."""
+    """Distance of the code generated by sum_j F_ij over F_q[X_1]/(p_i).
+
+    The lanes of the first level of each class's residue tower, F_q(mu_1),
+    are those of ext = F_q[X_1]/(p_i), so its tower polynomials are placed
+    onto V over ext with X_1 read as the root of p_i."""
     field = Abar.ring
     p1, members = group
     ext = ExtensionRing(field, p1) if p1.degree > 1 else field
-    theta = ext.gen if p1.degree > 1 else -p1.coeff(0)
-    embed = (lambda c: ext.embed(c)) if p1.degree > 1 else (lambda c: c)
-    moduli = [
-        Poly.from_coeffs(ext, [embed(c) for c in m.coeffs], var=v)
-        for v, m in enumerate(Abar.moduli[1:])
-    ]
-    V = Ambient(ext, moduli)
+    V = Ambient(ext, [_embed_poly(m, ext) for m in Abar.moduli[1:]])
 
     gen = V.zero()
     for idx in members:
         cd = rdec.data[idx]
         term = V.one()
         for k in range(1, Abar.r):
-            quot, rem = divmod(Abar.moduli[k], cd.p_polys[k])
+            quot, rem = divmod(V.moduli[k - 1], _embed_poly(cd.p_polys[k], ext))
             if not rem.is_zero():  # pragma: no cover
                 raise InternalError("class polynomial does not divide its modulus")
-            term = term * V.from_polynomial(
-                Poly.from_coeffs(ext, [embed(c) for c in quot.coeffs], var=k - 1)
-            )
-            term = term * _substitute_first_var(
-                cd.pi_polys[k], field, ext, theta, embed, V, k - 1
-            )
+            term = term * V.from_polynomial(quot)
+            term = term * _poly_over_tower_to_mpoly(cd.pi_polys[k], V, k - 1)
         gen = gen + term
     if gen.is_zero():  # pragma: no cover
         raise InternalError("group generator collapsed to zero")
     dcode = code_from_generators(V, [gen])
     return min_distance(dcode, budget)
-
-
-def _substitute_first_var(f, base_field, ext, theta, embed, V, var):
-    """A tower-coefficient polynomial with X_1 evaluated at theta, re-rooted
-    into the (r-1)-variable ambient V at variable index ``var``."""
-    terms = {}
-    for jj, c in enumerate(f.coeffs):
-        for exps, cc in _flatten_tower(c, base_field).items():
-            e1 = exps[0] if exps else 0
-            key = [0] * V.r
-            for pos, e in enumerate(exps[1:]):
-                key[pos] = e
-            key[var] = jj
-            key = tuple(key)
-            contrib = (theta**e1) * embed(cc)
-            terms[key] = terms.get(key, ext.zero) + contrib
-    return V.from_terms(terms)

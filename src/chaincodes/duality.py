@@ -19,24 +19,9 @@ from .errors import DomainError, InternalError
 
 
 def inverse_class_map(dec):
-    """index -> index of the inverse class, for abelian ambients."""
-    cached = getattr(dec, "_inverse_map", None)
-    if cached is not None:
-        return cached
-    es = dec.ambient.exponents
-    if es is None:
-        raise DomainError("class inversion requires an abelian ambient")
-    lookup = {}
-    for idx, cls in enumerate(dec.classes):
-        for mu in cls.members:
-            lookup[mu] = idx
-    out = []
-    for cls in dec.classes:
-        inv = tuple((-a) % e for a, e in zip(cls.rep, es))
-        out.append(lookup[inv])
-    out = tuple(out)
-    dec._inverse_map = out
-    return out
+    """index -> index of the inverse class, for abelian ambients: the
+    `Decomposition.inverse_map` stage."""
+    return dec.inverse_map
 
 
 def dual(code, check_generator_form=True):

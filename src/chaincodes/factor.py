@@ -199,8 +199,14 @@ def splitting_data(ambient, factor_lists):
     roots = []
     for fl in factor_lists:
         rs = [-lin.coeff(0) for f in fl for lin in _equal_degree(f.map_coeffs(embed, big), 1, rng)]
-        roots.append(tuple(sorted(rs, key=lambda c: tuple(c.coords()))))
+        roots.append(tuple(sorted(rs, key=label_key)))
     return SplittingData(M, big, tuple(roots), None)
+
+
+def label_key(x):
+    """A root label as plain ints: an exponent label as it is, a field
+    element label as the tuple of its coordinates."""
+    return x if isinstance(x, int) else tuple(x.coords())
 
 
 @dataclass(frozen=True)
@@ -215,13 +221,10 @@ class CyclotomicClass:
         return len(self.members)
 
     def to_json(self):
-        def enc(label):
-            return label if isinstance(label, int) else list(label.coords())
-
         return {
-            "repr": [enc(x) for x in self.rep],
+            "repr": [label_key(x) for x in self.rep],
             "size": self.size,
-            "members": [[enc(x) for x in mu] for mu in self.members],
+            "members": [[label_key(x) for x in mu] for mu in self.members],
         }
 
 
@@ -235,9 +238,6 @@ def cyclotomic_classes(ambient, splitting=None):
         labels = [range(e) for e in exps]
         def step(mu):
             return tuple((a * q) % e for a, e in zip(mu, exps))
-
-        def key(label):
-            return label
     else:
         if splitting is None:
             raise DomainError("non-abelian classes need the splitting data")
@@ -245,28 +245,25 @@ def cyclotomic_classes(ambient, splitting=None):
         def step(mu):
             return tuple(x**q for x in mu)
 
-        def key(label):
-            return tuple(label.coords())
-
     all_tuples = list(itertools.product(*labels))
     seen = set()
     classes = []
     for mu in all_tuples:
-        kmu = tuple(key(x) for x in mu)
+        kmu = tuple(map(label_key, mu))
         if kmu in seen:
             continue
         orbit = []
         cur = mu
         while True:
-            korbit = tuple(key(x) for x in cur)
+            korbit = tuple(map(label_key, cur))
             if korbit in seen:
                 break
             seen.add(korbit)
             orbit.append(cur)
             cur = step(cur)
-        orbit.sort(key=lambda m: tuple(key(x) for x in m))
+        orbit.sort(key=lambda m: tuple(map(label_key, m)))
         classes.append(CyclotomicClass(members=tuple(orbit), rep=orbit[0]))
-    classes.sort(key=lambda c: tuple(key(x) for x in c.rep))
+    classes.sort(key=lambda c: tuple(map(label_key, c.rep)))
 
     total = sum(c.size for c in classes)
     if total != len(all_tuples):

@@ -266,7 +266,7 @@ def ideal_span(ambient, gens):
     """
     rows = []
     for g in gens:
-        vec = g if isinstance(g, tuple) else tuple(c.data for c in g.coeffs)
+        vec = g if isinstance(g, tuple) else tuple(ambient.ring._from_lanes(g.lanes))
         rows.extend(monomial_multiples(ambient, vec))
     return module_span(ambient.ring, ambient.n, rows)
 
@@ -383,7 +383,7 @@ def annihilator_bruteforce(ambient, f, naive=None, budget=DEFAULT_BUDGET):
     """{g : g * f = 0 in the quotient} as a module span."""
     ring = ambient.ring
     n = ambient.n
-    vec = tuple(c.data for c in f.coeffs)
+    vec = tuple(ring._from_lanes(f.lanes))
     mults = monomial_multiples(ambient, vec)
     # rows indexed by output coordinate: row_beta[alpha] = (X^alpha f)_beta
     rows = [tuple(mults[alpha][beta] for alpha in range(n)) for beta in range(n)]

@@ -16,9 +16,12 @@ big-int product of two lane vectors, and sums, negation, int scaling and
 equality are operations mod m on them; `pow_mod` runs the same packed
 product in R[X]/(g).  Element-sized products (`Poly` and extension ring
 elements) run `convolve_fold` on raw payloads.  Every other `Poly`
-operation runs on payloads too: `RingElem`s are built only at the API
-edge, by the ``coeffs``/``coeff``/``leading`` views, `evaluate` and
-`map_coeffs`, and `Poly.from_coeffs` takes ints and elements in.
+operation runs on payloads too.  The `MPoly` views -- residue, lift,
+valuation, text and JSON -- read lanes, and `poly_to_text` and
+`MPoly.to_text` render the same (exponents, coordinates) pairs.  So
+`RingElem`s are built only at the API edge, by the ``coeffs``/``coeff``/
+``leading`` views, `evaluate` and `map_coeffs`, and `Poly.from_coeffs`
+takes ints and elements in.
 
 Over a field, `distinct_degree` is the one distinct-degree loop, and its
 first stage alone is Ben-Or's irreducibility test, `is_irreducible`.
@@ -353,23 +356,33 @@ def smallest_irreducible(field, degree):
     raise InternalError(f"no irreducible of degree {degree} over {field}")  # pragma: no cover
 
 
+def _coeff_text(coords):
+    """A coefficient as text: its one coordinate, or "[c_0,...,c_{k-1}]"."""
+    return str(coords[0]) if len(coords) == 1 else "[" + ",".join(map(str, coords)) + "]"
+
+
+def _nonzero_blocks(lanes, k):
+    """(i, coordinates) of each nonzero k-lane block i of a lane vector, i ascending."""
+    blocks = (lanes[i : i + k] for i in range(0, len(lanes), k))
+    return [(i, cs) for i, cs in enumerate(blocks) if any(cs)]
+
+
+def _terms_text(terms, names):
+    """The 'c*x1^a1*...*xr^ar' terms of (exponents, coordinates) pairs,
+    joined by '+' in the given order; "0" when there are none."""
+    out = []
+    for exps, cs in terms:
+        c = _coeff_text(cs)
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        out.append(c if not factors else "*".join(factors if c == "1" else [c, *factors]))
+    return "+".join(out) or "0"
+
+
 def poly_to_text(f, var_names=None):
     """Render a polynomial in the 'c*x^k' text format (univariate)."""
-    if f.is_zero():
-        return "0"
-    name = "x" if var_names is None else var_names[f.var]
-    terms = []
-    for i in range(f.degree, -1, -1):
-        c = f.coeff(i)
-        if c.is_zero():
-            continue
-        cs = c.int_repr()
-        if i == 0:
-            terms.append(cs)
-        else:
-            xs = name if i == 1 else f"{name}^{i}"
-            terms.append(xs if cs == "1" else f"{cs}*{xs}")
-    return "+".join(terms)
+    names = ("x",) if var_names is None else (var_names[f.var],)
+    blocks = _nonzero_blocks(f.ring._lanes(f.data), f.ring.ncoords)
+    return _terms_text([((i,), cs) for i, cs in reversed(blocks)], names)
 
 
 def parse_poly_text(text, ring, nvars=1):
@@ -732,11 +745,17 @@ class MPoly:
         ra = self.ambient.residue_ambient
         if ra is self.ambient:
             return self
-        return ra.from_vector([c.residue() for c in self.coeffs])
+        ring = self.ambient.ring
+        return MPoly(ra, ra.ring._lanes([ring._residue(x) for x in ring._from_lanes(self.lanes)]))
 
     def lift_to(self, ambient):
         """Coefficientwise lift into an ambient over the full chain ring."""
-        return ambient.from_vector([ambient.ring.lift(c) for c in self.coeffs])
+        ring, field = ambient.ring, self.ambient.ring
+        if field != ring.residue_field:
+            raise DomainError("lift expects a residue field element")
+        if self.ambient.n != ambient.n:
+            raise DomainError(f"vector length {self.ambient.n} != ambient length {ambient.n}")
+        return MPoly(ambient, ring._lanes([ring._lift(x) for x in field._from_lanes(self.lanes)]))
 
     def tau(self):
         """The weight-preserving inversion automorphism X_i -> X_i^{-1}."""
@@ -747,36 +766,16 @@ class MPoly:
 
     def to_text(self):
         amb = self.ambient
-        names = amb.var_names()
-        terms = []
-        coeffs = self.coeffs
-        for rank in range(amb.n - 1, -1, -1):
-            c = coeffs[rank]
-            if c.is_zero():
-                continue
-            exps = amb.exps(rank)
-            factors = []
-            cs = c.int_repr()
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                terms.append(cs)
-            elif cs == "1":
-                terms.append("*".join(factors))
-            else:
-                terms.append("*".join([cs] + factors))
-        return "+".join(terms) if terms else "0"
+        blocks = _nonzero_blocks(self.lanes, amb.ring.ncoords)
+        return _terms_text([(amb.exps(i), cs) for i, cs in reversed(blocks)], amb.var_names())
 
     def to_json(self):
+        amb = self.ambient
         return {
-            "vars": self.ambient.r,
+            "vars": amb.r,
             "coeffs": [
-                [list(self.ambient.exps(rank)), c.json_repr()]
-                for rank, c in enumerate(self.coeffs)
-                if not c.is_zero()
+                [list(amb.exps(i)), cs[0] if len(cs) == 1 else list(cs)]
+                for i, cs in _nonzero_blocks(self.lanes, amb.ring.ncoords)
             ],
         }
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BudgetExceeded, DomainError, InternalError
 from .kernel import convolve_fold, product_box
-from .polys import Poly, is_irreducible, power, smallest_irreducible
+from .polys import Poly, _coeff_text, is_irreducible, power, smallest_irreducible
 
 
 class RingElem:
@@ -111,10 +111,7 @@ class RingElem:
         return self.ring._coords(self.data)
 
     def int_repr(self):
-        cs = self.coords()
-        if len(cs) == 1:
-            return str(cs[0])
-        return "[" + ",".join(str(c) for c in cs) + "]"
+        return _coeff_text(self.coords())
 
     def json_repr(self):
         cs = self.coords()
@@ -276,7 +273,6 @@ class IntegerModRing(ChainRing):
         self._a = p % self.size if t > 1 else 0
         self.lane_modulus = self.size
         self.lane_vars = ()
-        self._residue_field = None
 
     def _add(self, a, b):
         return (a + b) % self.size
@@ -320,13 +316,9 @@ class IntegerModRing(ChainRing):
     def _from_rank(self, r):
         return r
 
-    @property
+    @cached_property
     def residue_field(self):
-        if self.t == 1:
-            return self
-        if self._residue_field is None:
-            self._residue_field = IntegerModRing(self.p, 1)
-        return self._residue_field
+        return self if self.t == 1 else IntegerModRing(self.p, 1)
 
     def _inverse(self, a):
         try:
@@ -406,7 +398,6 @@ class ExtensionRing(_TupleRing):
         self.lane_vars = base.lane_vars + ((m, base.fold_rule(modulus)),)
         rule = tuple((j, 0, base._neg(c)) for j, c in enumerate(modulus.data[:m]) if c != base._zero)
         _, self._box_size, self._folds = product_box(((m, rule),))
-        self._residue_field = None
 
     def _mul(self, a, b):
         box = convolve_fold(enumerate(a), enumerate(b), self._box_size, self._folds, self.base)
@@ -424,22 +415,11 @@ class ExtensionRing(_TupleRing):
     def _div_a(self, a, k):
         return tuple(self.base._div_a(x, k) for x in a)
 
-    @property
+    @cached_property
     def residue_field(self):
         if self.t == 1:
             return self
-        if self._residue_field is None:
-            self._residue_field = ExtensionRing(
-                self.base.residue_field, self.modulus.residue(), check=False
-            )
-        return self._residue_field
-
-    @property
-    def gen(self):
-        """The adjoined root Z of the modulus."""
-        return RingElem(
-            self, (self.base._zero, self.base._one) + (self.base._zero,) * (self.deg - 2)
-        ) if self.deg > 1 else RingElem(self, (self.base._neg(self.modulus.data[0]),))
+        return ExtensionRing(self.base.residue_field, self.modulus.residue(), check=False)
 
     def embed(self, x):
         """The base ring inside the extension."""

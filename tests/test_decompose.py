@@ -1,5 +1,7 @@
 """Class data, separator polynomials, idempotents and the CRT structure."""
 
+import random
+
 import pytest
 
 from chaincodes import (
@@ -7,16 +9,21 @@ from chaincodes import (
     DomainError,
     Poly,
     code_from_exponents,
+    code_from_generators,
     decompose,
     distance_bound,
     dual,
     dual_cardinality,
     ideal_span,
     inverse_class_map,
+    min_distance,
     parse_univariate,
+    ring_construct,
 )
+from chaincodes import distance
 from chaincodes.decompose import _poly_over_tower_to_mpoly
 from chaincodes.oracle import annihilator_bruteforce
+from chaincodes.rings import ExtensionRing, RingElem
 
 
 def test_h_for_singleton_class(amb_x7):
@@ -50,8 +57,8 @@ def test_class_polynomials_example(amb_x3y3):
     assert [c.data for c in cd.p_polys[0].coeffs] == [1, 1, 1]
     assert [c.data for c in cd.p_polys[1].coeffs] == [1, 1, 1]
     ra = amb_x3y3.residue_ambient
-    w2 = _poly_over_tower_to_mpoly(cd.w_polys[1], ra.ring, ra, 1)
-    pi2 = _poly_over_tower_to_mpoly(cd.pi_polys[1], ra.ring, ra, 1)
+    w2 = _poly_over_tower_to_mpoly(cd.w_polys[1], ra, 1)
+    pi2 = _poly_over_tower_to_mpoly(cd.pi_polys[1], ra, 1)
     assert w2 == ra.parse("x2+x1")
     assert pi2 == ra.parse("x2+x1+1")
 
@@ -61,7 +68,7 @@ def test_degree_one_class(amb_z9):
     dec = decompose(amb_z9)
     cd = next(c for c in dec.data if c.cls.rep == (0, 0))
     assert [c.data for c in cd.q_polys[0].coeffs] == [8, 1]
-    z2 = _poly_over_tower_to_mpoly(cd.z_polys[1], amb_z9.ring, amb_z9, 1)
+    z2 = _poly_over_tower_to_mpoly(cd.z_polys[1], amb_z9, 1)
     assert z2 == amb_z9.parse("x2+8")
     assert cd.sigma_polys[1].degree == 0
 
@@ -71,8 +78,8 @@ def test_lifted_class_polynomials_example(amb_x3y3, z4):
     dec = decompose(amb_x3y3)
     cd = next(c for c in dec.data if c.cls.rep == (1, 1))
     assert [c.data for c in cd.q_polys[0].coeffs] == [1, 1, 1]
-    z2 = _poly_over_tower_to_mpoly(cd.z_polys[1], z4, amb_x3y3, 1)
-    s2 = _poly_over_tower_to_mpoly(cd.sigma_polys[1], z4, amb_x3y3, 1)
+    z2 = _poly_over_tower_to_mpoly(cd.z_polys[1], amb_x3y3, 1)
+    s2 = _poly_over_tower_to_mpoly(cd.sigma_polys[1], amb_x3y3, 1)
     assert z2 == amb_x3y3.parse("x2+3*x1")
     assert s2 == amb_x3y3.parse("x2+x1+1")
     # z * sigma multiplies back to q_2 inside the tower ring
@@ -345,3 +352,133 @@ def test_class_towers_repeat_no_irreducibility_test(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(DomainError, match="not basic irreducible"):
         ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 2, "modulus": [1, 0, 1]})
+
+
+def _flatten_tower_reference(x, base):
+    """The replaced `decompose._flatten_tower`, verbatim: tower element ->
+    {exponent tuple: base element}, first root innermost."""
+    ring = x.ring
+    if ring == base:
+        return {(): x} if not x.is_zero() else {}
+    out = {}
+    for j in range(ring.deg):
+        sub = _flatten_tower_reference(RingElem(ring.base, x.data[j]), base)
+        for exps, c in sub.items():
+            out[exps + (j,)] = c
+    return out
+
+
+def _poly_over_tower_to_mpoly_reference(f, base, ambient, var):
+    """The replaced placement, verbatim: flattened terms through `Ambient.from_terms`."""
+    terms = {}
+    r = ambient.r
+    for j, c in enumerate(f.coeffs):
+        for exps, cc in _flatten_tower_reference(c, base).items():
+            full = list(exps) + [0] * (r - len(exps))
+            full[var] = j
+            terms[tuple(full)] = cc
+    return ambient.from_terms(terms)
+
+
+@pytest.mark.parametrize(
+    "ring, moduli, zero_w",
+    [
+        ({"kind": "galois", "p": 2, "t": 2}, ("x^3+x+1", "y^2+y+1"), True),
+        ({"kind": "galois", "p": 2, "t": 2}, ("x^3-1", "y^3-1", "z^3-1"), False),
+        ({"kind": "truncated", "p": 2, "t": 2}, ("x^3+x+1", "y^5+y^2+1"), True),
+    ],
+)
+def test_tower_placement_matches_from_terms_route(ring, moduli, zero_w):
+    """w, pi, z and sigma of every class land where the flattened
+    `from_terms` route puts them.  On Z4 x^3+x+1, y^2+y+1 the size-6 class
+    has w_2 = z_2 = t_2, which the placement must reduce to 0, and so does
+    the class of y^5+y^2+1, irreducible over GF(8)."""
+    ring = ring_construct(ring)
+    amb = Ambient(ring, [parse_univariate(m, ring, var=i) for i, m in enumerate(moduli)])
+    ra = amb.residue_ambient
+    zeros = 0
+    for cd in decompose(amb).data:
+        for v in range(1, amb.r):
+            pairs = ((cd.w_polys[v], ra), (cd.pi_polys[v], ra), (cd.z_polys[v], amb), (cd.sigma_polys[v], amb))
+            for f, target in pairs:
+                placed = _poly_over_tower_to_mpoly(f, target, v)
+                assert placed == _poly_over_tower_to_mpoly_reference(f, target.ring, target, v)
+                zeros += placed.is_zero()
+    assert (zeros > 0) == zero_w
+
+
+def _substitute_first_var_reference(f, base_field, ext, theta, embed, V, var):
+    """The replaced `distance._substitute_first_var`, verbatim."""
+    terms = {}
+    for jj, c in enumerate(f.coeffs):
+        for exps, cc in _flatten_tower_reference(c, base_field).items():
+            e1 = exps[0] if exps else 0
+            key = [0] * V.r
+            for pos, e in enumerate(exps[1:]):
+                key[pos] = e
+            key[var] = jj
+            key = tuple(key)
+            contrib = (theta**e1) * embed(cc)
+            terms[key] = terms.get(key, ext.zero) + contrib
+    return V.from_terms(terms)
+
+
+def _delta_distance_reference(Abar, rdec, group, budget):
+    """The replaced `distance._delta_distance`, verbatim but for ``ext.gen``,
+    deleted and inlined here.  It also checks that today's placement of
+    each pi equals the substitution."""
+    field = Abar.ring
+    p1, members = group
+    ext = ExtensionRing(field, p1) if p1.degree > 1 else field
+    if p1.degree > 1:
+        theta = RingElem(ext, (field._zero, field._one) + (field._zero,) * (ext.deg - 2))
+    else:
+        theta = -p1.coeff(0)
+    embed = (lambda c: ext.embed(c)) if p1.degree > 1 else (lambda c: c)
+    moduli = [
+        Poly.from_coeffs(ext, [embed(c) for c in m.coeffs], var=v)
+        for v, m in enumerate(Abar.moduli[1:])
+    ]
+    V = Ambient(ext, moduli)
+
+    gen = V.zero()
+    for idx in members:
+        cd = rdec.data[idx]
+        term = V.one()
+        for k in range(1, Abar.r):
+            quot, rem = divmod(Abar.moduli[k], cd.p_polys[k])
+            assert rem.is_zero()
+            term = term * V.from_polynomial(
+                Poly.from_coeffs(ext, [embed(c) for c in quot.coeffs], var=k - 1)
+            )
+            pi = _substitute_first_var_reference(cd.pi_polys[k], field, ext, theta, embed, V, k - 1)
+            assert _poly_over_tower_to_mpoly(cd.pi_polys[k], V, k - 1) == pi
+            term = term * pi
+        gen = gen + term
+    dcode = code_from_generators(V, [gen])
+    return min_distance(dcode, budget)
+
+
+@pytest.mark.parametrize(
+    "ring, moduli",
+    [
+        ({"kind": "galois", "p": 2, "t": 1}, ("x^7-1", "y^5-1")),
+        ({"kind": "galois", "p": 3, "t": 1}, ("x^4-1", "y^2-1")),
+        ({"kind": "galois", "p": 2, "t": 1, "l": 2}, ("x^5-1", "y^3-1")),
+    ],
+)
+def test_distance_bound_matches_first_variable_substitution(ring, moduli, monkeypatch):
+    """The product bound with each pi placed onto F_q[X_1]/(p_1) by lanes
+    equals the one with X_1 substituted by the root of p_1, on the code of
+    each single class and on seeded random codes; first-variable factors
+    of degree 1 (GF(3)) and above take both branches."""
+    ring = ring_construct(ring)
+    amb = Ambient(ring, [parse_univariate(m, ring, var=i) for i, m in enumerate(moduli)])
+    n = decompose(amb).class_count
+    rng = random.Random(29)
+    exps = [[0 if i == c else 1 for i in range(n)] for c in range(n)]
+    exps += [[rng.randrange(2) for _ in range(n)] for _ in range(8)]
+    codes = [code_from_exponents(amb, e) for e in exps if 0 in e]
+    bounds = [distance_bound(K) for K in codes]
+    monkeypatch.setattr(distance, "_delta_distance", _delta_distance_reference)
+    assert [distance_bound(K) for K in codes] == bounds

@@ -17,6 +17,7 @@ import random
 import pytest
 
 from chaincodes import Ambient, DomainError, MPoly, Poly, decompose, polys, rings, ring_construct
+from chaincodes.decompose import _poly_over_tower_to_mpoly
 from chaincodes.polys import convolve_fold, parse_univariate
 from chaincodes.rings import ChainRing, ExtensionRing, IntegerModRing, RingElem, TruncatedRing
 
@@ -643,3 +644,35 @@ def test_mpoly_sums_and_comparisons_build_no_ring_element(monkeypatch):
         assert f * g == product and hash(f * g) == hash(product)
         assert f == same and hash(f) == hash(same) and f != g
         assert (f - same).is_zero() and not f.is_zero()
+
+
+def test_mpoly_views_build_no_ring_element(ring, monkeypatch):
+    """`MPoly.residue`, `lift_to`, `valuation`, `to_text` and `to_json`,
+    `poly_to_text` and the tower placement of the class data read lanes
+    alone: no `RingElem` is built."""
+    rng = random.Random(27)
+    amb = _ambient(ring, ("x^2+x+1", "y^3+2*y+1"))
+    f = _mpoly(amb, rng, 0.6)
+    g = _poly(ring, rng, 4, var=1)
+    # a root of X_1's modulus over the ring, and a cubic in X_2 over it: the
+    # placement reduces it modulo X_2's modulus and copies lane blocks
+    tower = ExtensionRing(ring, amb.moduli[0], check=False)
+    h = _poly(tower, rng, 3, var=1)
+    ops = {
+        "residue": lambda: f.residue(),
+        "lift_to": lambda: f.residue().lift_to(amb),
+        "valuation": lambda: f.valuation(),
+        "to_text": lambda: f.to_text(),
+        "to_json": lambda: f.to_json(),
+        "poly_to_text": lambda: polys.poly_to_text(g, amb.var_names()),
+        "placement": lambda: _poly_over_tower_to_mpoly(h, amb, 1),
+    }
+    want = {name: op() for name, op in ops.items()}
+
+    def forbidden(*args):
+        raise AssertionError("a RingElem was built")
+
+    monkeypatch.setattr(ChainRing, "elem", forbidden)
+    monkeypatch.setattr(RingElem, "__init__", forbidden)
+    for name, op in ops.items():
+        assert op() == want[name], name
