@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .decompose import decompose
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .factor import label_key
 
 
@@ -131,18 +131,14 @@ class SemisimpleCode:
         """The image code in the residue quotient (a t = 1 code), or None."""
         if all(j > 0 for j in self.exps):
             return None
-        rdec = decompose(self.ambient.residue_ambient, seed=self.dec.seed)
-        _check_aligned(self.dec, rdec)
-        return SemisimpleCode(rdec, tuple(0 if j == 0 else 1 for j in self.exps))
+        return SemisimpleCode(self.dec.residue, tuple(0 if j == 0 else 1 for j in self.exps))
 
     def socle_field_code(self):
         """The residue code L carrying the distance of K (a t = 1 code)."""
         if self.is_zero():
             raise DomainError("the zero code has no residue distance carrier")
         t = self.ambient.ring.t
-        rdec = decompose(self.ambient.residue_ambient, seed=self.dec.seed)
-        _check_aligned(self.dec, rdec)
-        return SemisimpleCode(rdec, tuple(0 if j < t else 1 for j in self.exps))
+        return SemisimpleCode(self.dec.residue, tuple(0 if j < t else 1 for j in self.exps))
 
     def intersect(self, other):
         _same_ambient(self, other)
@@ -172,12 +168,6 @@ class SemisimpleCode:
 def _same_ambient(a, b):
     if a.ambient != b.ambient:
         raise DomainError("codes live in different ambients")
-
-
-def _check_aligned(dec, rdec):
-    # classes of the residue ambient coincide with the ring-level classes
-    if [cls.rep for cls in dec.classes] != [cls.rep for cls in rdec.classes]:
-        raise InternalError("residue ambient classes are misaligned")  # pragma: no cover
 
 
 def is_root_label(x):

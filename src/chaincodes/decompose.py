@@ -13,12 +13,23 @@ For each cyclotomic class the decomposition records:
   residue vanishes off the class, the primitive idempotent e_C, and the
   cofactor g_C with g_C * h_C = e_C.
 
+The field level belongs to the decomposition of the residue ambient over
+F_q.  It alone computes the factor lists of the residue moduli, the
+splitting field GF(q^M) (`splitting`), the `classes`, `inverse_map` and
+`class_polys`, the p_i, w_i and pi_i at each class representative, found
+by evaluating at the roots on payloads.  A chain-ring decomposition holds
+it as `residue`, from the same per-ambient cache and seed, reads those
+stages as the very same objects and only lifts them: its own stages are
+the lifted factorizations and, per class, q_i, z_i, sigma_i, the tower,
+h_C, e_C and g_C.  Over a field `residue` is the decomposition itself,
+and q = p, z = w and sigma = pi.
+
 The component ring R[X_1,...,X_r]/<q_1, z_2, ..., z_r> is realized as the
 iterated extension tower, so its chain-ring arithmetic comes for free.  A
 tower element's lanes are its coordinates over R, one block per monomial in
 the roots, so a tower polynomial is placed into the ambient by copying lane
-blocks (`_poly_over_tower_to_mpoly`), and a polynomial over R enters the
-tower by padding its lanes (`_embed_poly`).
+blocks (`polys._poly_over_tower_to_mpoly`), and a polynomial over R enters
+the tower by padding its lanes (`polys._embed_poly`).
 
 Each idempotent e_C is the lift of its residue e-bar = h-bar^(q^|C| - 1),
 taken as (h-bar * P)^(q - 1) with P = h-bar^q * h-bar^(q^2) * ... *
@@ -35,59 +46,24 @@ no correction.  That they are idempotent, orthogonal and sum to one is
 still checked whenever the class data is built, orthogonality with one
 product per class against a running suffix sum.
 
-The stages -- the splitting field GF(q^M), classes, lifted factorizations,
-class data with h_C and e_C, the cofactors g_C, over a field `rows`, |C|
-F_q-rows of each minimal ideal <e_C> for all classes at once, and on an
-abelian ambient `inverse_map`, the class of the inverse roots -- are
-computed on first use; only the residue factor lists are built with the
-decomposition.  So a caller that needs the lifted factorizations alone
-never computes an idempotent, and neither it nor abelian classes, whose
-labels are exponents, build GF(q^M).
+Every stage but the factor lists is computed on first use, and so is, over
+a field, `rows`: |C| F_q-rows of each minimal ideal <e_C> for all classes
+at once.  So a caller that needs the lifted factorizations alone never
+computes an idempotent, and neither it nor abelian classes, whose labels
+are exponents, build GF(q^M).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .errors import DomainError, InternalError
 from .factor import cyclotomic_classes, factor_squarefree, splitting_data
 from .hensel import lift_factorization, lift_idempotent
-from .polys import MPoly, Poly, poly_to_text
-from .rings import ExtensionRing, RingElem
-
-
-def _embed_poly(f, ring):
-    """f over ``ring``, a tower of extensions of f.ring: a base coordinate
-    vector padded with zeros is the same element in the tower, so each
-    coefficient's lanes are padded to ring.ncoords."""
-    k = f.ring.ncoords
-    lanes, pad = f.ring._lanes(f.data), (0,) * (ring.ncoords - k)
-    padded = [x for i in range(0, len(lanes), k) for x in (*lanes[i : i + k], *pad)]
-    return Poly.from_lanes(ring, padded, f.var)
-
-
-def _tower_eval(x, base, images, embed_base):
-    """Evaluate a tower element by sending the j-th adjoined root to images[j]."""
-    ring = x.ring
-    if ring == base:
-        return embed_base(x)
-    depth = _tower_depth(ring, base)
-    mu = images[depth - 1]
-    acc = mu.ring.zero
-    for j in range(ring.deg - 1, -1, -1):
-        cj = RingElem(ring.base, x.data[j])
-        acc = acc * mu + _tower_eval(cj, base, images, embed_base)
-    return acc
-
-
-def _tower_depth(ring, base):
-    depth = 0
-    cur = ring
-    while cur != base:
-        depth += 1
-        cur = cur.base
-    return depth
+from .polys import Poly, _embed_poly, _poly_over_tower_to_mpoly, poly_to_text, power
+from .rings import ExtensionRing
 
 
 def _lane_width(p):
@@ -173,8 +149,7 @@ class ClassData:
 
     @property
     def component_size(self):
-        ring = self.component_ring
-        return ring.size
+        return self.component_ring.size
 
     def ideal_generators(self, ambient):
         """Generators of I_C = <q_1, z_2, ..., z_r> as ambient elements."""
@@ -207,33 +182,6 @@ class ClassData:
         return out
 
 
-def _poly_over_tower_to_mpoly(f, ambient, var):
-    """f, a polynomial in X_{var+1} whose coefficients lie in a tower of
-    ``var`` extensions of ambient.ring, root i (from 0) standing for
-    X_{i+1}, as an ambient element.
-
-    A tower element's lanes are its coordinates over ambient.ring: one
-    ncoords block per monomial in the roots, the first root fastest.  Once f
-    is reduced modulo the embedded t_{var+1}, every power of X_{var+1} and
-    of each root is below its modulus's degree, so each block is copied to
-    the lanes of its monomial's rank."""
-    ring, k = f.ring, ambient.ring.ncoords
-    degs, level = [], ring
-    for _ in range(var):
-        degs.append(level.deg)
-        level = level.base
-    offsets = [0]
-    for stride, d in zip(ambient.strides, reversed(degs)):
-        offsets = [o + e * stride for e in range(d) for o in offsets]
-    f = f % _embed_poly(ambient.moduli[var], ring)
-    src = ring._lanes(f.data)
-    lanes = [0] * (ambient.n * k)
-    ranks = [o + j * ambient.strides[var] for j in range(len(f.data)) for o in offsets]
-    for b, rank in enumerate(ranks):
-        lanes[rank * k : (rank + 1) * k] = src[b * k : (b + 1) * k]
-    return MPoly(ambient, lanes)
-
-
 def check_idempotent_family(ambient, es):
     """Raise `InternalError` unless e_1, ..., e_N are idempotent, pairwise
     orthogonal and sum to one, using N - 1 products for orthogonality.
@@ -256,11 +204,24 @@ def check_idempotent_family(ambient, es):
         raise InternalError("idempotents do not sum to one")
 
 
+# What `Decomposition._class_polys_at` finds at one root tuple, over F_q
+ClassPolys = namedtuple("ClassPolys", "p_polys w_polys pi_polys tower")
+
+
+def _residue_stage(build):
+    """A stage owned by the field decomposition: ``build`` runs there, and a
+    chain-ring decomposition reads the same object through `residue`."""
+    def stage(self):
+        return build(self) if self.residue is self else getattr(self.residue, build.__name__)
+    return cached_property(wraps(build)(stage))
+
+
 class Decomposition:
     """Classes, class data and idempotents of one semisimple ambient.
 
-    Only the residue factor lists are built here; every later stage,
-    the splitting field included, is computed when it is first read.
+    Only the residue factor lists are built here, and over a chain ring the
+    residue field's decomposition that owns them; every later stage, the
+    splitting field included, is computed when it is first read.
     """
 
     def __init__(self, ambient, seed=0):
@@ -268,15 +229,19 @@ class Decomposition:
             raise DomainError("cannot decompose a non-semisimple ambient")
         self.ambient = ambient
         self.seed = seed
-        residues = (m.residue() if ambient.ring.t > 1 else m for m in ambient.moduli)
-        self.factor_lists = tuple(factor_squarefree(m, seed=seed) for m in residues)
+        if ambient.ring.t > 1:
+            self.residue = decompose(ambient.residue_ambient, seed)
+            self.factor_lists = self.residue.factor_lists
+        else:
+            self.residue = self
+            self.factor_lists = tuple(factor_squarefree(m, seed=seed) for m in ambient.moduli)
 
-    @cached_property
+    @_residue_stage
     def splitting(self):
         """The common splitting field GF(q^M) and the labelled roots."""
         return splitting_data(self.ambient, self.factor_lists)
 
-    @cached_property
+    @_residue_stage
     def classes(self):
         """The cyclotomic classes in canonical order."""
         return cyclotomic_classes(self.ambient, None if self.ambient.abelian else self.splitting)
@@ -288,8 +253,15 @@ class Decomposition:
         es = self.ambient.exponents
         if es is None:
             raise DomainError("class inversion requires an abelian ambient")
+        if self.residue is not self:
+            return self.residue.inverse_map
         lookup = {mu: idx for idx, cls in enumerate(self.classes) for mu in cls.members}
         return tuple(lookup[tuple((-a) % e for a, e in zip(cls.rep, es))] for cls in self.classes)
+
+    @_residue_stage
+    def class_polys(self):
+        """Per class, in class order, the `ClassPolys` at its representative."""
+        return [self._class_polys_at(cls.rep) for cls in self.classes]
 
     @cached_property
     def lifted_factorizations(self):
@@ -302,7 +274,7 @@ class Decomposition:
     @cached_property
     def data(self):
         """Class data in canonical class order; checks the idempotent family."""
-        data = [self._build_class(cls) for cls in self.classes]
+        data = [self._build_class(cls, polys) for cls, polys in zip(self.classes, self.class_polys)]
         check_idempotent_family(self.ambient, [cd.e for cd in data])
         return data
 
@@ -352,93 +324,97 @@ class Decomposition:
 
     # -- construction ---------------------------------------------------------
 
-    def _build_class(self, cls, rep=None):
-        A = self.ambient
-        R = A.ring
-        Fq = R.residue_field
-        sd = self.splitting
-        r = A.r
-        mu = rep if rep is not None else cls.rep
-        mu_elems = [sd.root_elem(v, mu[v]) for v in range(r)]
+    def _class_polys_at(self, mu):
+        """The `ClassPolys` at the root tuple mu, over a field: p_v is the
+        factor of t_v that vanishes at mu_v, and w_v the factor of p_v over
+        F_q(mu_1, ..., mu_{v-1}) that does, with w_1 = p_1.
 
-        p_polys, q_polys = [], []
-        for v in range(r):
-            lf = self.lifted_factorizations[v]
-            for fac, lifted in zip(lf.residue_factors, lf.factors):
-                if fac.evaluate(mu_elems[v], sd.embed).is_zero():
-                    p_polys.append(fac)
-                    q_polys.append(lifted)
-                    break
-            else:  # pragma: no cover
-                raise InternalError("no residue factor vanishes at the class root")
+        The polynomials are evaluated in GF(q^M) by Horner on payloads.  The
+        monomials in the roots below a level, first root fastest as in a
+        tower element's lanes, are sent to GF(q^M) once per level, and a
+        coefficient's image is its F_q-coordinate blocks times those images."""
+        Fq, sd = self.ambient.ring, self.splitting
+        big, zero = sd.field, Fq._zero
+        pad = (zero,) * (sd.M - 1)
+        emb = (lambda c: (c, *pad)) if pad else (lambda c: c)
 
-        # Every tower modulus is basic irreducible by construction, so no
-        # ExtensionRing repeats the irreducibility test: q_polys[0] lifts a
+        def vanishing(factors, root, images):
+            for f in factors:
+                k, coords = len(images), Fq._from_lanes(f.ring._lanes(f.data))
+                acc = big._zero
+                for j in range(len(f.data) - 1, -1, -1):
+                    c = big._zero
+                    for x, image in zip(coords[j * k : (j + 1) * k], images):
+                        if x != zero:
+                            c = big._add(c, big._mul(emb(x), image))
+                    acc = big._add(big._mul(acc, root), c)
+                if acc == big._zero:
+                    return f
+            raise InternalError("no factor vanishes at the class root")  # pragma: no cover
+
+        # Every tower modulus is irreducible by construction, so no
+        # ExtensionRing repeats the irreducibility test: p_1 is a
         # `factor_squarefree` output, irreducible by the distinct-degree and
-        # equal-degree argument, and each z lifts a w that is either such an
-        # output over the field below or has degree 1 (when pi = 1, z is
-        # q_emb, whose residue p_emb is w).
-        w_polys = [None]
-        pi_polys = [None]
-        z_polys = [None]
-        sigma_polys = [None]
-        tower = [ExtensionRing(R, q_polys[0], check=False)]
-        for v in range(1, r):
-            ring_below = tower[-1]
-            field_below = ring_below.residue_field
-            p_emb = _embed_poly(p_polys[v], field_below)
-            if p_emb.degree == 1:
-                w = p_emb
-            else:
-                w = None
-                for cand in factor_squarefree(p_emb, seed=0):
-                    val = cand.evaluate(
-                        mu_elems[v],
-                        embed=lambda c: _tower_eval(c, Fq, mu_elems[:v], sd.embed),
-                    )
-                    if val.is_zero():
-                        w = cand
-                        break
-                if w is None:  # pragma: no cover
-                    raise InternalError("no factor of p vanishes at the class root")
-            pi, rem = divmod(p_emb, w)
-            if not rem.is_zero():  # pragma: no cover
-                raise InternalError("w does not divide p")
-            q_emb = _embed_poly(q_polys[v], ring_below)
-            if pi.degree == 0:
-                z, sigma = q_emb, Poly.one(ring_below, var=v)
-            else:
-                lifted = lift_factorization(q_emb, [w, pi])
-                z, sigma = lifted.factors
-            w_polys.append(w)
-            pi_polys.append(pi)
-            z_polys.append(z)
-            sigma_polys.append(sigma)
-            tower.append(ExtensionRing(ring_below, z, check=False))
+        # equal-degree argument, and each w is either such an output over the
+        # field below or has degree 1.  A chain-ring decomposition's tower
+        # moduli q_1 and z_v lift these, so they are basic irreducible.
+        p_polys, w_polys, pi_polys, tower = [], [None], [None], []
+        images = [big._one]
+        for v, label in enumerate(mu):
+            root = sd.root(v, label)
+            w = vanishing(self.factor_lists[v], root, [big._one])
+            p_polys.append(w)
+            if tower:
+                p_emb = _embed_poly(w, tower[-1])
+                w = p_emb if p_emb.degree == 1 else vanishing(factor_squarefree(p_emb, seed=0), root, images)
+                pi, rem = divmod(p_emb, w)
+                if not rem.is_zero():  # pragma: no cover
+                    raise InternalError("w does not divide p")
+                w_polys.append(w)
+                pi_polys.append(pi)
+            tower.append(ExtensionRing(tower[-1] if tower else Fq, w, check=False))
+            if v + 1 < len(mu):
+                powers = [power(root, e, big._one, big._mul) for e in range(w.degree)]
+                images = [big._mul(m, x) for x in powers for m in images]
+        return ClassPolys(p_polys, w_polys, pi_polys, tower)
 
-        if tower[-1].q != Fq.size ** cls.size:  # pragma: no cover
+    def _build_class(self, cls, polys):
+        """The class data of cls from the `ClassPolys` at one of its members:
+        over a field q = p, z = w and sigma = pi; over a chain ring they are
+        the Hensel lifts, and so is the tower."""
+        A, R = self.ambient, self.ambient.ring
+        if R.t == 1:
+            q_polys, z_polys, sigma_polys, tower = polys.p_polys, polys.w_polys, polys.pi_polys, polys.tower
+        else:
+            lifts = zip(self.lifted_factorizations, polys.p_polys)
+            q_polys = [lf.factors[lf.residue_factors.index(p)] for lf, p in lifts]
+            z_polys, sigma_polys = [None], [None]
+            tower = [ExtensionRing(R, q_polys[0], check=False)]
+            for v in range(1, A.r):
+                ring_below = tower[-1]
+                q_emb = _embed_poly(q_polys[v], ring_below)
+                if polys.pi_polys[v].degree == 0:
+                    z, sigma = q_emb, Poly.one(ring_below, var=v)
+                else:
+                    z, sigma = lift_factorization(q_emb, [polys.w_polys[v], polys.pi_polys[v]]).factors
+                z_polys.append(z)
+                sigma_polys.append(sigma)
+                tower.append(ExtensionRing(ring_below, z, check=False))
+
+        if tower[-1].q != R.residue_field.size ** cls.size:  # pragma: no cover
             raise InternalError("component residue degree does not match the class size")
 
         h = A.one()
-        for v in range(r):
+        for v in range(A.r):
             quot, rem = divmod(A.moduli[v], q_polys[v])
             if not rem.is_zero():  # pragma: no cover
                 raise InternalError("lifted factor does not divide the modulus")
             h = h * A.from_polynomial(quot)
-        for v in range(1, r):
+        for v in range(1, A.r):
             h = h * _poly_over_tower_to_mpoly(sigma_polys[v], A, v)
 
-        return ClassData(
-            cls=cls,
-            p_polys=p_polys,
-            q_polys=q_polys,
-            w_polys=w_polys,
-            pi_polys=pi_polys,
-            z_polys=z_polys,
-            sigma_polys=sigma_polys,
-            tower=tower,
-            h=h,
-        )
+        p_polys, w_polys, pi_polys, _ = polys
+        return ClassData(cls, p_polys, q_polys, w_polys, pi_polys, z_polys, sigma_polys, tower, h)
 
     # -- queries --------------------------------------------------------------
 

@@ -42,9 +42,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .codes import code_from_generators
-from .decompose import _embed_poly, _lane_width, _poly_over_tower_to_mpoly, decompose
+from .decompose import _lane_width
 from .errors import BudgetExceeded, DomainError, InternalError
-from .polys import Ambient, Poly
+from .polys import Ambient, Poly, _embed_poly, _poly_over_tower_to_mpoly
 from .rings import ExtensionRing
 
 DEFAULT_BUDGET = 2**24
@@ -169,14 +169,14 @@ def distance_bound(code, budget=DEFAULT_BUDGET):
     if code.is_zero():
         raise DomainError("the zero code has no distance bound")
     t = A.ring.t
-    Abar = A.residue_ambient
-    rdec = decompose(Abar, seed=code.dec.seed)
+    rdec = code.dec.residue
+    Abar = rdec.ambient
     field = Abar.ring
 
     defining = [i for i, j in enumerate(code.exps) if j < t]
     groups = []  # (p_poly, [class indices])
     for idx in defining:
-        p1 = rdec.data[idx].p_polys[0]
+        p1 = rdec.class_polys[idx].p_polys[0]
         for gp, members in groups:
             if gp == p1:
                 members.append(idx)
@@ -217,7 +217,7 @@ def _delta_distance(Abar, rdec, group, budget):
 
     gen = V.zero()
     for idx in members:
-        cd = rdec.data[idx]
+        cd = rdec.class_polys[idx]
         term = V.one()
         for k in range(1, Abar.r):
             quot, rem = divmod(V.moduli[k - 1], _embed_poly(cd.p_polys[k], ext))

@@ -20,10 +20,9 @@ from math import lcm
 
 from .errors import DomainError, InternalError
 from .kernel import packed_product
-from .polys import (
-    Poly, distinct_degree, is_squarefree, mod_lanes, packed_layout, pow_mod, poly_gcd, smallest_irreducible
-)
-from .rings import ExtensionRing, IntegerModRing, default_modulus
+from .polys import Poly, _embed_poly, distinct_degree, is_squarefree, mod_lanes, packed_layout
+from .polys import pow_mod, poly_gcd, power
+from .rings import ExtensionRing, default_modulus
 
 
 def prime_factors(n):
@@ -138,22 +137,22 @@ class SplittingData:
             return c
         return self.field.embed(c)
 
+    def root(self, i, label):
+        """The payload of the field element behind a root label of variable i."""
+        if self.primitive_roots is None:
+            return label.data
+        return power(self.primitive_roots[i].data, label, self.field._one, self.field._mul)
+
     def root_elem(self, i, label):
         """The field element behind a root label of variable i."""
-        if self.primitive_roots is None:
-            return label
-        return self.primitive_roots[i] ** label
+        return self.field.elem(self.root(i, label))
 
 
 def _splitting_field(base_field, M):
     if M == 1:
         return base_field
     # the minimal-rank irreducible of degree M over F_q; its search proved it irreducible
-    if isinstance(base_field, IntegerModRing):
-        modulus = Poly.from_ints(base_field, default_modulus(base_field.p, M))
-    else:
-        modulus = smallest_irreducible(base_field, M)
-    return ExtensionRing(base_field, modulus, check=False)
+    return ExtensionRing(base_field, default_modulus(base_field, M), check=False)
 
 
 def _multiplicative_generator(field):
@@ -192,13 +191,12 @@ def splitting_data(ambient, factor_lists):
             prim.append(g ** (order // e))
         roots = tuple(tuple(range(e)) for e in exps)
         return SplittingData(M, big, roots, tuple(prim))
-    embed = (lambda c: c) if big == field else big.embed
     # The roots are the linear factors X - c over GF(q^M).  Sorted, they do
     # not depend on the draws, so a fixed seed leaves the labels unchanged.
     rng = random.Random(0)
     roots = []
     for fl in factor_lists:
-        rs = [-lin.coeff(0) for f in fl for lin in _equal_degree(f.map_coeffs(embed, big), 1, rng)]
+        rs = [-lin.coeff(0) for f in fl for lin in _equal_degree(_embed_poly(f, big), 1, rng)]
         roots.append(tuple(sorted(rs, key=label_key)))
     return SplittingData(M, big, tuple(roots), None)
 

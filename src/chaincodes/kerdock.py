@@ -23,7 +23,7 @@ from math import isqrt
 
 from .errors import DomainError, InternalError
 from .factor import prime_factors
-from .polys import Ambient, Poly, smallest_irreducible
+from .polys import Ambient, Poly
 from .rings import ExtensionRing, default_modulus, ring_construct, ring_trace
 
 
@@ -51,10 +51,7 @@ def kerdock_instance(q=2, m=3):
         raise DomainError("q must be a power of 2")
     R = ring_construct({"kind": "galois", "p": 2, "t": 2, "l": lpow})
     # a monic lift of a searched irreducible residue is basic irreducible
-    if lpow == 1:
-        modulus = Poly.from_ints(R, default_modulus(2, m))
-    else:
-        modulus = smallest_irreducible(R.residue_field, m).map_coeffs(R.lift, R)
+    modulus = Poly(R, [R._lift(c) for c in default_modulus(R.residue_field, m).data])
     S = ExtensionRing(R, modulus, check=False)
 
     tau = q**m - 1

@@ -496,12 +496,18 @@ class Ambient:
         if self.n > MAX_AMBIENT_LENGTH:
             raise BudgetExceeded(f"ambient length {self.n} exceeds the bound {MAX_AMBIENT_LENGTH}")
         self.unchecked = bool(unchecked)
-        self.semisimple = all(is_squarefree(m.residue() if ring.t > 1 else m) for m in self.moduli)
-        if not self.semisimple and not unchecked:
-            raise DomainError(
-                "residue moduli are not square-free; pass unchecked=True to force"
-            )
-        self.layout = packed_layout(ring, self.moduli)
+        if ring.t > 1:
+            # the residue ambient tests each residue modulus, and raises as below
+            self.semisimple = self.residue_ambient.semisimple
+        else:
+            self.semisimple = all(is_squarefree(m) for m in self.moduli)
+            if not self.semisimple and not unchecked:
+                raise DomainError("residue moduli are not square-free; pass unchecked=True to force")
+
+    @cached_property
+    def layout(self):
+        """The `packed_layout` of this ambient, built by its first product."""
+        return packed_layout(self.ring, self.moduli)
 
     @property
     def abelian(self):
@@ -627,12 +633,9 @@ class Ambient:
 
     def from_polynomial(self, f):
         """Embed a univariate Poly (in variable f.var) into the quotient."""
-        return self.from_terms(
-            {
-                tuple(i if k == f.var else 0 for k in range(self.r)): c
-                for i, c in enumerate(f.coeffs)
-            }
-        )
+        if f.ring != self.ring or not 0 <= f.var < self.r:
+            raise DomainError(f"{f!r} is not a polynomial over {self.ring!r} in one of {self.r} variables")
+        return _poly_over_tower_to_mpoly(f, self, f.var, 0)
 
     def parse(self, text):
         return self.from_terms(parse_poly_text(text, self.ring, nvars=self.r))
@@ -781,3 +784,42 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.to_text()!r})"
+
+
+def _embed_poly(f, ring):
+    """f over ``ring``, a tower of extensions of f.ring: a base coordinate
+    vector padded with zeros is the same element in the tower, so each
+    coefficient's lanes are padded to ring.ncoords."""
+    k = f.ring.ncoords
+    lanes, pad = f.ring._lanes(f.data), (0,) * (ring.ncoords - k)
+    padded = [x for i in range(0, len(lanes), k) for x in (*lanes[i : i + k], *pad)]
+    return Poly.from_lanes(ring, padded, f.var)
+
+
+def _poly_over_tower_to_mpoly(f, ambient, var, depth=None):
+    """f, a polynomial in X_{var+1} whose coefficients lie in a tower of
+    ``depth`` (by default ``var``) extensions of ambient.ring, root i (from
+    0) standing for X_{i+1}, as an ambient element; `Ambient.from_polynomial`
+    is the depth-0 case.
+
+    A tower element's lanes are its coordinates over ambient.ring: one
+    ncoords block per monomial in the roots, the first root fastest.  Once f
+    is reduced modulo the embedded t_{var+1}, every power of X_{var+1} and
+    of each root is below its modulus's degree, so each block is copied to
+    the lanes of its monomial's rank."""
+    ring, k = f.ring, ambient.ring.ncoords
+    degs, level = [], ring
+    for _ in range(var if depth is None else depth):
+        degs.append(level.deg)
+        level = level.base
+    offsets = [0]
+    for stride, d in zip(ambient.strides, reversed(degs)):
+        offsets = [o + e * stride for e in range(d) for o in offsets]
+    mod = ambient.moduli[var]
+    f = f % (mod if mod.ring is ring else _embed_poly(mod, ring))
+    src = ring._lanes(f.data)
+    lanes = [0] * (ambient.n * k)
+    ranks = [o + j * ambient.strides[var] for j in range(len(f.data)) for o in offsets]
+    for b, rank in enumerate(ranks):
+        lanes[rank * k : (rank + 1) * k] = src[b * k : (b + 1) * k]
+    return MPoly(ambient, lanes)

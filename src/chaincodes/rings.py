@@ -113,10 +113,6 @@ class RingElem:
     def int_repr(self):
         return _coeff_text(self.coords())
 
-    def json_repr(self):
-        cs = self.coords()
-        return cs[0] if len(cs) == 1 else list(cs)
-
     def __repr__(self):
         return f"RingElem({self.int_repr()}, {self.ring!r})"
 
@@ -535,11 +531,10 @@ def _is_prime(n):
 
 
 @lru_cache(maxsize=None)
-def default_modulus(p, degree):
-    """The minimal-rank monic irreducible of the given degree over F_p, as
-    ascending coefficients including the leading 1: the reproducible
-    default for Galois ring and field extensions, searched once per process."""
-    return smallest_irreducible(IntegerModRing(p, 1), degree).data
+def default_modulus(field, degree):
+    """`smallest_irreducible(field, degree)`, searched once per process: the
+    reproducible modulus of Galois ring, field and splitting field extensions."""
+    return smallest_irreducible(field, degree)
 
 
 def ring_construct(desc):
@@ -581,7 +576,7 @@ def ring_construct(desc):
     if desc.l == 1 and modulus is not None:
         raise DomainError("a modulus applies only when l > 1")
     if desc.l > 1 and modulus is None:
-        modulus = default_modulus(desc.p, desc.l)
+        modulus = default_modulus(IntegerModRing(desc.p, 1), desc.l).data
     # a searched default is irreducible, and so is its monic lift; a user's modulus is checked
     check = desc.modulus is not None
     if modulus is not None and len(modulus) != desc.l + 1:

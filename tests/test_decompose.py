@@ -1,5 +1,6 @@
 """Class data, separator polynomials, idempotents and the CRT structure."""
 
+import importlib
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from chaincodes import (
     distance_bound,
     dual,
     dual_cardinality,
+    enumerate_codes,
+    factor_squarefree,
     ideal_span,
     inverse_class_map,
     min_distance,
@@ -22,8 +25,9 @@ from chaincodes import (
 )
 from chaincodes import distance
 from chaincodes.decompose import _poly_over_tower_to_mpoly
-from chaincodes.oracle import annihilator_bruteforce
-from chaincodes.rings import ExtensionRing, RingElem
+from chaincodes.oracle import annihilator_bruteforce, distance_bruteforce, span_of_code
+from chaincodes.rings import ChainRing, ExtensionRing, RingElem
+from test_product_kernel import RINGS
 
 
 def test_h_for_singleton_class(amb_x7):
@@ -266,7 +270,7 @@ def test_representative_independence(amb_x3y3):
     dec = decompose(amb_x3y3)
     for idx, cd in enumerate(dec.data):
         for rep in cd.cls.members[1:]:
-            alt = dec._build_class(dec.classes[idx], rep=rep)
+            alt = dec._build_class(dec.classes[idx], dec.residue._class_polys_at(rep))
             assert alt.h == cd.h
             assert [f.coeffs for f in alt.q_polys] == [f.coeffs for f in cd.q_polys]
             assert [f.coeffs for f in alt.p_polys] == [f.coeffs for f in cd.p_polys]
@@ -482,3 +486,170 @@ def test_distance_bound_matches_first_variable_substitution(ring, moduli, monkey
     bounds = [distance_bound(K) for K in codes]
     monkeypatch.setattr(distance, "_delta_distance", _delta_distance_reference)
     assert [distance_bound(K) for K in codes] == bounds
+
+
+def _tower_eval_reference(x, base, images, embed_base):
+    """The replaced `decompose._tower_eval`, verbatim: evaluate a tower
+    element by sending the j-th adjoined root to images[j]."""
+    ring = x.ring
+    if ring == base:
+        return embed_base(x)
+    depth = _tower_depth_reference(ring, base)
+    mu = images[depth - 1]
+    acc = mu.ring.zero
+    for j in range(ring.deg - 1, -1, -1):
+        cj = RingElem(ring.base, x.data[j])
+        acc = acc * mu + _tower_eval_reference(cj, base, images, embed_base)
+    return acc
+
+
+def _tower_depth_reference(ring, base):
+    """The replaced `decompose._tower_depth`, verbatim."""
+    depth = 0
+    cur = ring
+    while cur != base:
+        depth += 1
+        cur = cur.base
+    return depth
+
+
+def _class_search_reference(dec, mu):
+    """The replaced `RingElem` search of `Decomposition._build_class`,
+    verbatim but for its lifts, on a field decomposition: (p, w, pi) at the
+    root tuple mu, through `Poly.evaluate` and `_tower_eval_reference`."""
+    Fq = dec.ambient.ring
+    sd = dec.splitting
+    r = dec.ambient.r
+    if sd.primitive_roots is None:
+        mu_elems = list(mu)
+    else:
+        mu_elems = [sd.primitive_roots[v] ** mu[v] for v in range(r)]
+    p_polys = []
+    for v in range(r):
+        for fac in dec.factor_lists[v]:
+            if fac.evaluate(mu_elems[v], sd.embed).is_zero():
+                p_polys.append(fac)
+                break
+    w_polys, pi_polys = [None], [None]
+    tower = [ExtensionRing(Fq, p_polys[0], check=False)]
+    for v in range(1, r):
+        field_below = tower[-1]
+        p_emb = distance._embed_poly(p_polys[v], field_below)
+        if p_emb.degree == 1:
+            w = p_emb
+        else:
+            w = None
+            for cand in factor_squarefree(p_emb, seed=0):
+                val = cand.evaluate(
+                    mu_elems[v],
+                    embed=lambda c: _tower_eval_reference(c, Fq, mu_elems[:v], sd.embed),
+                )
+                if val.is_zero():
+                    w = cand
+                    break
+        pi, rem = divmod(p_emb, w)
+        assert rem.is_zero()
+        w_polys.append(w)
+        pi_polys.append(pi)
+        tower.append(ExtensionRing(field_below, w, check=False))
+    return p_polys, w_polys, pi_polys
+
+
+@pytest.mark.parametrize(
+    "ring, moduli",
+    [
+        ({"kind": "galois", "p": 2, "t": 2}, ("x^3+x+1", "y^2+y+1")),
+        ({"kind": "truncated", "p": 2, "t": 2}, ("x^3+x+1", "y^5+y^2+1")),
+        ({"kind": "galois", "p": 2, "t": 1}, ("x^5+x^2+1", "y^3+y+1")),
+        ({"kind": "galois", "p": 2, "t": 2}, ("x^3-1", "y^3-1", "z^3-1")),
+        ({"kind": "truncated", "p": 2, "t": 2, "l": 2}, ("x^3-1", "y^3-1")),
+    ],
+)
+def test_payload_class_search_matches_ring_element_route(ring, moduli):
+    """The payload search finds the p, w and pi of the `RingElem` route at
+    every member of every class, and the stage holds those at each
+    representative."""
+    ring = ring_construct(ring)
+    rdec = decompose(_ambient(ring, *moduli)).residue
+    for cls, found in zip(rdec.classes, rdec.class_polys):
+        assert rdec._class_polys_at(cls.rep) == found
+        for mu in cls.members:
+            got = rdec._class_polys_at(mu)
+            assert (got.p_polys, got.w_polys, got.pi_polys) == _class_search_reference(rdec, mu)
+
+
+def test_chain_decomposition_lifts_the_residue_one(monkeypatch):
+    """A chain-ring decomposition reads the factor lists, splitting field,
+    classes and class polynomials of the residue field's decomposition, and
+    the residue codes live there: each residue modulus is factored once for
+    the class data, the socle carrier, the residue image and the bound."""
+    decompose_mod = importlib.import_module("chaincodes.decompose")
+    z4 = ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 1})
+    amb = _ambient(z4, "x^7-1", "y^5-1")
+    moduli = amb.residue_ambient.moduli
+    counts = [0] * len(moduli)
+    real = decompose_mod.factor_squarefree
+
+    def counted(f, seed=0):
+        for i, m in enumerate(moduli):
+            counts[i] += f == m
+        return real(f, seed=seed)
+
+    monkeypatch.setattr(decompose_mod, "factor_squarefree", counted)
+    dec = decompose(amb, seed=3)
+    assert dec.residue is decompose(amb.residue_ambient, 3) and dec.residue.residue is dec.residue
+    for stage in ("factor_lists", "splitting", "classes", "class_polys", "inverse_map"):
+        assert getattr(dec, stage) is getattr(dec.residue, stage)
+    assert [cd.p_polys for cd in dec.data] == [cd.p_polys for cd in dec.residue.data]
+    # defining classes off X_1 = 1 only, so that the bound's codes over
+    # GF(8)[X_2] factor nothing over GF(2)
+    code = code_from_exponents(amb, [2 if cls.rep[0] == 0 else 0 for cls in dec.classes], seed=3)
+    assert code.socle_field_code().dec is dec.residue
+    assert code.residue_image().dec is dec.residue
+    assert counts == [1, 1]
+    distance_bound(code)
+    # the bound's univariate code lives in an ambient of its own
+    assert counts == [2, 1]
+
+
+def test_chain_ring_with_only_an_abelian_residue_shares_its_classes(z4):
+    """x^3+2x+3 over Z4 is not x^3 - 1, but its residue is: the classes
+    are the residue decomposition's, with exponent labels, every code
+    reaches its residue carrier, and class inversion still needs the
+    ambient itself to be abelian."""
+    amb = _ambient(z4, "x^3+2*x+3")
+    dec = decompose(amb)
+    assert not amb.abelian and amb.residue_ambient.abelian
+    assert [cls.rep for cls in dec.classes] == [(0,), (1,)]
+    for K in enumerate_codes(amb):
+        if not K.is_zero():
+            assert min_distance(K) == distance_bruteforce(span_of_code(K))
+    with pytest.raises(DomainError, match="abelian"):
+        dec.inverse_map
+
+
+_SEARCH_RINGS = sorted(RINGS) + ["non-abelian"]
+
+
+@pytest.mark.parametrize("name", _SEARCH_RINGS)
+def test_class_search_builds_no_ring_elements(name, monkeypatch):
+    """Once the splitting field and the classes are read, the class search
+    runs on payloads: it constructs no `RingElem`, on every ring family and
+    on a non-abelian ambient, whose root labels are field elements."""
+    if name == "non-abelian":
+        amb = _ambient(ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 1}), "x^3+x+1", "y^2+y+1")
+    else:
+        ring = RINGS[name]()
+        amb = _ambient(ring, *(("x^3-1", "y^5-1") if ring.p == 2 else ("x^4-1", "y^2-1")))
+    dec = decompose(amb)
+    dec.splitting, dec.classes
+
+    def refuse(*args):
+        raise AssertionError("a RingElem was built in the class search")
+
+    monkeypatch.setattr(ChainRing, "elem", refuse)
+    monkeypatch.setattr(RingElem, "__init__", refuse)
+    found = dec.class_polys
+    monkeypatch.undo()
+    assert len(found) == dec.class_count
+    assert sum(cd.cls.size for cd in dec.data) == amb.n

@@ -397,3 +397,15 @@ def test_ambient_length_is_bounded(z4):
     moduli = [parse_univariate(t, z4, var=i) for i, t in enumerate(["x^300-1", "y^300-1"])]
     with pytest.raises(BudgetExceeded, match="ambient length 90000"):
         Ambient(z4, moduli)
+
+
+def test_from_polynomial_places_lanes_and_refuses_foreign_input(z4, gr42):
+    """`Ambient.from_polynomial` reduces modulo its variable's modulus, as
+    the `from_terms` route does, and raises for a polynomial over another
+    ring or in a variable the ambient does not have."""
+    amb = Ambient(z4, [parse_univariate("x^3-1", z4, var=0), parse_univariate("y^2+y+1", z4, var=1)])
+    f = parse_univariate("3*y^5+2*y+1", z4, var=1)
+    assert amb.from_polynomial(f) == amb.from_terms({(0, i): c for i, c in enumerate(f.coeffs)})
+    for bad in (parse_univariate("x+1", gr42), Poly(z4, f.data, var=2), Poly(z4, f.data, var=-1)):
+        with pytest.raises(DomainError):
+            amb.from_polynomial(bad)

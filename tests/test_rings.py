@@ -202,8 +202,8 @@ def test_default_moduli_are_minimal_irreducibles(monkeypatch):
     )
     default_modulus.cache_clear()
     for (p, deg), entry in sorted(_MINIMAL_IRREDUCIBLES.items()):
-        assert default_modulus(p, deg) == entry
-        assert default_modulus(p, deg) == entry
+        assert default_modulus(IntegerModRing(p, 1), deg).data == entry
+        assert default_modulus(IntegerModRing(p, 1), deg).data == entry
         assert searched[-1] == (p, deg)
     assert len(searched) == len(_MINIMAL_IRREDUCIBLES)
     default_modulus.cache_clear()
@@ -218,8 +218,8 @@ def test_default_moduli_are_minimal_irreducibles(monkeypatch):
                 coeffs.append(r % p)
                 r //= p
             assert not is_irreducible(Poly.from_ints(field, coeffs + [1]))
-    assert default_modulus(2, 1) == (0, 1)
-    assert default_modulus(11, 2)[-1] == 1
+    assert default_modulus(IntegerModRing(2, 1), 1).data == (0, 1)
+    assert default_modulus(IntegerModRing(11, 1), 2).data[-1] == 1
 
 
 def test_json_round_trip(z4, gr42, f3u2):
@@ -277,9 +277,9 @@ def test_searched_moduli_are_not_rechecked(monkeypatch):
     the splitting field of GF(4) x^21-1 runs no irreducibility test; a
     user's modulus still gets one."""
     from chaincodes import Ambient, decompose, parse_univariate, rings
-    from chaincodes.rings import default_modulus
+    from chaincodes.rings import IntegerModRing, default_modulus
 
-    default_modulus(2, 2)
+    default_modulus(IntegerModRing(2, 1), 2)
 
     def forbidden(f):
         raise AssertionError("irreducibility test on a searched modulus")
@@ -292,3 +292,23 @@ def test_searched_moduli_are_not_rechecked(monkeypatch):
     assert big.size == 4**3
     with pytest.raises(AssertionError, match="searched modulus"):
         ring_construct({"kind": "galois", "p": 2, "t": 2, "l": 2, "modulus": [1, 1, 1]})
+
+
+def test_splitting_field_moduli_are_searched_once_per_field_and_degree(monkeypatch):
+    """`default_modulus` serves every base field, so two decompositions
+    over GF(4) that both split in GF(4^3) search its modulus once; a
+    non-prime field is a cache key like F_p."""
+    from chaincodes import Ambient, decompose, parse_univariate, polys
+    from chaincodes.rings import default_modulus
+
+    gf4 = ring_construct({"kind": "galois", "p": 2, "t": 1, "l": 2})
+    tests = []
+    real = polys.is_irreducible
+    monkeypatch.setattr(polys, "is_irreducible", lambda f: tests.append(f) or real(f))
+    default_modulus.cache_clear()
+    fields = [decompose(Ambient(gf4, [parse_univariate(m, gf4)])).splitting.field for m in ("x^21-1", "x^7-1")]
+    assert fields[0] == fields[1] and fields[0].size == 4**3
+    assert tests and all(f.ring == gf4 and f.degree == 3 for f in tests)
+    searched = len(tests)
+    assert decompose(Ambient(gf4, [parse_univariate("x^9-1", gf4)])).splitting.field == fields[0]
+    assert len(tests) == searched
