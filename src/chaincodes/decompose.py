@@ -46,15 +46,16 @@ no correction.  That they are idempotent, orthogonal and sum to one is
 still checked whenever the class data is built, orthogonality with one
 product per class against a running suffix sum.
 
-Every stage but the factor lists is computed on first use, and so is, over
-a field, `rows`: |C| F_q-rows of each minimal ideal <e_C> for all classes
-at once.  So a caller that needs the lifted factorizations alone never
-computes an idempotent, and neither it nor abelian classes, whose labels
-are exponents, build GF(q^M).
+Every stage is computed on first use, and so is, over a field, `rows`: the
+|C| F_q-rows X^a * e_C of each minimal ideal <e_C>, one per monomial basis
+element of its residue tower.  So a caller that needs the lifted
+factorizations alone never computes an idempotent, and abelian classes,
+whose labels are exponents, factor nothing and build no GF(q^M).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -219,9 +220,9 @@ def _residue_stage(build):
 class Decomposition:
     """Classes, class data and idempotents of one semisimple ambient.
 
-    Only the residue factor lists are built here, and over a chain ring the
-    residue field's decomposition that owns them; every later stage, the
-    splitting field included, is computed when it is first read.
+    The constructor checks semisimplicity and links the residue field's
+    decomposition; every stage, the factor lists and the splitting field
+    included, is computed when it is first read.
     """
 
     def __init__(self, ambient, seed=0):
@@ -229,12 +230,12 @@ class Decomposition:
             raise DomainError("cannot decompose a non-semisimple ambient")
         self.ambient = ambient
         self.seed = seed
-        if ambient.ring.t > 1:
-            self.residue = decompose(ambient.residue_ambient, seed)
-            self.factor_lists = self.residue.factor_lists
-        else:
-            self.residue = self
-            self.factor_lists = tuple(factor_squarefree(m, seed=seed) for m in ambient.moduli)
+        self.residue = decompose(ambient.residue_ambient, seed) if ambient.ring.t > 1 else self
+
+    @_residue_stage
+    def factor_lists(self):
+        """The irreducible factors over F_q of each residue modulus."""
+        return tuple(factor_squarefree(m, seed=self.seed) for m in self.ambient.moduli)
 
     @_residue_stage
     def splitting(self):
@@ -281,44 +282,28 @@ class Decomposition:
     @cached_property
     def rows(self):
         """Over a field (t = 1), per class in `data` order, the `_pack_rows`
-        words u_m * b of |C| F_q-rows b spanning the minimal ideal <e_C>: the
-        packed F_p-generators that the distance walk reads.
+        words u_m * b of the |C| F_q-rows b = X^a * e_C, a_v < deg w_v (w_1 =
+        p_1): the packed F_p-generators of the minimal ideal <e_C> that the
+        distance walk reads.
 
-        The multiples X^g * e_C are eliminated in rank order until |C| are
-        independent, or `InternalError` if all n leave fewer.  So dim <e_C>
-        >= |C| for every class.  `data` checked that the e_C are orthogonal
-        idempotents summing to one, so the <e_C> sum directly to the whole
-        n-dimensional ambient, and `cyclotomic_classes` checked that the
-        classes partition the n roots, so sum |C| = n: every dim <e_C> is
-        exactly |C| and the rows are a basis.  As this needs the bound for
-        every class, all classes are built together in this one stage.
+        They are a basis.  f * e_C takes f's values at the roots of C and 0 at
+        all others, so it is 0 exactly when f vanishes at mu, that is, lies in
+        I_C = <p_1, w_2, ..., w_r>; so f -> f * e_C maps F_q[X]/I_C
+        isomorphically onto <e_C>.
+        That quotient is the residue tower F_q(mu_1, ..., mu_r), and as each
+        w_v is monic in X_v over the field below, the monomials X^a with a_v <
+        deg w_v are an F_q-basis of it; deg w_v <= deg t_v keeps each X^a in
+        normal form in the ambient.  `_build_class` checked that the tower has
+        q^|C| elements, so there are |C| of them.
         """
         A = self.ambient
         field = A.ring
         if field.t != 1:
             raise DomainError("class rows are defined over a field ambient")
-        zero = field._zero
         out = []
         for cd in self.data:
-            rows = []
-            pivots = []
-            for rank in range(A.n):
-                if len(rows) == cd.cls.size:
-                    break
-                row = field._from_lanes((A.monomial(A.exps(rank)) * cd.e).lanes)
-                for pc, brow in zip(pivots, rows):
-                    c = row[pc]
-                    if c != zero:
-                        neg = field._neg(c)
-                        row = [field._add(a, field._mul(neg, b)) for a, b in zip(row, brow)]
-                pc = next((i for i, c in enumerate(row) if c != zero), None)
-                if pc is None:
-                    continue
-                inv = field._inverse(row[pc])
-                rows.append(tuple(field._mul(c, inv) for c in row))
-                pivots.append(pc)
-            if len(rows) != cd.cls.size:  # pragma: no cover
-                raise InternalError("minimal ideal dimension is below the class size")
+            box = itertools.product(*(range(level.deg) for level in cd.tower))
+            rows = [field._from_lanes((A.monomial(a) * cd.e).lanes) for a in box]
             out.append(_pack_rows(field, rows))
         return out
 

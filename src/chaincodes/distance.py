@@ -83,7 +83,8 @@ def _min_weight(ambient, words, budget):
     as the words u_m * b_i of `decompose._pack_rows`.
 
     A Gray-code walk that examines one word per projective point; the
-    budget still counts all q^k codewords.
+    budget still counts all q^k codewords.  Dependent rows meet the zero
+    word, which raises `InternalError`.
     """
     field = ambient.ring
     n, p, l = ambient.n, field.p, field.l
@@ -129,6 +130,8 @@ def _min_weight(ambient, words, budget):
                     nonzero |= nonzero >> f
                 weight = (nonzero & plane).bit_count()
                 if weight < best:
+                    if weight == 0:
+                        raise InternalError("the rows of the code are linearly dependent")
                     best = weight
                     if best == 1:
                         return 1
@@ -212,7 +215,9 @@ def _delta_distance(Abar, rdec, group, budget):
     onto V over ext with X_1 read as the root of p_i."""
     field = Abar.ring
     p1, members = group
-    ext = ExtensionRing(field, p1) if p1.degree > 1 else field
+    # p1 is a `factor_squarefree` output, irreducible by construction, so
+    # the extension does not repeat the irreducibility test
+    ext = ExtensionRing(field, p1, check=False) if p1.degree > 1 else field
     V = Ambient(ext, [_embed_poly(m, ext) for m in Abar.moduli[1:]])
 
     gen = V.zero()

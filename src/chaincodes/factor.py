@@ -143,10 +143,6 @@ class SplittingData:
             return label.data
         return power(self.primitive_roots[i].data, label, self.field._one, self.field._mul)
 
-    def root_elem(self, i, label):
-        """The field element behind a root label of variable i."""
-        return self.field.elem(self.root(i, label))
-
 
 def _splitting_field(base_field, M):
     if M == 1:

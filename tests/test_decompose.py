@@ -209,7 +209,7 @@ def test_zero_locus(amb_x7, amb_x3y3):
             hbar = cd.h.residue()
             members = set(cd.cls.members)
             for mu in itertools.product(*sd.roots):
-                point = [sd.root_elem(i, lab) for i, lab in enumerate(mu)]
+                point = [sd.field.elem(sd.root(i, lab)) for i, lab in enumerate(mu)]
                 value = _evaluate(hbar, point, sd.embed)
                 if mu in members:
                     assert not value.is_zero()
@@ -610,6 +610,27 @@ def test_chain_decomposition_lifts_the_residue_one(monkeypatch):
     distance_bound(code)
     # the bound's univariate code lives in an ambient of its own
     assert counts == [2, 1]
+
+
+@pytest.mark.parametrize(
+    "ring, modulus",
+    [
+        ({"kind": "galois", "p": 2, "t": 1, "l": 1}, "x^83-1"),
+        ({"kind": "galois", "p": 2, "t": 2, "l": 1}, "x^15-1"),
+    ],
+    ids=["GF2-x83", "Z4-x15"],
+)
+def test_abelian_classes_factor_nothing(ring, modulus, monkeypatch):
+    """Abelian classes and their inversion are read off the exponents, so
+    neither the decomposition nor those stages factor a residue modulus."""
+    decompose_mod = importlib.import_module("chaincodes.decompose")
+
+    def boom(f, seed=0):
+        raise AssertionError("an abelian class stage factored a modulus")
+
+    monkeypatch.setattr(decompose_mod, "factor_squarefree", boom)
+    dec = decompose(_ambient(ring_construct(ring), modulus))
+    assert dec.classes and len(dec.inverse_map) == dec.class_count
 
 
 def test_chain_ring_with_only_an_abelian_residue_shares_its_classes(z4):

@@ -10,6 +10,7 @@ from chaincodes import (
     Ambient,
     BudgetExceeded,
     DomainError,
+    InternalError,
     Poly,
     code_from_exponents,
     code_from_generators,
@@ -175,6 +176,21 @@ def test_bound_product_parity_example():
     b = distance_bound(K)
     d = min_distance(K)
     assert b <= d
+
+
+def test_bound_tests_no_factor_for_irreducibility(monkeypatch):
+    """The bound's extension fields F_q[X_1]/(p_1) take p_1 from the
+    factorization, irreducible by construction, so none is tested again."""
+    import chaincodes.rings as rings
+
+    def boom(f):
+        raise AssertionError("the bound tested a factor for irreducibility")
+
+    f2 = ring_construct({"kind": "galois", "p": 2, "t": 1, "l": 1})
+    amb = Ambient(f2, [parse_univariate(m, f2, var=i) for i, m in enumerate(["x^7-1", "y^5-1"])])
+    K = code_from_generators(amb, [amb.parse("x1^2+x2+1")])
+    monkeypatch.setattr(rings, "is_irreducible", boom)
+    assert distance_bound(K) == 1
 
 
 def test_bound_requires_abelian(z4):
@@ -431,18 +447,17 @@ def test_class_rows_lie_in_their_minimal_ideal(ring, moduli):
 
 
 @pytest.mark.parametrize(
-    "ring, moduli, exact",
+    "ring, moduli",
     [
-        (_field(2, 1, 1), ["x^23-1"], True),
-        (_field(2, 1, 2), ["x^15-1"], True),
-        (_field(2, 1, 1), ["x^3-1", "y^3-1", "z^3-1"], False),
+        (_field(2, 1, 1), ["x^23-1"]),
+        (_field(2, 1, 2), ["x^15-1"]),
+        (_field(2, 1, 1), ["x^3-1", "y^3-1", "z^3-1"]),
     ],
     ids=["GF2-Golay", "GF4-x15", "GF2-x3y3z3"],
 )
-def test_class_rows_stop_at_the_class_size(ring, moduli, exact, monkeypatch):
-    """Reading every class's rows makes |C| products per class where the first
-    |C| multiples are independent (n in all, as for cyclic codes), and fewer
-    than one per monomial and class in general."""
+def test_class_rows_stop_at_the_class_size(ring, moduli, monkeypatch):
+    """Reading every class's rows makes one product X^a * e_C per row: |C|
+    per class and n in all, in one variable and in three."""
     from chaincodes.polys import MPoly
 
     amb = _row_ambient(ring, moduli)
@@ -452,10 +467,26 @@ def test_class_rows_stop_at_the_class_size(ring, moduli, exact, monkeypatch):
     real = MPoly.__mul__
     monkeypatch.setattr(MPoly, "__mul__", lambda a, b: calls.append(1) or real(a, b))
     dec.rows
-    if exact:
-        assert len(calls) == amb.n
-    else:
-        assert amb.n <= len(calls) < amb.n * dec.class_count
+    assert len(calls) == amb.n
+
+
+@pytest.mark.parametrize(
+    "ring, moduli, exps",
+    [
+        (_field(2, 1, 1), ["x^23-1"], (1, 0, 1)),
+        (_field(3, 1, 1), ["x^13-1"], (1, 0, 1, 0, 1)),
+    ],
+    ids=["GF2-Golay", "GF3-x13"],
+)
+def test_walk_raises_on_dependent_rows(ring, moduli, exps):
+    """With its first row repeated, a basis of a code of distance > 1 spans
+    the zero word, and the walk raises instead of reading weight 0."""
+    amb = _row_ambient(ring, moduli)
+    code = code_from_exponents(amb, exps)
+    assert min_distance(code) > 1
+    words = distance._field_basis(code)
+    with pytest.raises(InternalError):
+        distance._min_weight(amb, words[: ring.l] + words, 2**16)
 
 
 @pytest.mark.parametrize(
