@@ -64,7 +64,6 @@ from .oracle import (
 )
 from .polys import Ambient, MPoly, Poly, is_squarefree, parse_univariate, poly_to_text
 from .rings import (
-    ChainRingDesc,
     ExtensionRing,
     FiniteField,
     IntegerModRing,

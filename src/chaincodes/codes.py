@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .decompose import decompose
 from .errors import DomainError
-from .factor import label_key
 
 
 @dataclass(frozen=True)
@@ -154,10 +153,7 @@ class SemisimpleCode:
 
     def to_json(self, with_generator=True):
         out = {
-            "exponents": [
-                [[label_key(x) for x in cls.rep], j]
-                for cls, j in zip(self.dec.classes, self.exps)
-            ],
+            "exponents": [[list(cls.rep), j] for cls, j in zip(self.dec.classes, self.exps)],
             "cardinality": str(self.cardinality()),
         }
         if with_generator:
@@ -191,10 +187,9 @@ def code_from_exponents(ambient, exps, seed=0):
             table[key] = j
         ordered = []
         for cls in dec.classes:
-            key = tuple(map(label_key, cls.rep))
-            if key not in table:
-                raise DomainError(f"missing exponent for class {key}")
-            ordered.append(table[key])
+            if cls.rep not in table:
+                raise DomainError(f"missing exponent for class {cls.rep}")
+            ordered.append(table[cls.rep])
         if len(table) != dec.class_count:
             raise DomainError("exponent map names an unknown class")
         exps = ordered

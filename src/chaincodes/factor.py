@@ -4,11 +4,11 @@
 degree with seeded pseudo-randomness, so the returned (sorted) factor list
 is deterministic and independent of the seed as a set.  `splitting_data`
 builds the common splitting field of the residue moduli from their factor
-lists and labels the roots: as exponents of a primitive root for abelian
-ambients, otherwise as the field elements that equal-degree splitting finds
-as linear factors.  `cyclotomic_classes` partitions the root tuples into
-orbits of the simultaneous q-power map, a -> q*a mod e_i on exponent labels,
-so only non-abelian classes read the splitting field.
+lists and labels the roots as they print: as exponents of a primitive root
+for abelian ambients, otherwise as the coordinate tuples of the roots that
+equal-degree splitting finds.  `cyclotomic_classes` partitions the root
+tuples into orbits of the simultaneous q-power map, a -> q*a mod e_i on
+exponent labels, so only non-abelian classes read the splitting field.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ class SplittingData:
 
     For abelian ambients ``primitive_roots`` holds primitive e_i-th roots
     xi_i and the root labels are integers a, standing for xi_i^a; otherwise
-    it is None and the labels are the field elements themselves.
+    it is None and the labels are the roots' coordinate tuples in ``field``.
+    Both are the form the labels print in.
     """
 
     M: int
@@ -140,7 +141,7 @@ class SplittingData:
     def root(self, i, label):
         """The payload of the field element behind a root label of variable i."""
         if self.primitive_roots is None:
-            return label.data
+            return self.field._from_coords(label)
         return power(self.primitive_roots[i].data, label, self.field._one, self.field._mul)
 
 
@@ -152,13 +153,19 @@ def _splitting_field(base_field, M):
 
 
 def _multiplicative_generator(field):
-    """Deterministic generator of the cyclic group field^*."""
+    """The generator of the cyclic group field^* of least nonzero rank.
+
+    Over an extension of degree > 1 the scan starts at rank base.size: the
+    ranks below are the payloads (c, 0, ..., 0), the base field's constants,
+    a proper subfield whose units have order dividing base.size - 1 <
+    field.size - 1.  None of them generates field^*, so the scan from rank 1
+    finds the same element.  A degree-1 extension is its base and scans from 1.
+    """
     order = field.size - 1
     primes = prime_factors(order)
-    for r in range(1, field.size):
+    start = field.base.size if isinstance(field, ExtensionRing) and field.deg > 1 else 1
+    for r in range(start, field.size):
         g = field.from_rank(r)
-        if g.is_zero():
-            continue
         if all(g ** (order // ell) != field.one for ell in primes):
             return g
     raise InternalError("no multiplicative generator found")  # pragma: no cover
@@ -192,15 +199,9 @@ def splitting_data(ambient, factor_lists):
     rng = random.Random(0)
     roots = []
     for fl in factor_lists:
-        rs = [-lin.coeff(0) for f in fl for lin in _equal_degree(_embed_poly(f, big), 1, rng)]
-        roots.append(tuple(sorted(rs, key=label_key)))
+        lins = [lin for f in fl for lin in _equal_degree(_embed_poly(f, big), 1, rng)]
+        roots.append(tuple(sorted(tuple(big._coords(big._neg(lin.data[0]))) for lin in lins)))
     return SplittingData(M, big, tuple(roots), None)
-
-
-def label_key(x):
-    """A root label as plain ints: an exponent label as it is, a field
-    element label as the tuple of its coordinates."""
-    return x if isinstance(x, int) else tuple(x.coords())
 
 
 @dataclass(frozen=True)
@@ -216,9 +217,9 @@ class CyclotomicClass:
 
     def to_json(self):
         return {
-            "repr": [label_key(x) for x in self.rep],
+            "repr": list(self.rep),
             "size": self.size,
-            "members": [[label_key(x) for x in mu] for mu in self.members],
+            "members": [list(mu) for mu in self.members],
         }
 
 
@@ -235,29 +236,28 @@ def cyclotomic_classes(ambient, splitting=None):
     else:
         if splitting is None:
             raise DomainError("non-abelian classes need the splitting data")
-        labels = splitting.roots
+        labels, big = splitting.roots, splitting.field
+        # the q-th power of each root, taken once on its payload
+        frob = [{x: tuple(big._coords(power(big._from_coords(x), q, big._one, big._mul))) for x in rs}
+                for rs in labels]
         def step(mu):
-            return tuple(x**q for x in mu)
+            return tuple(f[x] for f, x in zip(frob, mu))
 
     all_tuples = list(itertools.product(*labels))
     seen = set()
     classes = []
     for mu in all_tuples:
-        kmu = tuple(map(label_key, mu))
-        if kmu in seen:
+        if mu in seen:
             continue
         orbit = []
         cur = mu
-        while True:
-            korbit = tuple(map(label_key, cur))
-            if korbit in seen:
-                break
-            seen.add(korbit)
+        while cur not in seen:
+            seen.add(cur)
             orbit.append(cur)
             cur = step(cur)
-        orbit.sort(key=lambda m: tuple(map(label_key, m)))
+        orbit.sort()
         classes.append(CyclotomicClass(members=tuple(orbit), rep=orbit[0]))
-    classes.sort(key=lambda c: tuple(map(label_key, c.rep)))
+    classes.sort(key=lambda c: c.rep)
 
     total = sum(c.size for c in classes)
     if total != len(all_tuples):

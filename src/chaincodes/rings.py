@@ -21,10 +21,11 @@ elements can be shared freely between threads.
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 
 from .errors import BudgetExceeded, DomainError, InternalError
 from .kernel import convolve_fold, product_box
@@ -502,31 +503,21 @@ class TruncatedRing(_TupleRing):
 # -- construction from descriptors --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainRingDesc:
-    """JSON-serializable descriptor of the two supported ring families."""
-
-    kind: str  # "galois" | "truncated"
-    p: int
-    t: int
-    l: int
-    modulus: tuple | None = None  # ascending coefficients, None = built-in default
-
-    def to_json(self):
-        out = {"kind": self.kind, "p": self.p, "t": self.t, "l": self.l}
-        if self.modulus is not None:
-            out["modulus"] = list(self.modulus)
-        return out
+# The largest trial divisor `_is_prime` tries: enough for every n <= 2^40.
+PRIME_TRIAL_DIVISORS = 2**20
 
 
 def _is_prime(n):
+    """n is prime, by trial division up to `PRIME_TRIAL_DIVISORS`; when no
+    divisor that small divides n and sqrt(n) lies beyond, `BudgetExceeded`."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
+    root = isqrt(n)
+    for d in range(2, min(root, PRIME_TRIAL_DIVISORS) + 1):
         if n % d == 0:
             return False
-        d += 1
+    if root > PRIME_TRIAL_DIVISORS:
+        raise BudgetExceeded(f"p = {n} has no factor up to 2^20 and is too large to prove prime")
     return True
 
 
@@ -538,64 +529,54 @@ def default_modulus(field, degree):
 
 
 def ring_construct(desc):
-    """Build a chain ring from a `ChainRingDesc` (or an equivalent dict)."""
-    if isinstance(desc, dict):
-        unknown = [k for k in desc if k not in ("kind", "p", "t", "l", "modulus")]
-        if unknown:
-            raise DomainError(f"ring descriptor has unknown keys {unknown}")
-        try:
-            desc = ChainRingDesc(
-                kind=desc["kind"],
-                p=desc["p"],
-                t=desc["t"],
-                l=desc.get("l", 1),
-                modulus=tuple(desc["modulus"]) if "modulus" in desc else None,
-            )
-        except KeyError as exc:
-            raise DomainError(f"ring descriptor has no {exc.args[0]!r}") from None
-        except TypeError as exc:
-            raise DomainError(f"bad ring descriptor: {exc}") from None
-    elif not isinstance(desc, ChainRingDesc):
+    """Build a chain ring from its JSON descriptor, a dict with the keys
+    kind ("galois" or "truncated"), p, t, l (1 when absent) and an optional
+    modulus (ascending coefficients, only for l > 1).  The ring's
+    ``descriptor`` holds the descriptor with l filled in."""
+    if not isinstance(desc, dict):
         raise DomainError("a ring descriptor must be a JSON object")
-    for value in (desc.p, desc.t, desc.l, *(desc.modulus or ())):
+    unknown = [k for k in desc if k not in ("kind", "p", "t", "l", "modulus")]
+    if unknown:
+        raise DomainError(f"ring descriptor has unknown keys {unknown}")
+    try:
+        kind, p, t, l = desc["kind"], desc["p"], desc["t"], desc.get("l", 1)
+        modulus = list(desc["modulus"]) if "modulus" in desc else None
+    except KeyError as exc:
+        raise DomainError(f"ring descriptor has no {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise DomainError(f"bad ring descriptor: {exc}") from None
+    for value in (p, t, l, *(modulus or ())):
         if type(value) is not int:
             raise DomainError(f"bad ring descriptor: {value!r} is not an integer")
-    if desc.kind not in ("galois", "truncated"):
-        raise DomainError(f"unknown ring kind {desc.kind!r}")
-    if not _is_prime(desc.p):
-        raise DomainError(f"p = {desc.p} is not prime")
-    if desc.t < 1 or desc.l < 1:
+    if kind not in ("galois", "truncated"):
+        raise DomainError(f"unknown ring kind {kind!r}")
+    if not _is_prime(p):
+        raise DomainError(f"p = {p} is not prime")
+    if t < 1 or l < 1:
         raise DomainError("t and l must both be >= 1")
     # A Galois ring's coordinates are ints below p^t; each must print within
     # the int-to-text digit limit, p^t <= 10^limit.  p^t >= 2^((bitlen(p) - 1) t)
     # refuses a large t before p^t is formed, and no int is converted to text.
-    limit, p, t = sys.get_int_max_str_digits(), desc.p, desc.t
-    if desc.kind == "galois" and limit and not ((p.bit_length() - 1) * t < 4 * limit and p**t <= 10**limit):
+    limit = sys.get_int_max_str_digits()
+    if kind == "galois" and limit and not ((p.bit_length() - 1) * t < 4 * limit and p**t <= 10**limit):
         raise BudgetExceeded(f"p^t = {p}^{t} has coordinates past the {limit}-digit int-to-text limit")
-    modulus = desc.modulus
-    if desc.l == 1 and modulus is not None:
+    if l == 1 and modulus is not None:
         raise DomainError("a modulus applies only when l > 1")
-    if desc.l > 1 and modulus is None:
-        modulus = default_modulus(IntegerModRing(desc.p, 1), desc.l).data
-    # a searched default is irreducible, and so is its monic lift; a user's modulus is checked
-    check = desc.modulus is not None
-    if modulus is not None and len(modulus) != desc.l + 1:
-        raise DomainError(f"modulus must have degree l = {desc.l}")
+    if modulus is not None and len(modulus) != l + 1:
+        raise DomainError(f"modulus must have degree l = {l}")
 
-    if desc.kind == "galois":
-        core = IntegerModRing(desc.p, desc.t)
-        if desc.l == 1:
-            ring = core
-        else:
-            ring = ExtensionRing(core, Poly.from_ints(core, modulus), check=check)
-    else:
-        if desc.l == 1:
-            field = IntegerModRing(desc.p, 1)
-        else:
-            fp = IntegerModRing(desc.p, 1)
-            field = ExtensionRing(fp, Poly.from_ints(fp, modulus), check=check)
-        ring = TruncatedRing(field, desc.t)
-    ring.descriptor = desc
+    # Z_(p^t) for a Galois ring and F_p under a truncated one, extended when
+    # l > 1: a searched default is irreducible, and so is its monic lift; a
+    # user's modulus is checked
+    ring = IntegerModRing(p, t if kind == "galois" else 1)
+    if l > 1:
+        coeffs = default_modulus(IntegerModRing(p, 1), l).data if modulus is None else modulus
+        ring = ExtensionRing(ring, Poly.from_ints(ring, coeffs), check=modulus is not None)
+    if kind == "truncated":
+        ring = TruncatedRing(ring, t)
+    ring.descriptor = {"kind": kind, "p": p, "t": t, "l": l}
+    if modulus is not None:
+        ring.descriptor["modulus"] = modulus
     return ring
 
 
@@ -608,12 +589,13 @@ def ring_to_json(ring):
     desc = getattr(ring, "descriptor", None)
     if desc is None:
         raise DomainError("ring was not built from a descriptor")
-    return desc.to_json()
+    return copy.deepcopy(desc)
 
 
 def FiniteField(p, l=1, modulus=None):
     """Convenience constructor for F_{p^l} as a chain ring with t = 1."""
-    return ring_construct(ChainRingDesc("galois", p, 1, l, modulus))
+    desc = {"kind": "galois", "p": p, "t": 1, "l": l}
+    return ring_construct(desc if modulus is None else {**desc, "modulus": modulus})
 
 
 def frobenius_lift(ring, x, q=None):

@@ -289,12 +289,29 @@ def test_domain_error_exit_code(capsys):
         ("factor", "--ring", Z4, "--moduli", "x\u00b2-1"),
         pytest.param(("info", "--ring", Z4, "--moduli", "x^7-1", "--gens", f"{BIG}*x+1"),
                      marks=needs_int_limit),
+        # a descriptor is a JSON object, and its p a prime
+        ("factor", "--ring", "[1,2]", "--moduli", "x^7-1"),
+        ("factor", "--ring", '{"kind":"galois","p":4,"t":2}', "--moduli", "x^7-1"),
     ],
 )
 def test_malformed_input_is_a_domain_error(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1
     assert json.loads(out)["code"] == "domain_error"
+
+
+@pytest.mark.parametrize(
+    "p,code",
+    [(2**61 - 1, "budget_exceeded"), (2**62, "domain_error"), (10**9 + 7, None)],
+    ids=["prime-2^61-1", "even-2^62", "prime-10^9+7"],
+)
+def test_primality_of_p_stops_at_its_trial_division_budget(capsys, p, code):
+    """Trial division up to 2^20 proves every p <= 2^40 prime or not; a
+    larger p with no factor that small is refused, not left running."""
+    ring = f'{{"kind":"galois","p":{p},"t":1}}'
+    rc, out = run(capsys, "factor", "--ring", ring, "--moduli", "x-1")
+    assert rc == {None: 0, "domain_error": 1, "budget_exceeded": 2}[code]
+    assert json.loads(out).get("code") == code
 
 
 @needs_int_limit

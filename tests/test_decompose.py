@@ -521,7 +521,7 @@ def _class_search_reference(dec, mu):
     sd = dec.splitting
     r = dec.ambient.r
     if sd.primitive_roots is None:
-        mu_elems = list(mu)
+        mu_elems = [sd.field.elem(sd.root(v, lab)) for v, lab in enumerate(mu)]
     else:
         mu_elems = [sd.primitive_roots[v] ** mu[v] for v in range(r)]
     p_polys = []

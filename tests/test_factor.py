@@ -227,7 +227,7 @@ def test_split_root_labels_match_the_element_scan(name):
     for m, roots in zip(ambient.moduli, sd.roots):
         m = m.residue() if ambient.ring.t > 1 else m
         want = _scanned_roots(sd.field, m)
-        assert [c.coords() for c in roots] == [c.coords() for c in want]
+        assert [list(c) for c in roots] == [c.coords() for c in want]
 
 
 def test_non_abelian_splitting_scans_no_field(monkeypatch):
@@ -245,3 +245,65 @@ def test_non_abelian_splitting_scans_no_field(monkeypatch):
     sd = splitting_data(dec.ambient, dec.factor_lists)
     assert isinstance(sd.field, ExtensionRing) and sd.M == 6
     assert [len(rs) for rs in sd.roots] == [3, 2]
+
+
+@pytest.mark.parametrize("name", sorted(NON_ABELIAN))
+def test_class_representatives_key_an_exponent_map(name):
+    from chaincodes import code_from_exponents
+
+    ambient = _non_abelian_ambient(name)
+    dec = decompose(ambient)
+    exps = [i % (ambient.ring.t + 1) for i in range(dec.class_count)]
+    keyed = {cls.rep: j for cls, j in zip(dec.classes, exps)}
+    assert code_from_exponents(ambient, keyed) == code_from_exponents(ambient, exps)
+
+
+@pytest.mark.parametrize("name", sorted(NON_ABELIAN))
+def test_non_abelian_labels_build_no_ring_elements(name, monkeypatch):
+    """The splitting and the class walk read and write root labels as
+    coordinate tuples over payloads, the form they print in."""
+    from chaincodes.codes import is_root_label
+    from chaincodes.rings import RingElem
+
+    dec = decompose(_non_abelian_ambient(name))
+    dec.factor_lists
+
+    def no_elem(self, ring, data):
+        raise AssertionError("a RingElem was built")
+
+    monkeypatch.setattr(RingElem, "__init__", no_elem)
+    sd, classes = dec.splitting, dec.classes
+    monkeypatch.undo()
+    assert all(is_root_label(x) for rs in sd.roots for x in rs)
+    assert all(is_root_label(x) for cls in classes for mu in cls.members for x in mu)
+
+
+def _generator_from_rank_one(field):
+    """The least-rank generator of field^*, scanned from rank 1."""
+    from chaincodes.factor import prime_factors
+
+    order = field.size - 1
+    for r in range(1, field.size):
+        g = field.from_rank(r)
+        if all(g ** (order // ell) != field.one for ell in prime_factors(order)):
+            return g
+
+
+@pytest.mark.parametrize(
+    "p,l,M", [(2, 1, 3), (2, 2, 3), (2, 3, 2), (3, 1, 2), (3, 2, 2), (5, 1, 2), (2, 2, 1), (7, 1, 1)]
+)
+def test_generator_scan_skips_the_base_constants(p, l, M):
+    from chaincodes.factor import _multiplicative_generator, _splitting_field
+
+    field = _splitting_field(FiniteField(p, l), M)
+    assert _multiplicative_generator(field) == _generator_from_rank_one(field)
+
+
+def test_generator_scan_of_a_degree_one_extension_starts_at_one():
+    from chaincodes.factor import _multiplicative_generator
+    from chaincodes.rings import ExtensionRing
+
+    f4 = FiniteField(2, 2)
+    field = ExtensionRing(f4, Poly.from_coeffs(f4, [f4.from_rank(3), f4.one]))
+    assert field.deg == 1 and field.base.size == field.size
+    assert _multiplicative_generator(field) == _generator_from_rank_one(field)

@@ -7,6 +7,7 @@ import pytest
 from chaincodes import (
     DomainError,
     ExtensionRing,
+    FiniteField,
     Poly,
     ring_construct,
     ring_from_json,
@@ -227,6 +228,15 @@ def test_json_round_trip(z4, gr42, f3u2):
         desc = ring_to_json(ring)
         again = ring_from_json(desc)
         assert again == ring
+
+
+def test_finite_field_with_a_modulus_round_trips():
+    f8 = FiniteField(2, 3, (1, 0, 1, 1))  # x^3 + x^2 + 1, not the default x^3 + x + 1
+    desc = ring_to_json(f8)
+    assert desc == {"kind": "galois", "p": 2, "t": 1, "l": 3, "modulus": [1, 0, 1, 1]}
+    assert ring_from_json(desc) == f8 != FiniteField(2, 3)
+    desc["modulus"][0] = 0  # a copy: the ring's descriptor stays as built
+    assert ring_to_json(f8)["modulus"] == [1, 0, 1, 1]
 
 
 def test_element_serialization(gr42):
