@@ -17,7 +17,14 @@ The field level belongs to the decomposition of the residue ambient over
 F_q.  It alone computes the factor lists of the residue moduli, the
 splitting field GF(q^M) (`splitting`), the `classes`, `inverse_map` and
 `class_polys`, the p_i, w_i and pi_i at each class representative, found
-by evaluating at the roots on payloads.  A chain-ring decomposition holds
+by evaluating at the roots on payloads.  The class fixes the degrees of
+the factors that can vanish there: deg p_i is the number of distinct i-th
+coordinates of its members, and deg w_i, the degree of F_q(mu_1..mu_i)
+over F_q(mu_1..mu_{i-1}), is the ratio of the numbers of distinct
+prefixes of lengths i and i - 1, since each field degree over F_q is the
+length of a Frobenius orbit.  So only factors of those degrees are
+evaluated, and p_i needs no factoring over the field below when the two
+degrees agree.  A chain-ring decomposition holds
 it as `residue`, from the same per-ambient cache and seed, reads those
 stages as the very same objects and only lifts them: its own stages are
 the lifted factorizations and, per class, q_i, z_i, sigma_i, the tower,
@@ -56,6 +63,7 @@ whose labels are exponents, factor nothing and build no GF(q^M).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -63,7 +71,7 @@ from functools import cached_property, wraps
 from .errors import DomainError, InternalError
 from .factor import cyclotomic_classes, factor_squarefree, splitting_data
 from .hensel import lift_factorization, lift_idempotent
-from .polys import Poly, _embed_poly, _poly_over_tower_to_mpoly, poly_to_text, power
+from .polys import Poly, _embed_poly, _poly_over_tower_to_mpoly, poly_to_text
 from .rings import ExtensionRing
 
 
@@ -209,6 +217,19 @@ def check_idempotent_family(ambient, es):
 ClassPolys = namedtuple("ClassPolys", "p_polys w_polys pi_polys tower")
 
 
+def _vanishing(candidates, rows, p):
+    """The first candidate that vanishes at a root, from the rows of
+    `Decomposition._class_polys_at`: its value there is the sum of its
+    lanes times the rows, and it vanishes when every column of that sum is
+    0 mod p."""
+    cols = list(zip(*rows))
+    for f in candidates:
+        lanes = f.ring._lanes(f.data)
+        if not any(sum(map(operator.mul, lanes, col)) % p for col in cols):
+            return f
+    raise InternalError("no factor vanishes at the class root")  # pragma: no cover
+
+
 def _residue_stage(build):
     """A stage owned by the field decomposition: ``build`` runs there, and a
     chain-ring decomposition reads the same object through `residue`."""
@@ -262,7 +283,7 @@ class Decomposition:
     @_residue_stage
     def class_polys(self):
         """Per class, in class order, the `ClassPolys` at its representative."""
-        return [self._class_polys_at(cls.rep) for cls in self.classes]
+        return [self._class_polys_at(cls, cls.rep) for cls in self.classes]
 
     @cached_property
     def lifted_factorizations(self):
@@ -309,49 +330,59 @@ class Decomposition:
 
     # -- construction ---------------------------------------------------------
 
-    def _class_polys_at(self, mu):
-        """The `ClassPolys` at the root tuple mu, over a field: p_v is the
-        factor of t_v that vanishes at mu_v, and w_v the factor of p_v over
-        F_q(mu_1, ..., mu_{v-1}) that does, with w_1 = p_1.
+    def _class_polys_at(self, cls, mu):
+        """The `ClassPolys` at the member mu of the class cls, over a field:
+        p_v is the factor of t_v that vanishes at mu_v, and w_v the factor of
+        p_v over F_q(mu_1, ..., mu_{v-1}) that does, with w_1 = p_1.
 
-        The polynomials are evaluated in GF(q^M) by Horner on payloads.  The
-        monomials in the roots below a level, first root fastest as in a
-        tower element's lanes, are sent to GF(q^M) once per level, and a
-        coefficient's image is its F_q-coordinate blocks times those images."""
+        The class fixes both degrees, so only the factors of those degrees
+        are tested.  The degree of F_q(x) over F_q is the length of the
+        Frobenius orbit of x, a root or a tuple of roots, and C is the orbit
+        of mu, so proj_{<=v} C is the orbit of (mu_1, ..., mu_v):
+        deg p_v = |{nu_v : nu in C}|, and deg w_v, the degree of
+        F_q(mu_1, ..., mu_v) over F_q(mu_1, ..., mu_{v-1}), is
+        |proj_{<=v} C| / |proj_{<v} C|.  When the two are equal, p_v stays
+        irreducible over the field below and is w_v, with nothing to factor.
+
+        A candidate's value at mu_v in GF(q^M) is F_p-linear in its lanes:
+        lane b multiplies row b of ``rows``, the lanes of one power of
+        mu_v times one monomial in the roots below (first root fastest, as
+        in a tower element's lanes) times one F_p-basis element of F_q.  The
+        powers of mu_v are built once per root and shared by the candidates."""
         Fq, sd = self.ambient.ring, self.splitting
-        big, zero = sd.field, Fq._zero
-        pad = (zero,) * (sd.M - 1)
-        emb = (lambda c: (c, *pad)) if pad else (lambda c: c)
+        big, char = sd.field, Fq.p
+        pad = (Fq._zero,) * (sd.M - 1)
+        k = Fq.ncoords
+        # the F_p-basis of F_q whose lanes are unit vectors, in GF(q^M), after
+        # its first element, which is 1
+        units = [(u, *pad) if pad else u for u in Fq._from_lanes([int(i == j) for i in range(k) for j in range(k)])[1:]]
 
-        def vanishing(factors, root, images):
-            for f in factors:
-                k, coords = len(images), Fq._from_lanes(f.ring._lanes(f.data))
-                acc = big._zero
-                for j in range(len(f.data) - 1, -1, -1):
-                    c = big._zero
-                    for x, image in zip(coords[j * k : (j + 1) * k], images):
-                        if x != zero:
-                            c = big._add(c, big._mul(emb(x), image))
-                    acc = big._add(big._mul(acc, root), c)
-                if acc == big._zero:
-                    return f
-            raise InternalError("no factor vanishes at the class root")  # pragma: no cover
+        def rows(monomials):
+            return [big._lanes([y]) for m in monomials for y in (m, *(big._mul(u, m) for u in units))]
 
         # Every tower modulus is irreducible by construction, so no
         # ExtensionRing repeats the irreducibility test: p_1 is a
         # `factor_squarefree` output, irreducible by the distinct-degree and
         # equal-degree argument, and each w is either such an output over the
-        # field below or has degree 1.  A chain-ring decomposition's tower
-        # moduli q_1 and z_v lift these, so they are basic irreducible.
+        # field below or p_v itself by its degree.  A chain-ring
+        # decomposition's tower moduli q_1 and z_v lift these, so they are
+        # basic irreducible.
         p_polys, w_polys, pi_polys, tower = [], [None], [None], []
         images = [big._one]
         for v, label in enumerate(mu):
+            dp = len({nu[v] for nu in cls.members})
+            dw = len({nu[: v + 1] for nu in cls.members}) // len({nu[:v] for nu in cls.members})
             root = sd.root(v, label)
-            w = vanishing(self.factor_lists[v], root, [big._one])
+            powers = [big._one]
+            for _ in range(dp):
+                powers.append(big._mul(powers[-1], root))
+            w = _vanishing([f for f in self.factor_lists[v] if f.degree == dp], rows(powers), char)
             p_polys.append(w)
             if tower:
-                p_emb = _embed_poly(w, tower[-1])
-                w = p_emb if p_emb.degree == 1 else vanishing(factor_squarefree(p_emb, seed=0), root, images)
+                p_emb = w = _embed_poly(w, tower[-1])
+                if dw < dp:
+                    cands = [f for f in factor_squarefree(p_emb, seed=0) if f.degree == dw]
+                    w = _vanishing(cands, rows([big._mul(m, x) for x in powers[: dw + 1] for m in images]), char)
                 pi, rem = divmod(p_emb, w)
                 if not rem.is_zero():  # pragma: no cover
                     raise InternalError("w does not divide p")
@@ -359,8 +390,7 @@ class Decomposition:
                 pi_polys.append(pi)
             tower.append(ExtensionRing(tower[-1] if tower else Fq, w, check=False))
             if v + 1 < len(mu):
-                powers = [power(root, e, big._one, big._mul) for e in range(w.degree)]
-                images = [big._mul(m, x) for x in powers for m in images]
+                images = [big._mul(m, x) for x in powers[:dw] for m in images]
         return ClassPolys(p_polys, w_polys, pi_polys, tower)
 
     def _build_class(self, cls, polys):

@@ -20,8 +20,8 @@ from math import lcm
 
 from .errors import DomainError, InternalError
 from .kernel import packed_product
-from .polys import Poly, _embed_poly, distinct_degree, is_squarefree, mod_lanes, packed_layout
-from .polys import pow_mod, poly_gcd, power
+from .polys import Poly, _embed_poly, _pow_mod, distinct_degree, is_squarefree, mod_lanes, packed_layout
+from .polys import poly_gcd, power
 from .rings import ExtensionRing, default_modulus
 
 
@@ -93,7 +93,7 @@ def _equal_degree(g, d, rng):
         return [g.monic()]
     field = g.ring
     q = field.size
-    layout = packed_layout(field, (g,)) if field.p == 2 else None
+    layout = packed_layout(field, (g,))
     for _ in range(SPLIT_DRAWS):
         r = _random_poly(field, 2 * d, rng)
         if r.degree < 1:
@@ -108,7 +108,7 @@ def _equal_degree(g, d, rng):
                 acc = [x ^ y for x, y in zip(acc, s)]
             cand = poly_gcd(Poly.from_lanes(field, acc, var=r.var), g)
         else:
-            s = pow_mod(r, (q**d - 1) // 2, g)
+            s = _pow_mod(r, (q**d - 1) // 2, g, layout)
             cand = poly_gcd(s - Poly.one(field, var=g.var), g)
         if 0 < cand.degree < g.degree:
             left = cand.monic()

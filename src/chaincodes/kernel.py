@@ -32,6 +32,22 @@ over F_3[u]/u^2 (best of 9, Python 3.11, 2-core VM).  F_q[u]/u^t keeps
 its own row loop, which forms only the t(t+1)/2 products below u^t: the
 same cut in this loop cost 7 to 18 % on extension-ring elements of 2 to 8
 coordinates (alternating runs, best of 41, same machine).
+
+Over Z_m itself (`rings.IntegerModRing`, whose payloads are ints in
+[0, m)) that loop, and the long division of `divide_monic`, run on plain
+ints as `convolve_fold_mod` and `divide_monic_mod`: products are summed
+per output coefficient and reduced mod m once, and each fold or quotient
+coefficient is reduced before it is used, so every int stays below about
+n * m^2 for n summands.  The callback loop pays a Python call and a `%`
+per product and per sum.  So the coefficient ring's class picks the loop
+(`ChainRing._convolve` and `_divide`): `Poly` products and divisions over
+Z_m and the elements of its extensions (GF(4), GR(4,2), GF(q^M) over
+F_p) take the int loop, and rings with tuple payloads -- extensions of
+extensions, towers, F_q[u]/u^t -- keep the callback loop, whose element
+products are themselves int loops one level down.  A degree-8 by degree-4
+`Poly` product over Z4 took 3.6 us against 7.4 us in the callback loop,
+its division 5.0 against 7.0 us, and one GF(4) element product 1.3
+against 1.9 us (best of 5, Python 3.11, 2-core VM).
 """
 
 from __future__ import annotations
@@ -116,3 +132,49 @@ def convolve_fold(a, b, size, folds, ring):
             for off, f in rule:
                 box[pos + off] = add(box[pos + off], mul(c, f))
     return box
+
+
+def convolve_fold_mod(a, b, size, folds, m):
+    """`convolve_fold` of two payload sequences over Z_m, positions 0, 1,
+    ...: plain int products summed per position, each fold coefficient
+    reduced before it is used, and every position reduced once at the end."""
+    box = [0] * size
+    rhs = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in rhs:
+                box[i + j] += x * y
+    for pos, rule in folds:
+        c = box[pos] % m
+        if c:
+            for off, f in rule:
+                box[pos + off] += c * f
+    return [c % m for c in box]
+
+
+def divide_monic(rem, div, ring):
+    """Long division in place of the payload list ``rem`` by X^d - (div[0] +
+    div[1] X + ... + div[d-1] X^(d-1)), d = len(div) >= 0: step k, from the
+    top down to d, leaves the quotient coefficient of X^(k-d) at rem[k],
+    which no later step touches, and rem[:d] ends as the remainder."""
+    add, mul, z = ring._add, ring._mul, ring._zero
+    d = len(div)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        if c != z:
+            for j, b in enumerate(div, k - d):
+                rem[j] = add(rem[j], mul(c, b))
+    return rem
+
+
+def divide_monic_mod(rem, div, m):
+    """`divide_monic` over Z_m on plain ints: each quotient coefficient is
+    reduced before it is used, and the remainder once at the end."""
+    d = len(div)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k] = rem[k] % m
+        if c:
+            for j, b in enumerate(div, k - d):
+                rem[j] += c * b
+    rem[:d] = [c % m for c in rem[:d]]
+    return rem

@@ -15,10 +15,12 @@ Every product runs a kernel of `kernel.py`.  `MPoly.__mul__` is one packed
 big-int product of two lane vectors, and sums, negation, int scaling and
 equality are operations mod m on them; `pow_mod` runs the same packed
 product in R[X]/(g).  Element-sized products (`Poly` and extension ring
-elements) run `convolve_fold` on raw payloads.  Every other `Poly`
-operation runs on payloads too.  The `MPoly` views -- residue, lift,
-valuation, text and JSON -- read lanes, and `poly_to_text` and
-`MPoly.to_text` render the same (exponents, coordinates) pairs.  So
+elements) and `Poly` division run the coefficient ring's payload loops,
+`_convolve` and `_divide`: plain ints over Z_m, `convolve_fold` and
+`divide_monic` otherwise.  Every other `Poly` operation runs on payloads
+too.  The `MPoly` views -- residue, lift, valuation, text and JSON -- read
+lanes, and `poly_to_text` and `MPoly.to_text` render the same (exponents,
+coordinates) pairs.  So
 `RingElem`s are built only at the API edge, by the ``coeffs``/``coeff``/
 ``leading`` views, `evaluate` and `map_coeffs`, and `Poly.from_coeffs`
 takes ints and elements in.
@@ -28,7 +30,8 @@ first stage alone is Ben-Or's irreducibility test, `is_irreducible`.
 
 Everything here is generic over the coefficient ring: it relies on the raw
 payload operations ``_add``/``_neg``/``_mul``/``_inverse``/``_zero``/
-``_payload`` and ``elem`` of the ring, on its lane maps ``_lanes``/
+``_payload`` and ``elem`` of the ring, on its payload loops ``_add_vec``/
+``_neg_vec``/``_convolve``/``_divide``, on its lane maps ``_lanes``/
 ``_from_lanes`` and ``lane_modulus``, and on ``zero``/``one``/``from_int``
 for elements.
 """
@@ -39,7 +42,7 @@ import operator
 from functools import cached_property
 
 from .errors import BudgetExceeded, DomainError, InternalError
-from .kernel import convolve_fold, packed_product, product_box
+from .kernel import packed_product, product_box
 
 # Bound on n = deg t_1 * ... * deg t_r, the length of an ambient's dense vectors
 MAX_AMBIENT_LENGTH = 2**16
@@ -122,12 +125,12 @@ class Poly:
         a, b = self.data, self._coerce(other).data
         if len(a) < len(b):
             a, b = b, a
-        return Poly(self.ring, tuple(map(self.ring._add, a, b)) + a[len(b):], self.var)
+        return Poly(self.ring, self.ring._add_vec(a, b) + a[len(b):], self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, tuple(map(self.ring._neg, self.data)), self.var)
+        return Poly(self.ring, self.ring._neg_vec(self.data), self.var)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -139,8 +142,7 @@ class Poly:
         a, b = self.data, self._coerce(other).data
         if not a or not b:
             return Poly(self.ring, (), self.var)
-        box = convolve_fold(enumerate(a), enumerate(b), len(a) + len(b) - 1, (), self.ring)
-        return Poly(self.ring, box, self.var)
+        return Poly(self.ring, self.ring._convolve(a, b, len(a) + len(b) - 1, ()), self.var)
 
     __rmul__ = __mul__
 
@@ -162,18 +164,12 @@ class Poly:
         dv = other.degree
         if len(self.data) <= dv:
             return Poly(ring, (), self.var), self
-        # divide by the monic other / lead, then scale the quotient by 1 / lead;
-        # step k leaves its coefficient at rem[k], which no later step touches
-        add, mul, z = ring._add, ring._mul, ring._zero
+        # divide by the monic other / lead, then scale the quotient by 1 / lead
+        mul = ring._mul
         monic = lead == ring._one
         inv = lead if monic else ring._inverse(lead)
-        div = [ring._neg(b if monic else mul(b, inv)) for b in other.data[:-1]]
-        rem = list(self.data)
-        for k in range(len(rem) - 1, dv - 1, -1):
-            c = rem[k]
-            if c != z:
-                for j, b in enumerate(div, k - dv):
-                    rem[j] = add(rem[j], mul(c, b))
+        div = ring._neg_vec(other.data[:-1] if monic else [mul(b, inv) for b in other.data[:-1]])
+        rem = ring._divide(list(self.data), div)
         quo = rem[dv:] if monic else [mul(c, inv) for c in rem[dv:]]
         return Poly(ring, quo, self.var), Poly(ring, rem[:dv], self.var)
 
@@ -297,8 +293,12 @@ def pow_mod(f, e, mod):
     lane vectors; `Poly`s are built only for f % mod and the result."""
     if not mod.is_monic() or mod.degree < 1:
         raise DomainError("pow_mod needs a monic modulus of degree >= 1")
+    return _pow_mod(f, e, mod, packed_layout(f.ring, (mod,)))
+
+
+def _pow_mod(f, e, mod, layout):
+    """`pow_mod` with the `packed_layout` of R[X]/(mod) given."""
     ring = f.ring
-    layout = packed_layout(ring, (mod,))
     one = ring._lanes([ring._one] + [ring._zero] * (mod.degree - 1))
     lanes = power(mod_lanes(f, mod), e, one, lambda a, b: packed_product(a, b, layout))
     return Poly.from_lanes(ring, lanes, var=f.var)
@@ -316,17 +316,20 @@ def distinct_degree(f):
     irreducible factors of a monic square-free f over F_q, and the last
     pair is what is left once d passes half its degree.  For any f of
     degree >= 1, square-free or not, the first pair has d = deg f exactly
-    when f is irreducible (Ben-Or): else it has a factor of degree <= deg/2."""
+    when f is irreducible (Ben-Or): else it has a factor of degree <= deg/2.
+    The `packed_layout` of R[X]/(rem) is built once per rem, so once per
+    split and not once per d."""
     q = f.ring.size
     x = Poly.x(f.ring, var=f.var)
-    rem, h, d = f, x, 0
+    rem, h, d, layout = f, x, 0, None
     while rem.degree >= 2 * (d + 1):
         d += 1
-        h = pow_mod(h, q, rem)
+        layout = layout or packed_layout(f.ring, (rem,))
+        h = _pow_mod(h, q, rem, layout)
         g = poly_gcd(h - x, rem)
         if g.degree > 0:
             yield g, d
-            rem = rem // g
+            rem, layout = rem // g, None
             h = h % rem
     if rem.degree > 0:
         yield rem, rem.degree

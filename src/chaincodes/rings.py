@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from math import isqrt
 
 from .errors import BudgetExceeded, DomainError, InternalError
-from .kernel import convolve_fold, product_box
+from .kernel import convolve_fold, convolve_fold_mod, divide_monic, divide_monic_mod, product_box
 from .polys import Poly, _coeff_text, is_irreducible, power, smallest_irreducible
 
 
@@ -136,6 +136,24 @@ class ChainRing:
 
     def _coords(self, a):
         return self._lanes([a])
+
+    # Payload loops over sequences of this ring's payloads: the coordinates
+    # of an element of a ring over this one, or the coefficients of a `Poly`.
+    # `IntegerModRing` runs them on plain ints.
+
+    def _add_vec(self, a, b):
+        return tuple(map(self._add, a, b))
+
+    def _neg_vec(self, a):
+        return tuple(map(self._neg, a))
+
+    def _convolve(self, a, b, size, folds):
+        """The `kernel.convolve_fold` box of the sequences a and b."""
+        return convolve_fold(enumerate(a), enumerate(b), size, folds, self)
+
+    def _divide(self, rem, div):
+        """`kernel.divide_monic` of the list rem, in place."""
+        return divide_monic(rem, div, self)
 
     def fold_rule(self, modulus):
         """X^d = -(modulus - X^d) for a monic modulus of degree d over this
@@ -280,6 +298,20 @@ class IntegerModRing(ChainRing):
     def _mul(self, a, b):
         return (a * b) % self.size
 
+    def _add_vec(self, a, b):
+        m = self.size
+        return tuple([(x + y) % m for x, y in zip(a, b)])
+
+    def _neg_vec(self, a):
+        m = self.size
+        return tuple([-x % m for x in a])
+
+    def _convolve(self, a, b, size, folds):
+        return convolve_fold_mod(a, b, size, folds, self.size)
+
+    def _divide(self, rem, div):
+        return divide_monic_mod(rem, div, self.size)
+
     def _from_int(self, v):
         return v % self.size
 
@@ -334,12 +366,10 @@ class _TupleRing(ChainRing):
     ``_width`` payloads of a coefficient ring ``_inner``."""
 
     def _add(self, a, b):
-        iadd = self._inner._add
-        return tuple(iadd(x, y) for x, y in zip(a, b))
+        return self._inner._add_vec(a, b)
 
     def _neg(self, a):
-        ineg = self._inner._neg
-        return tuple(ineg(x) for x in a)
+        return self._inner._neg_vec(a)
 
     def _from_int(self, v):
         return (self._inner._from_int(v),) + (self._inner._zero,) * (self._width - 1)
@@ -365,7 +395,8 @@ class ExtensionRing(_TupleRing):
     Shares the radical generator and nilpotency index of the base; the
     residue field gains degree deg(modulus).  Elements are tuples of base
     payloads, i.e. coordinates in the monomial basis 1, Z, ..., Z^{m-1};
-    an element product is `kernel.convolve_fold`, folding by the modulus.
+    an element product is the base ring's `_convolve`, folding by the
+    modulus.
     """
 
     def __init__(self, base, modulus, check=True):
@@ -397,8 +428,7 @@ class ExtensionRing(_TupleRing):
         _, self._box_size, self._folds = product_box(((m, rule),))
 
     def _mul(self, a, b):
-        box = convolve_fold(enumerate(a), enumerate(b), self._box_size, self._folds, self.base)
-        return tuple(box[: self.deg])
+        return tuple(self.base._convolve(a, b, self._box_size, self._folds)[: self.deg])
 
     def _val(self, a):
         return min(self.base._val(x) for x in a)
@@ -507,9 +537,12 @@ class TruncatedRing(_TupleRing):
 PRIME_TRIAL_DIVISORS = 2**20
 
 
+@lru_cache(maxsize=None)
 def _is_prime(n):
     """n is prime, by trial division up to `PRIME_TRIAL_DIVISORS`; when no
-    divisor that small divides n and sqrt(n) lies beyond, `BudgetExceeded`."""
+    divisor that small divides n and sqrt(n) lies beyond, `BudgetExceeded`.
+    Run once per n and process: a ring descriptor builds up to three
+    `IntegerModRing`s of one p after `ring_construct` has checked it."""
     if n < 2:
         return False
     root = isqrt(n)

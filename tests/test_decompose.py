@@ -270,7 +270,7 @@ def test_representative_independence(amb_x3y3):
     dec = decompose(amb_x3y3)
     for idx, cd in enumerate(dec.data):
         for rep in cd.cls.members[1:]:
-            alt = dec._build_class(dec.classes[idx], dec.residue._class_polys_at(rep))
+            alt = dec._build_class(dec.classes[idx], dec.residue._class_polys_at(dec.classes[idx], rep))
             assert alt.h == cd.h
             assert [f.coeffs for f in alt.q_polys] == [f.coeffs for f in cd.q_polys]
             assert [f.coeffs for f in alt.p_polys] == [f.coeffs for f in cd.p_polys]
@@ -572,10 +572,50 @@ def test_payload_class_search_matches_ring_element_route(ring, moduli):
     ring = ring_construct(ring)
     rdec = decompose(_ambient(ring, *moduli)).residue
     for cls, found in zip(rdec.classes, rdec.class_polys):
-        assert rdec._class_polys_at(cls.rep) == found
+        assert rdec._class_polys_at(cls, cls.rep) == found
         for mu in cls.members:
-            got = rdec._class_polys_at(mu)
+            got = rdec._class_polys_at(cls, mu)
             assert (got.p_polys, got.w_polys, got.pi_polys) == _class_search_reference(rdec, mu)
+
+
+@pytest.mark.parametrize(
+    "ring, moduli",
+    [
+        ({"kind": "galois", "p": 2, "t": 1, "l": 2}, ("x^21-1",)),
+        ({"kind": "galois", "p": 2, "t": 2}, ("x^3-1", "y^3-1", "z^3-1")),
+    ],
+)
+def test_class_roots_test_only_factors_of_the_degrees_the_class_fixes(ring, moduli, monkeypatch):
+    """At every member mu of every class C, each factor evaluated at mu_v
+    has the degree of the factor found there, which C fixes: deg p_v =
+    |{nu_v : nu in C}| for the factors of t_v, and deg w_v = |proj_{<=v} C| /
+    |proj_{<v} C| for those of p_v over F_q(mu_1, ..., mu_{v-1})."""
+    decompose_mod = importlib.import_module("chaincodes.decompose")
+    rdec = decompose(_ambient(ring_construct(ring), *moduli)).residue
+    Fq, r = rdec.ambient.ring, rdec.ambient.r
+    rdec.class_polys
+    calls = []
+    real = decompose_mod._vanishing
+    monkeypatch.setattr(decompose_mod, "_vanishing", lambda cands, rows, p: calls.append(cands) or real(cands, rows, p))
+    w_tests = 0
+    for cls in rdec.classes:
+        for mu in cls.members:
+            calls.clear()
+            found = rdec._class_polys_at(cls, mu)
+            v = -1
+            for cands in calls:
+                assert cands
+                if all(f.ring == Fq for f in cands):
+                    v += 1
+                    want = found.p_polys[v].degree
+                    assert want == len({nu[v] for nu in cls.members})
+                else:
+                    w_tests += 1
+                    want = found.w_polys[v].degree
+                    assert want == len({nu[: v + 1] for nu in cls.members}) // len({nu[:v] for nu in cls.members})
+                assert [f.degree for f in cands] == [want] * len(cands)
+            assert v == r - 1
+    assert (w_tests > 0) == (r > 1)
 
 
 def test_chain_decomposition_lifts_the_residue_one(monkeypatch):

@@ -307,3 +307,30 @@ def test_generator_scan_of_a_degree_one_extension_starts_at_one():
     field = ExtensionRing(f4, Poly.from_coeffs(f4, [f4.from_rank(3), f4.one]))
     assert field.deg == 1 and field.base.size == field.size
     assert _multiplicative_generator(field) == _generator_from_rank_one(field)
+
+
+@pytest.mark.parametrize(
+    "p, n, degrees, rems",
+    [(2, 31, [1] + [5] * 6, [31, 30]), (3, 13, [1] + [3] * 4, [13, 12])],
+    ids=["GF(2) x^31-1", "GF(3) x^13-1"],
+)
+def test_factoring_builds_one_layout_per_modulus(monkeypatch, p, n, degrees, rems):
+    """x^n-1 is x-1 times equal-degree factors: the distinct-degree loop
+    splits off x-1 at d = 1 and the rest at one later d, so it builds the
+    layouts of R[X]/(rem) for two remainders, not one per d.  Equal-degree
+    splitting builds one for each product it splits, one fewer than its
+    factors, however many draws each split takes."""
+    from chaincodes import factor, polys
+
+    f = Poly.from_ints(FiniteField(p), [-1] + [0] * (n - 1) + [1])
+    built = {"distinct": [], "equal": []}
+    for module, key in ((polys, "distinct"), (factor, "equal")):
+        def counted(r, m, real=module.packed_layout, key=key):
+            built[key].append(m)
+            return real(r, m)
+
+        monkeypatch.setattr(module, "packed_layout", counted)
+    factors = factor_squarefree(f)
+    assert sorted(q.degree for q in factors) == degrees
+    assert [m[0].degree for m in built["distinct"]] == rems
+    assert len(built["equal"]) == len(degrees) - 2

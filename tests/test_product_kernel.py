@@ -18,7 +18,8 @@ import pytest
 
 from chaincodes import Ambient, DomainError, MPoly, Poly, decompose, polys, rings, ring_construct
 from chaincodes.decompose import _poly_over_tower_to_mpoly
-from chaincodes.polys import convolve_fold, parse_univariate
+from chaincodes.kernel import convolve_fold
+from chaincodes.polys import parse_univariate
 from chaincodes.rings import ChainRing, ExtensionRing, IntegerModRing, RingElem, TruncatedRing
 
 
@@ -136,6 +137,10 @@ RINGS = {
     "F4[u]/u^3": lambda: _truncated(2, 3, 2),
     "degree-1 extension": _degree_one,
     "tower": _tower,
+    # payloads whose product sums pass 64 bits before their one reduction
+    "Z_2^70": lambda: _galois(2, 70),
+    "GR(3^40,2)": lambda: _galois(3, 40, 2),
+    "GF(2^31-1)": lambda: _galois(2**31 - 1, 1),
 }
 
 
@@ -565,8 +570,8 @@ def test_mpoly_mul_calls_no_element_product(monkeypatch):
 
     monkeypatch.setattr(ExtensionRing, "_mul", forbidden)
     monkeypatch.setattr(TruncatedRing, "_mul", forbidden)
-    monkeypatch.setattr(polys, "convolve_fold", forbidden)
     monkeypatch.setattr(rings, "convolve_fold", forbidden)
+    monkeypatch.setattr(rings, "convolve_fold_mod", forbidden)
     for f, g, want, square in cases:
         assert _payloads(f * g) == _payloads(want)
         assert _payloads(f * f) == _payloads(square)

@@ -322,3 +322,18 @@ def test_splitting_field_moduli_are_searched_once_per_field_and_degree(monkeypat
     searched = len(tests)
     assert decompose(Ambient(gf4, [parse_univariate("x^9-1", gf4)])).splitting.field == fields[0]
     assert len(tests) == searched
+
+
+def test_a_ring_descriptor_checks_its_prime_once(monkeypatch):
+    """`ring_construct` checks p, and so does every `IntegerModRing` it
+    builds: Z_(p^2), the F_p of the default modulus and the residue field.
+    Trial division, one `isqrt` per run, runs once for all of them."""
+    from chaincodes import rings
+
+    roots = []
+    real = rings.isqrt
+    monkeypatch.setattr(rings, "isqrt", lambda n: roots.append(n) or real(n))
+    rings._is_prime.cache_clear()
+    ring = ring_construct({"kind": "galois", "p": 1099511627689, "t": 2, "l": 2})
+    assert ring.residue_field.size == 1099511627689**2
+    assert roots == [1099511627689]
