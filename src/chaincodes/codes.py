@@ -12,19 +12,18 @@ single generator G = sum a^i G_{i+1} are reconstructed from it on demand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .decompose import decompose
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class CanonicalGenerators:
-    """The family G_0,...,G_t (G_{i+1} collects exponent-i classes) and the
-    single generator G = sum_{i<t} a^i G_{i+1}."""
+class CanonicalGenerators(namedtuple("CanonicalGenerators", "gs G")):
+    """The family G_0,...,G_t of MPolys (G_{i+1} collects exponent-i
+    classes), as the tuple ``gs``, and the single generator G = sum_{i<t}
+    a^i G_{i+1}."""
 
-    gs: tuple  # MPoly, indices 0..t
-    G: object  # MPoly
+    __slots__ = ()
 
 
 class SemisimpleCode:

@@ -65,7 +65,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, wraps
 
 from .errors import DomainError, InternalError
@@ -92,19 +91,19 @@ def _pack_rows(field, rows):
     return [sum(d << s for d, s in zip(word, shifts)) for word in lanes]
 
 
-@dataclass
 class ClassData:
-    """Everything attached to one cyclotomic class."""
+    """Everything attached to one cyclotomic class ``cls``: ``p_polys``,
+    Poly over F_q, one per variable, and ``q_polys``, their Hensel lifts
+    over R; from index v >= 1, ``w_polys``, Poly over the tower residue field
+    below v, ``pi_polys`` = p_v / w_v over the same field, and their Hensel
+    lifts over the tower ring below v, ``z_polys`` and ``sigma_polys``;
+    ``tower``, R(mu_1), R(mu_1,mu_2), ..., R(mu_1..mu_r); and the MPoly
+    ``h``."""
 
-    cls: object
-    p_polys: list  # Poly over F_q, one per variable
-    q_polys: list  # their Hensel lifts over R
-    w_polys: list  # index v >= 1: Poly over the tower residue field below v
-    pi_polys: list  # p_v / w_v over the same field
-    z_polys: list  # Hensel lift of w_v over the tower ring below v
-    sigma_polys: list  # Hensel lift of pi_v
-    tower: list  # R(mu_1), R(mu_1,mu_2), ..., R(mu_1..mu_r)
-    h: object  # MPoly
+    def __init__(self, cls, p_polys, q_polys, w_polys, pi_polys, z_polys, sigma_polys, tower, h):
+        self.cls, self.p_polys, self.q_polys, self.w_polys = cls, p_polys, q_polys, w_polys
+        self.pi_polys, self.z_polys, self.sigma_polys = pi_polys, z_polys, sigma_polys
+        self.tower, self.h = tower, h
 
     @cached_property
     def _frobenius_product(self):

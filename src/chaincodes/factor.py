@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .errors import DomainError, InternalError
@@ -117,9 +117,10 @@ def _equal_degree(g, d, rng):
     raise InternalError(f"no split of a degree-{g.degree} product in {SPLIT_DRAWS} draws")
 
 
-@dataclass
-class SplittingData:
-    """Roots of the residue moduli in their common splitting field.
+class SplittingData(namedtuple("SplittingData", "M field roots primitive_roots")):
+    """Roots of the residue moduli in their common splitting field
+    ``field``, F_{q^M} as a t = 1 chain ring, and ``roots``, per variable
+    the tuple of root labels.
 
     For abelian ambients ``primitive_roots`` holds primitive e_i-th roots
     xi_i and the root labels are integers a, standing for xi_i^a; otherwise
@@ -127,10 +128,7 @@ class SplittingData:
     Both are the form the labels print in.
     """
 
-    M: int
-    field: object  # F_{q^M} as a t = 1 chain ring
-    roots: tuple  # per variable, tuple of labels
-    primitive_roots: tuple | None  # xi_i per variable (abelian ambients only)
+    __slots__ = ()
 
     def embed(self, c):
         """F_q into the splitting field."""
@@ -204,12 +202,11 @@ def splitting_data(ambient, factor_lists):
     return SplittingData(M, big, tuple(roots), None)
 
 
-@dataclass(frozen=True)
-class CyclotomicClass:
-    """A Frobenius orbit on root tuples, with its canonical representative."""
+class CyclotomicClass(namedtuple("CyclotomicClass", "members rep")):
+    """A Frobenius orbit on root tuples, ``members`` sorted, with its
+    canonical representative ``rep``, the lexicographically smallest."""
 
-    members: tuple  # sorted label tuples
-    rep: tuple  # lexicographically smallest member
+    __slots__ = ()
 
     @property
     def size(self):

@@ -14,7 +14,7 @@ e -> 3e^2 - 2e^3, which squares the radical-adic error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import mul
 
@@ -22,13 +22,12 @@ from .errors import DomainError, InternalError
 from .polys import Poly, poly_ext_gcd
 
 
-@dataclass
-class LiftedFactorization:
-    """A monic polynomial over a chain ring with its exact lifted factors."""
+class LiftedFactorization(namedtuple("LiftedFactorization", "poly factors residue_factors")):
+    """A monic polynomial ``poly`` over a chain ring with its exact lifted
+    ``factors``, monic with product poly, and the field-level factorization
+    ``residue_factors`` that was lifted."""
 
-    poly: Poly
-    factors: tuple  # monic Poly over the ring, product == poly
-    residue_factors: tuple  # the field-level factorization that was lifted
+    __slots__ = ()
 
 
 def lift_factorization(f, residue_factors):

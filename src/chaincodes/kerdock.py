@@ -17,7 +17,7 @@ is generic in (l, m).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -27,19 +27,14 @@ from .polys import Ambient, Poly
 from .rings import ExtensionRing, default_modulus, ring_construct, ring_trace
 
 
-@dataclass
-class KerdockInstance:
-    """The rings, Teichmuller data and unit group of one (q, m) instance."""
+class KerdockInstance(namedtuple("KerdockInstance", "q m R S theta tau teich_R units etas")):
+    """The rings, Teichmuller data and unit group of one (q, m) instance:
+    ``theta`` generates the Teichmuller group of S, tau = q^m - 1,
+    ``teich_R`` is Gamma(R) = {w_0 = 0, w_1, ..., w_{q-1}}, ``units`` is
+    U = 1 + 2R in the eta-product order and ``etas`` are the order-2
+    generators of U."""
 
-    q: int
-    m: int
-    R: object
-    S: object
-    theta: object  # generator of the Teichmuller group of S
-    tau: int  # q^m - 1
-    teich_R: list  # Gamma(R) = {w_0 = 0, w_1, ..., w_{q-1}}
-    units: list  # U = 1 + 2R in the eta-product order
-    etas: list = field(default_factory=list)  # order-2 generators of U
+    __slots__ = ()
 
 
 def kerdock_instance(q=2, m=3):

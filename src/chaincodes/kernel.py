@@ -23,6 +23,36 @@ lanes need no flattening; and R[X]/(g) for one monic g, where
 repeated squares of its characteristic-2 trace map, converting from and to
 `Poly` only at entry and exit.
 
+A `PackedLayout` folds whole ints instead when every X_i of degree > 1
+has the rule X_i^e_i = 1: the abelian ambients R[X_1..X_r]/(X_i^e_i - 1)
+of the paper's codes, and R[X]/(X^e - 1).  The step of X_i, slowest
+first, is high = P & M; P = P - high + (high >> shift) on the product int
+P: M holds the lanes where the exponent of X_i is at least e_i, and shift
+is e_i lanes times the stride of X_i.  If the ring has one rule variable
+and it is the fastest (the Z of GR(p^t, l), GF(q) or F_q[u]/u^t), Z folds
+too, one step per exponent level from the top: the level's lanes move
+down once per rule term, times its coefficient.  A rule-less u (u^t = 0)
+needs no step: its overflow lanes are dead, never read.  The masks are
+byte patterns repeated over the box, built once per lane width by the
+first product of that width.
+
+Headroom: an X step needs none, since after the cyclic folds a lane still
+sums at most one product per nonzero lane of an operand.  Over Z_(2^t)
+every Z step starts by masking each lane to t bits, which leaves it
+unchanged mod m, so lanes stay below m * (1 + the largest rule
+coefficient); over other m the Z steps multiply the lane bound by the
+growth of the level pass, whose bits widen the lanes.  Over Z_(2^t) a
+last mask reduces every lane, so the result needs no `%`.  Operands go
+into the box, and results come out, by strided slice copies along the
+variable of largest degree.
+
+The positional pass stays the general path: R[X]/(g) for any other g, as
+in factoring, ambients with any other modulus, and the ring variables of
+towers, which a cyclic layout folds position by position after its X
+steps.  Z4 x^45-1 products took 6.0 us against 16.9 us positionally,
+GR(4,2) x^15-1 7.4 against 17.8 us, and Z4 x^15-1,y^15-1,z^15-1 5.6
+against 9.1 ms (dense operands, best of 15, Python 3.11, 2-core VM).
+
 `convolve_fold` is the Python loop on raw coefficient payloads for
 element-sized products: `polys.Poly` (no folds) and the elements of
 extension rings (one variable).  Packing loses at that size: one product
@@ -55,6 +85,19 @@ from __future__ import annotations
 from array import array
 
 
+def _box(variables):
+    """place, size and, per variable, (d, stride, rule offsets) of the box
+    of `product_box`."""
+    place, size, rules = [0], 1, []
+    for d, rule in variables:
+        if rule is not None:
+            rule = tuple(((j - d) * size + place[lane], value) for j, lane, value in rule)
+        rules.append((d, size, rule))
+        place = [p + e * size for e in range(d) for p in place]
+        size *= 2 * d - 1
+    return place, size, rules
+
+
 def product_box(variables):
     """The product box of a quotient by one monic rule per variable Y_i,
     Y_1 fastest, as (place, size, folds).  ``variables`` holds (d_i, rule):
@@ -65,19 +108,18 @@ def product_box(variables):
     value), ...)) of each pos by the rule of its fastest e_i >= d_i; every
     offset is negative.  No fold lowers an exponent of a rule-less Y_i, so
     a pos with such an e_i >= d_i never reaches a place and is left out."""
-    place, size, rules = [0], 1, []
-    for d, rule in variables:
-        if rule is not None:
-            rule = tuple(((j - d) * size + place[lane], value) for j, lane, value in rule)
-        rules.append((d, size, rule))
-        place = [p + e * size for e in range(d) for p in place]
-        size *= 2 * d - 1
+    place, size, rules = _box(variables)
+    return tuple(place), size, _folds(size, rules)
+
+
+def _folds(size, rules):
+    """The top-down folds of `product_box` from the rules of `_box`."""
     folds = []
     for pos in range(size - 1, 0, -1):
         over = [rule for d, s, rule in rules if pos // s % (2 * d - 1) >= d]
         if over and over[0] and None not in over:
             folds.append((pos, over[0]))
-    return tuple(place), size, tuple(folds)
+    return tuple(folds)
 
 
 # bytes -> (itemsize, typecode) of the narrowest unsigned array type that wide
@@ -85,35 +127,172 @@ _LANE_TYPES = {
     n: min((array(tc).itemsize, tc) for tc in "BHILQ" if array(tc).itemsize >= n) for n in range(1, 9)
 }
 
+# The rule of Y^d = 1 in the form of `product_box`
+_CYCLIC = ((0, 0, 1),)
+
+
+class PackedLayout:
+    """The `packed_product` layout of Z_m[Z_1..Z_k][X_1..X_r] modulo one
+    monic rule per variable: ``ring_vars`` are the (d, rule) of the Z_i,
+    fastest first, and ``xvars`` those of the X_i, in the form of
+    `product_box`.
+
+    ``runs`` copies lane vectors into and out of the box: one pair of
+    strided slices (box, vector) along the variable of largest degree for
+    each normal-form exponent of the others, or None when the places are
+    0, 1, 2, ... already.  When every X_i of degree > 1 is ruled by
+    X_i^d = 1, the X_i fold as whole-int steps, slowest first, and so does
+    the ring's rule variable when it is the only one and the fastest: one
+    step per exponent level, top level first.  ``folds`` keeps the
+    positional folds of the rest (every fold of any other layout; of a
+    cyclic one, only the folds of a tower's ring variables).  A step
+    is (region, extent, stride, lo, hi, terms, reduce): in the lowest
+    ``region`` positions, the positions whose exponent lies in [lo, hi)
+    move down by each term's shift, times its factor; ``reduce`` masks
+    every lane to t bits first over Z_(2^t).  Masks depend on the lane
+    width, so `plan` builds them once per width from byte patterns.
+
+    At every stage every lane is at most nonzeros * ``top``, nonzeros the
+    fewer nonzero lanes of the two operands."""
+
+    __slots__ = ("place", "folds", "m", "runs", "span", "steps", "region", "top", "plans")
+
+    def __init__(self, ring_vars, xvars, m):
+        variables = tuple(ring_vars) + tuple(xvars)
+        cyclic = all(d == 1 or rule == _CYCLIC for d, rule in xvars)
+        place, size, rules = _box(variables)
+        self.place, self.m = tuple(place), m
+        self.folds = () if cyclic else _folds(size, rules)
+        self.span, self.region = max(place) + 1, size
+        self.runs = None if place == list(range(len(place))) else _runs(rules)
+        self.top, self.steps, self.plans = (m - 1) ** 2, (), {}
+        if not cyclic:
+            return
+        # the slowest X_r folds over the whole box, the others within its d_r blocks
+        d, s, _ = rules[-1]
+        self.region = s * d
+        steps = [
+            (size if i == 0 else self.region, 2 * d - 1, s, d, 2 * d - 1, ((d * s, 1),), False)
+            for i, (d, s, _) in enumerate(reversed(rules[len(ring_vars) :]))
+            if d > 1
+        ]
+        ruled = [i for i, (d, rule) in enumerate(ring_vars) if rule is not None]
+        if ruled == [0]:
+            d, s, rule = rules[0]
+            pow2 = not m & (m - 1)
+            growth = [1] * (2 * d - 1)
+            for e in range(2 * d - 2, d - 1, -1):
+                steps.append((self.region, 2 * d - 1, s, e, e + 1, tuple((-off, f) for off, f in rule), pow2))
+                for off, f in rule:
+                    growth[e + off] += growth[e] * f
+            if pow2:  # each step starts from lanes below m
+                self.top = (m - 1) * max(m - 1, 1 + max((f for _, f in rule), default=0))
+            else:
+                self.top *= max(growth)
+        elif ruled:
+            _, ring_size, ring_folds = product_box(ring_vars)
+            bases = sorted({p - p % ring_size for p in place}, reverse=True)
+            self.folds = tuple((b + pos, rule) for b in bases for pos, rule in ring_folds)
+        self.steps = tuple(steps)
+
+    def plan(self, nbytes):
+        """(masked steps, final lane mask) for lanes of ``nbytes`` bytes: a
+        masked step is (mask, ((shift, factor), ...), lane mask or 0); the
+        final lane mask is 0 unless m = 2^t and no positional fold is left."""
+        plan = self.plans.get(nbytes)
+        if plan is None:
+            ones, w = b"\xff" * nbytes, 8 * nbytes
+            pow2 = not self.m & (self.m - 1)
+            lane = (self.m - 1).to_bytes(nbytes, "little")
+
+            def lanes(region):
+                return int.from_bytes(lane * region, "little")
+
+            steps = []
+            for region, extent, s, lo, hi, terms, reduce in self.steps:
+                block = bytes(lo * s * nbytes) + ones * ((hi - lo) * s) + bytes((extent - hi) * s * nbytes)
+                mask = int.from_bytes(block * (region // (extent * s)), "little")
+                steps.append((mask, tuple((sh * w, f) for sh, f in terms), lanes(region) if reduce else 0))
+            final = lanes(self.region) if pow2 and not self.folds else 0
+            plan = self.plans[nbytes] = (tuple(steps), final)
+        return plan
+
+
+def _runs(rules):
+    """The (box slice, vector slice) pairs of `PackedLayout.runs`."""
+    axis = max(range(len(rules)), key=lambda i: rules[i][0])
+    bases, stride = [(0, 0)], 1
+    for i, (d, s, _) in enumerate(rules):
+        if i == axis:
+            d_axis, s_axis, t_axis = d, s, stride
+        else:
+            bases = [(bp + e * s, bv + e * stride) for e in range(d) for bp, bv in bases]
+        stride *= d
+    return tuple(
+        (slice(bp, bp + (d_axis - 1) * s_axis + 1, s_axis), slice(bv, bv + (d_axis - 1) * t_axis + 1, t_axis))
+        for bp, bv in bases
+    )
+
 
 def packed_product(a, b, layout):
     """The normal-form lanes of a * b for lane vectors of ints in [0, m)
-    and ``layout`` = product_box(...) + (m,).  A box position is a lane of
-    at least 2*bitlen(m - 1) + bitlen(min nonzeros) bits: a product lane
-    sums at most that many products of two ints below m, so no lane
-    carries.  Lanes up to 64 bits pack through `array`, wider ones bytewise."""
-    place, size, folds, m = layout
+    over a `PackedLayout`.  A box position is a lane wide enough for
+    nonzeros * layout.top, nonzeros the fewer nonzero lanes of a and b:
+    a product lane sums at most that many products of two ints below m,
+    so no lane carries, and the fold steps keep within that bound.  Lanes
+    up to 64 bits pack through `array`, wider ones bytewise."""
     nonzeros = min(len(a) - a.count(0), len(b) - b.count(0))
-    nbytes = (2 * (m - 1).bit_length() + nonzeros.bit_length() + 7) // 8
+    if not nonzeros:
+        return [0] * len(layout.place)
+    nbytes = ((nonzeros * layout.top).bit_length() + 7) // 8
     nbytes, tc = _LANE_TYPES.get(nbytes, (nbytes, None))
-    packed = []
-    for vec in (a,) if b is a else (a, b):
-        box = [0] * size
-        for p, x in zip(place, vec):
-            box[p] = x
-        raw = array(tc, box).tobytes() if tc else b"".join(x.to_bytes(nbytes, "little") for x in box)
-        packed.append(int.from_bytes(raw, "little"))
-    raw = (packed[0] * packed[-1]).to_bytes(size * nbytes, "little")
+    steps, final = layout.plans.get(nbytes) or layout.plan(nbytes)
+    pa = _pack(a, layout, nbytes, tc)
+    prod = pa * pa if b is a else pa * _pack(b, layout, nbytes, tc)
+    for mask, terms, lanes in steps:
+        if lanes:
+            prod &= lanes
+        high = prod & mask
+        prod -= high
+        for shift, f in terms:
+            prod += (high >> shift) * f if f != 1 else high >> shift
+    if final:
+        prod &= final
+    raw = prod.to_bytes(layout.region * nbytes, "little")
     if tc:
-        box = array(tc, raw).tolist()
+        box = array(tc, raw)
     else:
         box = [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
-    for pos, rule in folds:
-        c = box[pos] % m
-        if c:
-            for off, f in rule:
-                box[pos + off] += c * f
-    return [box[p] % m for p in place]
+    m, n, runs = layout.m, len(layout.place), layout.runs
+    if layout.folds:
+        box = box.tolist() if tc else box
+        for pos, rule in layout.folds:
+            c = box[pos] % m
+            if c:
+                for off, f in rule:
+                    box[pos + off] += c * f
+        return [box[p] % m for p in layout.place]
+    if runs is None:
+        out = box[:n]
+    else:
+        out = array(tc, bytes(n * nbytes)) if tc else [0] * n
+        for sb, sv in runs:
+            out[sv] = box[sb]
+    out = out.tolist() if tc else out
+    return out if final else [x % m for x in out]
+
+
+def _pack(vec, layout, nbytes, tc):
+    """The big int of a lane vector placed in the box, ``nbytes`` a lane."""
+    if layout.runs is None:
+        box = vec
+    else:
+        box = array(tc, bytes(layout.span * nbytes)) if tc else [0] * layout.span
+        vec = array(tc, vec) if tc else vec
+        for sb, sv in layout.runs:
+            box[sb] = vec[sv]
+    raw = array(tc, box).tobytes() if tc else b"".join(x.to_bytes(nbytes, "little") for x in box)
+    return int.from_bytes(raw, "little")
 
 
 def convolve_fold(a, b, size, folds, ring):

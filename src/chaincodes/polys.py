@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
+from math import gcd
 
 from .errors import BudgetExceeded, DomainError, InternalError
-from .kernel import packed_product, product_box
+from .kernel import PackedLayout, packed_product
 
 # Bound on n = deg t_1 * ... * deg t_r, the length of an ambient's dense vectors
 MAX_AMBIENT_LENGTH = 2**16
@@ -272,11 +273,11 @@ def power(base, e, one, mul=operator.mul):
 
 
 def packed_layout(ring, moduli):
-    """The `kernel.packed_product` layout of ring[X_1..X_r]/(moduli) for
-    monic moduli, X_1 fastest after the ring's own lane variables: an
-    `Ambient`'s, and that of R[X]/(g) in `pow_mod` and `factor`."""
+    """The `kernel.PackedLayout` of ring[X_1..X_r]/(moduli) for monic
+    moduli, X_1 fastest after the ring's own lane variables: an `Ambient`'s,
+    and that of R[X]/(g) in `pow_mod` and `factor`."""
     rules = tuple((m.degree, ring.fold_rule(m)) for m in moduli)
-    return product_box(ring.lane_vars + rules) + (ring.lane_modulus,)
+    return PackedLayout(ring.lane_vars, rules, ring.lane_modulus)
 
 
 def mod_lanes(f, mod):
@@ -714,13 +715,18 @@ class MPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        amb = self.ambient
         if isinstance(other, int):
-            m = amb.ring.lane_modulus
-            return MPoly(amb, [x * other % m for x in self.lanes])
+            return self.__rmul__(other)
+        amb = self.ambient
         return MPoly(amb, packed_product(self.lanes, self._coerce(other).lanes, amb.layout))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        """k * f for an int k scales the lanes mod m, so `__mul__` is called
+        for products only; c * f for a ring element c is f * c."""
+        if not isinstance(other, int):
+            return self * other
+        m = self.ambient.ring.lane_modulus
+        return MPoly(self.ambient, [x * other % m for x in self.lanes])
 
     def __pow__(self, e):
         if e < 0:
@@ -742,9 +748,27 @@ class MPoly:
         return not any(self.lanes)
 
     def valuation(self):
-        """Minimum coefficient valuation (t for the zero class)."""
-        ring = self.ambient.ring
-        return min(ring._val(x) for x in ring._from_lanes(self.lanes))
+        """Minimum coefficient valuation (t for the zero class), read on the
+        lanes.  Over F_q[u]/u^t, and rings over it, a coefficient's valuation
+        is its least u-level with a nonzero lane, so the class's is the least
+        u-level with a nonzero lane in any coefficient.  Every other ring has
+        a = p, and a coefficient's valuation is the least v_p of its lanes
+        (capped at t), so the class's is min v_p over all lanes: v_p of their
+        gcd with m = p^t, one gcd."""
+        ring, lanes = self.ambient.ring, self.lanes
+        stride = 1
+        for d, rule in ring.lane_vars:
+            if rule is None:  # u^d = 0: lanes i*stride .. (i+1)*stride - 1 of every d*stride
+                for i in range(d):
+                    if any(any(lanes[j :: d * stride]) for j in range(i * stride, (i + 1) * stride)):
+                        return i
+                return d
+            stride *= d
+        g, p, v = gcd(ring.lane_modulus, *lanes), ring.p, 0
+        while g > 1:
+            g //= p
+            v += 1
+        return v
 
     def residue(self):
         """Image in the residue quotient algebra."""

@@ -1,10 +1,17 @@
 """End-to-end batteries on rings beyond the headline trio: nilpotency
 index 3, the truncated family, and a non-prime residue field."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import chaincodes
 from chaincodes import (
     Ambient,
+    CanonicalGenerators,
+    CyclotomicClass,
     Poly,
     decompose,
     dual,
@@ -209,3 +216,23 @@ def test_truncated_selfdual(amb_f3u):
     # 3^1 = 3 = -1 mod 4, so only the trivial self-dual code exists
     assert exists is False
     assert is_selfdual(trivial_selfdual(amb_f3u))
+
+
+def test_records_are_named_tuples_and_import_no_dataclasses(amb_z8):
+    """The result records are namedtuple subclasses (`ClassData` a plain
+    class), so importing the package loads no `dataclasses`, and with it no
+    inspect, ast or dis.  They are built and read by field name, and equal
+    records are equal and hash alike; none is changed after it is built."""
+    src = os.path.dirname(os.path.dirname(chaincodes.__file__))
+    probe = "import sys, chaincodes; print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+    dec = decompose(amb_z8)
+    cls = dec.data[1].cls
+    again = CyclotomicClass(members=cls.members, rep=cls.rep)
+    assert again == cls and hash(again) == hash(cls) and again.size == len(cls.members)
+    gens = CanonicalGenerators(gs=(amb_z8.one(),), G=amb_z8.one())
+    assert gens.G == gens.gs[0]
+    with pytest.raises(AttributeError):
+        cls.rep = ()

@@ -7,18 +7,22 @@ fold table built with `Poly` pow and mod for extension rings.
 took a `Poly` product and a `Poly` division per step.  `MPoly.__mul__` once
 ran `convolve_fold` on coefficient payloads in the box of the old
 `product_box(moduli)`, and every other `MPoly` operation ran one `RingElem`
-operation per coefficient.  Those are kept here as references, and the
-payloads of today's results must equal theirs on seeded random inputs over
-every ring family, degree-1 extensions and tower rings.
+operation per coefficient.  `packed_product` once folded every layout
+position by position; that pass is still the general path, and the
+whole-int shift steps of cyclic layouts must agree with it.  Those are
+kept here as references, and the payloads of today's results must equal
+theirs on seeded random inputs over every ring family, degree-1
+extensions and tower rings.
 """
 
 import random
+from array import array
 
 import pytest
 
-from chaincodes import Ambient, DomainError, MPoly, Poly, decompose, polys, rings, ring_construct
+from chaincodes import Ambient, DomainError, MPoly, Poly, decompose, kernel, polys, rings, ring_construct
 from chaincodes.decompose import _poly_over_tower_to_mpoly
-from chaincodes.kernel import convolve_fold
+from chaincodes.kernel import convolve_fold, packed_product
 from chaincodes.polys import parse_univariate
 from chaincodes.rings import ChainRing, ExtensionRing, IntegerModRing, RingElem, TruncatedRing
 
@@ -681,3 +685,123 @@ def test_mpoly_views_build_no_ring_element(ring, monkeypatch):
     monkeypatch.setattr(RingElem, "__init__", forbidden)
     for name, op in ops.items():
         assert op() == want[name], name
+
+
+def _packed_product_reference(a, b, ring, moduli):
+    """The old `packed_product`, verbatim but for its layout argument: the
+    positional pass over the box of `kernel.product_box`, for every layout."""
+    rules = tuple((g.degree, ring.fold_rule(g)) for g in moduli)
+    (place, size, folds), m = kernel.product_box(ring.lane_vars + rules), ring.lane_modulus
+    nonzeros = min(len(a) - a.count(0), len(b) - b.count(0))
+    nbytes = (2 * (m - 1).bit_length() + nonzeros.bit_length() + 7) // 8
+    nbytes, tc = kernel._LANE_TYPES.get(nbytes, (nbytes, None))
+    packed = []
+    for vec in (a,) if b is a else (a, b):
+        box = [0] * size
+        for p, x in zip(place, vec):
+            box[p] = x
+        raw = array(tc, box).tobytes() if tc else b"".join(x.to_bytes(nbytes, "little") for x in box)
+        packed.append(int.from_bytes(raw, "little"))
+    raw = (packed[0] * packed[-1]).to_bytes(size * nbytes, "little")
+    if tc:
+        box = array(tc, raw).tolist()
+    else:
+        box = [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+    for pos, rule in folds:
+        c = box[pos] % m
+        if c:
+            for off, f in rule:
+                box[pos + off] += c * f
+    return [box[p] % m for p in place]
+
+
+# abelian at r = 1, 2 and 3, abelian with a degree-1 modulus, and mixed:
+# x^5-1 with y^3+y+1 must keep the positional folds alone
+SHIFT_MODULI = [("x^15-1",), ("x^4-1", "y^3-1"), ("x^3-1", "y^2-1", "z^3-1"), ("x-1", "y^5-1"), ("x^5-1", "y^3+y+1")]
+
+
+def test_shift_folds_match_positional_folds(ring):
+    """An ambient's layout folds each X_i^e - 1, and the ring's one rule
+    variable, as whole-int steps; its products must equal the old positional
+    `packed_product` and the payload kernel of the old `MPoly.__mul__`,
+    dense operands with every lane m - 1 included."""
+    rng = random.Random(28)
+    m = ring.lane_modulus
+    for moduli in SHIFT_MODULI:
+        amb = _ambient(ring, moduli)
+        layout = amb.layout
+        if amb.abelian:
+            assert layout.steps
+        else:
+            rules = tuple((g.degree, ring.fold_rule(g)) for g in amb.moduli)
+            assert not layout.steps and layout.folds == kernel.product_box(ring.lane_vars + rules)[2]
+        top = MPoly(amb, [m - 1] * len(amb.one().lanes))
+        operands = [amb.zero(), amb.one(), top] + [_mpoly(amb, rng, density) for density in (0.3, 1.0)]
+        for f in operands:
+            for g in operands:
+                got = packed_product(f.lanes, g.lanes, layout)
+                assert got == _packed_product_reference(f.lanes, g.lanes, ring, amb.moduli)
+                assert _payloads(MPoly(amb, got)) == _payloads(_mpoly_mul_reference(f, g))
+
+
+@pytest.mark.parametrize("name", ["Z4", "Z9", "Z_2^70", "GF(4)", "GR(4,2)", "F3[u]/u^2", "F4[u]/u^3"])
+def test_cyclic_ambients_leave_no_positional_fold(name):
+    """Over Z_m, and over a ring with one rule variable, fastest, an
+    ambient of X_i^e_i - 1 folds by whole-int steps alone, and so does
+    R[X]/(X^e - 1); R[X]/(g) for another g keeps every positional fold, and
+    a tower keeps only the folds of its ring variables."""
+    ring = RINGS[name]()
+    for moduli in (("x^45-1",), ("x^4-1", "y^4-1"), ("x^3-1", "y^3-1", "z^3-1")):
+        amb = _ambient(ring, moduli)
+        assert amb.layout.folds == () and amb.layout.steps
+    cyclic, other = (parse_univariate(g, ring) for g in ("x^9-1", "x^9+x+1"))
+    assert polys.packed_layout(ring, (cyclic,)).folds == ()
+    layout = polys.packed_layout(ring, (other,))
+    assert not layout.steps and layout.folds == kernel.product_box(ring.lane_vars + ((9, ring.fold_rule(other)),))[2]
+    tower = RINGS["tower"]()
+    amb = _ambient(tower, ("x^4-1", "y^3-1"))
+    ring_folds = kernel.product_box(tower.lane_vars)[2]
+    assert amb.layout.steps and len(amb.layout.folds) == amb.n * len(ring_folds)
+
+
+def test_valuation_matches_per_coefficient_minimum(ring):
+    """`MPoly.valuation` reads lanes: the gcd of all lanes over Galois-type
+    rings, the least nonzero u-level over truncated rings.  It must equal the
+    least coefficient valuation, t for the zero class, also when every lane
+    is divisible by p^k (every coefficient a multiple of a^k)."""
+    rng = random.Random(29)
+    for moduli in (("x^5-1",), ("x^3-1", "y^2-1")):
+        amb = _ambient(ring, moduli)
+        assert amb.zero().valuation() == ring.t
+        for density in (0.1, 0.5, 1.0):
+            f = _mpoly(amb, rng, density)
+            for k in range(ring.t + 1):
+                g = f * amb.constant(ring.a**k) if k else f
+                assert g.valuation() == min(c.valuation() for c in g.coeffs), (density, k)
+        for k in range(ring.t):
+            # one coefficient of valuation exactly k, the others zero or higher
+            g = amb.constant(ring.a**k) + amb.parse("x") * ring.a ** min(k + 1, ring.t)
+            assert g.valuation() == k == min(c.valuation() for c in g.coeffs)
+
+
+def test_int_scalings_are_not_mpoly_products(monkeypatch):
+    """int * f scales lanes through `MPoly.__rmul__`: once every e and g of
+    Z8 x^15-1 is built, every `MPoly.__mul__` call was an MPoly x MPoly
+    product (`hensel.lift_idempotent` scales by 3 and 2)."""
+    ring = _galois(2, 3)
+    amb = Ambient(ring, [parse_univariate("x^15-1", ring)])
+    calls, products = [], []
+    real = MPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        products.extend([1] if isinstance(other, MPoly) else [])
+        return real(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counted)
+    dec = decompose(amb)
+    for cd in dec.data:
+        cd.e, cd.g
+    assert calls and len(calls) == len(products)
+    f = amb.parse("x^3+2*x+5")
+    assert 3 * f == f + f + f == f * 3 and -2 * f == f * -2
