@@ -96,10 +96,8 @@ class SemisimpleCode:
             slot = 0 if j == t else j + 1
             gs[slot] = gs[slot] + cd.e
         G = gs[1]
-        apow = A.ring.one
         for i in range(1, t):
-            apow = apow * A.ring.a
-            G = G + gs[i + 1] * apow
+            G = G + gs[i + 1].times_a(i)
         return CanonicalGenerators(gs=tuple(gs), G=G)
 
     def definition_generators(self):
@@ -110,7 +108,7 @@ class SemisimpleCode:
         for cd, j in zip(self.dec.data, self.exps):
             if j == t:
                 continue
-            out.append(cd.h * (A.ring.a**j))
+            out.append(cd.h.times_a(j))
         return out
 
     def is_hensel_lift(self):

@@ -350,11 +350,10 @@ class Decomposition:
         powers of mu_v are built once per root and shared by the candidates."""
         Fq, sd = self.ambient.ring, self.splitting
         big, char = sd.field, Fq.p
-        pad = (Fq._zero,) * (sd.M - 1)
         k = Fq.ncoords
-        # the F_p-basis of F_q whose lanes are unit vectors, in GF(q^M), after
-        # its first element, which is 1
-        units = [(u, *pad) if pad else u for u in Fq._from_lanes([int(i == j) for i in range(k) for j in range(k)])[1:]]
+        # the F_p-basis of F_q whose lanes are unit vectors, in GF(q^M) (whose
+        # lanes start with those of F_q), after its first element, which is 1
+        units = big._from_lanes([int(i == j) for i in range(1, k) for j in range(big.ncoords)])
 
         def rows(monomials):
             return [big._lanes([y]) for m in monomials for y in (m, *(big._mul(u, m) for u in units))]

@@ -36,11 +36,7 @@ def dual(code, check_generator_form=True):
     if check_generator_form:
         A = code.ambient
         gs = code.generators().gs
-        gens = [gs[0].tau()]
-        apow = A.ring.a
-        for i in range(1, t):
-            gens.append(gs[t + 1 - i].tau() * apow)
-            apow = apow * A.ring.a
+        gens = [gs[0].tau()] + [gs[t + 1 - i].tau().times_a(i) for i in range(1, t)]
         alt = code_from_generators(A, gens, seed=dec.seed)
         if alt != out:  # pragma: no cover
             raise InternalError("generator-form dual disagrees with the exponent rule")

@@ -120,11 +120,11 @@ def _trace_functional(S):
     for i in range(S.deg):
         coords = [R._zero] * S.deg
         coords[i] = R._one
-        basis_traces.append(ring_trace(S, S.elem(tuple(coords))))
+        basis_traces.append(ring_trace(S, S.elem(tuple(R._lanes(coords)))))
 
     def trace(x):
         acc = R.zero
-        for c, tr in zip(x.data, basis_traces):
+        for c, tr in zip(R._from_lanes(x.data), basis_traces):
             acc = acc + R.elem(c) * tr
         return acc
 

@@ -53,31 +53,24 @@ steps.  Z4 x^45-1 products took 6.0 us against 16.9 us positionally,
 GR(4,2) x^15-1 7.4 against 17.8 us, and Z4 x^15-1,y^15-1,z^15-1 5.6
 against 9.1 ms (dense operands, best of 15, Python 3.11, 2-core VM).
 
-`convolve_fold` is the Python loop on raw coefficient payloads for
-element-sized products: `polys.Poly` (no folds) and the elements of
-extension rings (one variable).  Packing loses at that size: one product
-of random nonzero elements, with lanes flattened and rebuilt, took 5.0 us
-packed against 2.0 us in the loop over GR(4,2), and 4.6 against 1.7 us
-over F_3[u]/u^2 (best of 9, Python 3.11, 2-core VM).  F_q[u]/u^t keeps
-its own row loop, which forms only the t(t+1)/2 products below u^t: the
-same cut in this loop cost 7 to 18 % on extension-ring elements of 2 to 8
-coordinates (alternating runs, best of 41, same machine).
+`LaneBox` is the int loop of element-sized products on lanes.  The
+payload of an extension or truncated ring is the flat tuple of its
+lanes, so one loop serves its element products and `polys.Poly` products
+and divisions over it, whose k coefficients stand in k ring boxes side by
+side (`LaneBox.blocks`): every nonzero lane of one operand meets the
+nonzero lanes of the other in plain int products, then each ring box is
+folded once and its places are read mod m.  With a rule-less u the loop
+forms only the products below u^t.  Packing loses at element size: one
+product of random nonzero elements, with lanes flattened and rebuilt,
+took 5.0 us packed against 2.0 us in a loop over GR(4,2) (best of 9,
+Python 3.11, 2-core VM).
 
 Over Z_m itself (`rings.IntegerModRing`, whose payloads are ints in
-[0, m)) that loop, and the long division of `divide_monic`, run on plain
-ints as `convolve_fold_mod` and `divide_monic_mod`: products are summed
-per output coefficient and reduced mod m once, and each fold or quotient
+[0, m)), `Poly` products and the long division of `divide_monic_mod` run
+on plain ints, as does `rings.LaneRing._divide` on lanes: products are
+summed per output coefficient and reduced mod m once, and each quotient
 coefficient is reduced before it is used, so every int stays below about
-n * m^2 for n summands.  The callback loop pays a Python call and a `%`
-per product and per sum.  So the coefficient ring's class picks the loop
-(`ChainRing._convolve` and `_divide`): `Poly` products and divisions over
-Z_m and the elements of its extensions (GF(4), GR(4,2), GF(q^M) over
-F_p) take the int loop, and rings with tuple payloads -- extensions of
-extensions, towers, F_q[u]/u^t -- keep the callback loop, whose element
-products are themselves int loops one level down.  A degree-8 by degree-4
-`Poly` product over Z4 took 3.6 us against 7.4 us in the callback loop,
-its division 5.0 against 7.0 us, and one GF(4) element product 1.3
-against 1.9 us (best of 5, Python 3.11, 2-core VM).
+n * m^2 for n summands.
 """
 
 from __future__ import annotations
@@ -295,60 +288,73 @@ def _pack(vec, layout, nbytes, tc):
     return int.from_bytes(raw, "little")
 
 
-def convolve_fold(a, b, size, folds, ring):
-    """The product box of two (position, payload) sequences over ``ring``:
-    one convolution, then the top-down `folds` of `product_box`."""
-    add, mul, z = ring._add, ring._mul, ring._zero
-    box = [z] * size
-    rhs = [(pb, y) for pb, y in b if y != z]
-    for pa, x in a:
-        if x != z:
-            for pb, y in rhs:
-                box[pa + pb] = add(box[pa + pb], mul(x, y))
-    for pos, rule in folds:
-        c = box[pos]
-        if c != z:
-            for off, f in rule:
-                box[pos + off] = add(box[pos + off], mul(c, f))
-    return box
+class LaneBox:
+    """The int product loop of a ring whose payloads are the tuples of their
+    lanes (`rings.LaneRing`), in the box of `product_box(lane_vars)`: its
+    place, size and folds, the u-level of each lane and the cut.
+
+    `blocks` stacks k ring boxes, one per coefficient of a sequence of
+    payloads such as a `Poly`, read as its flat lanes: so the one loop of
+    `product` multiplies two elements or two whole sequences, and each
+    output coefficient is one ring box, folded once and read mod m.
+    ``levels`` holds the u-level of each lane and ``cut`` is t when the
+    ring has a rule-less u (u^t = 0), else every level is 0 and ``cut`` is
+    1: a lane of level L meets only the lanes below level t - L, so the
+    products at u^t and above, which no fold or place reads, are never
+    formed."""
+
+    __slots__ = ("place", "size", "folds", "levels", "cut", "m")
+
+    def __init__(self, place, size, folds, levels, cut, m):
+        self.place, self.size, self.folds, self.levels, self.cut, self.m = place, size, folds, levels, cut, m
+
+    def blocks(self, k):
+        """The box of sequences of k payloads: k ring boxes side by side."""
+        size = self.size
+        place = [i * size + p for i in range(k) for p in self.place]
+        folds = [(i * size + pos, rule) for i in range(k) for pos, rule in self.folds]
+        return LaneBox(place, k * size, folds, self.levels * k, self.cut, self.m)
+
+    def product(self, a, b):
+        """The reduced lanes of a * b for two lane vectors of this box."""
+        m, cut, place, levels = self.m, self.cut, self.place, self.levels
+        box = [0] * self.size
+        # below[L]: the nonzero lanes of b, as (box position, lane), that a
+        # lane of level L meets; without a u, all of them
+        if cut == 1:
+            below = ([(q, y) for q, y in zip(place, b) if y],)
+        else:
+            below = [[(q, y) for q, y, l in zip(place, b, levels) if y and l < cut - level] for level in range(cut)]
+        for p, x, level in zip(place, a, levels):
+            if x:
+                for q, y in below[level]:
+                    box[p + q] += x * y
+        for pos, rule in self.folds:
+            c = box[pos] % m
+            if c:
+                for off, f in rule:
+                    box[pos + off] += c * f
+        return tuple([box[p] % m for p in place])
 
 
-def convolve_fold_mod(a, b, size, folds, m):
-    """`convolve_fold` of two payload sequences over Z_m, positions 0, 1,
-    ...: plain int products summed per position, each fold coefficient
-    reduced before it is used, and every position reduced once at the end."""
-    box = [0] * size
+def convolve_mod(a, b, m):
+    """The product of two int sequences over Z_m, positions 0, 1, ...:
+    plain int products summed per position, each reduced once at the end."""
+    box = [0] * (len(a) + len(b) - 1)
     rhs = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
             for j, y in rhs:
                 box[i + j] += x * y
-    for pos, rule in folds:
-        c = box[pos] % m
-        if c:
-            for off, f in rule:
-                box[pos + off] += c * f
     return [c % m for c in box]
 
 
-def divide_monic(rem, div, ring):
-    """Long division in place of the payload list ``rem`` by X^d - (div[0] +
-    div[1] X + ... + div[d-1] X^(d-1)), d = len(div) >= 0: step k, from the
-    top down to d, leaves the quotient coefficient of X^(k-d) at rem[k],
-    which no later step touches, and rem[:d] ends as the remainder."""
-    add, mul, z = ring._add, ring._mul, ring._zero
-    d = len(div)
-    for k in range(len(rem) - 1, d - 1, -1):
-        c = rem[k]
-        if c != z:
-            for j, b in enumerate(div, k - d):
-                rem[j] = add(rem[j], mul(c, b))
-    return rem
-
-
 def divide_monic_mod(rem, div, m):
-    """`divide_monic` over Z_m on plain ints: each quotient coefficient is
-    reduced before it is used, and the remainder once at the end."""
+    """Long division in place of the int list ``rem`` over Z_m by X^d -
+    (div[0] + div[1] X + ... + div[d-1] X^(d-1)), d = len(div) >= 0: step
+    k, from the top down to d, leaves the quotient coefficient of X^(k-d)
+    at rem[k], reduced before it is used, which no later step touches, and
+    rem[:d] ends as the remainder, reduced once at the end."""
     d = len(div)
     for k in range(len(rem) - 1, d - 1, -1):
         c = rem[k] = rem[k] % m

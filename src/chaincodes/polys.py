@@ -12,15 +12,15 @@ its lanes: every ring here is a quotient of Z_m[Z_1..Z_k] (see
 [0, m), the ring's own variables fastest.
 
 Every product runs a kernel of `kernel.py`.  `MPoly.__mul__` is one packed
-big-int product of two lane vectors, and sums, negation, int scaling and
-equality are operations mod m on them; `pow_mod` runs the same packed
-product in R[X]/(g).  Element-sized products (`Poly` and extension ring
-elements) and `Poly` division run the coefficient ring's payload loops,
-`_convolve` and `_divide`: plain ints over Z_m, `convolve_fold` and
-`divide_monic` otherwise.  Every other `Poly` operation runs on payloads
-too.  The `MPoly` views -- residue, lift, valuation, text and JSON -- read
-lanes, and `poly_to_text` and `MPoly.to_text` render the same (exponents,
-coordinates) pairs.  So
+big-int product of two lane vectors, and sums, negation, scaling by an int
+or by a power of a, and equality are operations on them; `pow_mod` runs
+the same packed product in R[X]/(g).  `Poly` products and division run the
+coefficient ring's payload loops, `_convolve` and `_divide`: plain ints
+over Z_m, and over every other ring the int loop of `kernel.LaneBox`, one
+ring box per output coefficient.  Every other `Poly` operation runs on
+payloads too.  The `MPoly` views -- residue, lift, valuation, text and
+JSON -- read lanes, and `poly_to_text` and `MPoly.to_text` render the same
+(exponents, coordinates) pairs.  So
 `RingElem`s are built only at the API edge, by the ``coeffs``/``coeff``/
 ``leading`` views, `evaluate` and `map_coeffs`, and `Poly.from_coeffs`
 takes ints and elements in.
@@ -32,15 +32,14 @@ Everything here is generic over the coefficient ring: it relies on the raw
 payload operations ``_add``/``_neg``/``_mul``/``_inverse``/``_zero``/
 ``_payload`` and ``elem`` of the ring, on its payload loops ``_add_vec``/
 ``_neg_vec``/``_convolve``/``_divide``, on its lane maps ``_lanes``/
-``_from_lanes`` and ``lane_modulus``, and on ``zero``/``one``/``from_int``
-for elements.
+``_from_lanes``/``_lane_*`` and ``lane_modulus``, and on ``zero``/``one``/
+``from_int`` for elements.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cached_property
-from math import gcd
 
 from .errors import BudgetExceeded, DomainError, InternalError
 from .kernel import PackedLayout, packed_product
@@ -143,7 +142,7 @@ class Poly:
         a, b = self.data, self._coerce(other).data
         if not a or not b:
             return Poly(self.ring, (), self.var)
-        return Poly(self.ring, self.ring._convolve(a, b, len(a) + len(b) - 1, ()), self.var)
+        return Poly(self.ring, self.ring._convolve(a, b), self.var)
 
     __rmul__ = __mul__
 
@@ -749,34 +748,20 @@ class MPoly:
 
     def valuation(self):
         """Minimum coefficient valuation (t for the zero class), read on the
-        lanes.  Over F_q[u]/u^t, and rings over it, a coefficient's valuation
-        is its least u-level with a nonzero lane, so the class's is the least
-        u-level with a nonzero lane in any coefficient.  Every other ring has
-        a = p, and a coefficient's valuation is the least v_p of its lanes
-        (capped at t), so the class's is min v_p over all lanes: v_p of their
-        gcd with m = p^t, one gcd."""
-        ring, lanes = self.ambient.ring, self.lanes
-        stride = 1
-        for d, rule in ring.lane_vars:
-            if rule is None:  # u^d = 0: lanes i*stride .. (i+1)*stride - 1 of every d*stride
-                for i in range(d):
-                    if any(any(lanes[j :: d * stride]) for j in range(i * stride, (i + 1) * stride)):
-                        return i
-                return d
-            stride *= d
-        g, p, v = gcd(ring.lane_modulus, *lanes), ring.p, 0
-        while g > 1:
-            g //= p
-            v += 1
-        return v
+        lanes (`ChainRing._lane_val`)."""
+        return self.ambient.ring._lane_val(self.lanes)
+
+    def times_a(self, k):
+        """self * a^k, on the lanes (`ChainRing._lane_shift`): every lane
+        times p^k mod m, or every coefficient moved up k u-levels."""
+        return MPoly(self.ambient, self.ambient.ring._lane_shift(self.lanes, k))
 
     def residue(self):
         """Image in the residue quotient algebra."""
         ra = self.ambient.residue_ambient
         if ra is self.ambient:
             return self
-        ring = self.ambient.ring
-        return MPoly(ra, ra.ring._lanes([ring._residue(x) for x in ring._from_lanes(self.lanes)]))
+        return MPoly(ra, self.ambient.ring._lane_residue(self.lanes))
 
     def lift_to(self, ambient):
         """Coefficientwise lift into an ambient over the full chain ring."""
@@ -785,7 +770,7 @@ class MPoly:
             raise DomainError("lift expects a residue field element")
         if self.ambient.n != ambient.n:
             raise DomainError(f"vector length {self.ambient.n} != ambient length {ambient.n}")
-        return MPoly(ambient, ring._lanes([ring._lift(x) for x in field._from_lanes(self.lanes)]))
+        return MPoly(ambient, ring._lane_lift(self.lanes))
 
     def tau(self):
         """The weight-preserving inversion automorphism X_i -> X_i^{-1}."""

@@ -5,12 +5,15 @@ A chain ring here is one of three concrete classes sharing one interface:
 
 * `IntegerModRing(p, t)` -- Z_{p^t}; elements are ints in [0, p^t).
 * `ExtensionRing(base, modulus)` -- base[Z]/(modulus) for a monic basic
-  irreducible modulus; elements are tuples of base elements.  Galois rings
-  GR(p^t, l) are `ExtensionRing(IntegerModRing(p, t), g)` and towers of
-  extensions realize the rings R(mu_1, ..., mu_k) used by the class
-  decomposition.
-* `TruncatedRing(field, t)` -- F_q[u]/(u^t); elements are tuples of field
-  elements per power of u.
+  irreducible modulus.  Galois rings GR(p^t, l) are
+  `ExtensionRing(IntegerModRing(p, t), g)` and towers of extensions realize
+  the rings R(mu_1, ..., mu_k) used by the class decomposition.
+* `TruncatedRing(field, t)` -- F_q[u]/(u^t).
+
+Every ring is a quotient of Z_m[Z_1..Z_k] (`ChainRing.lane_vars`), and an
+element of an extension or truncated ring is the flat tuple of its ncoords
+ints in [0, m), its lanes, in that order: one `LaneRing` class runs their
+arithmetic from ``lane_vars`` and ``lane_modulus`` alone, on ints.
 
 Finite fields are simply chain rings with nilpotency index t = 1, so every
 algorithm written against this interface works over fields as well.
@@ -25,10 +28,11 @@ import copy
 import json
 import sys
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import gcd, isqrt
+from operator import add
 
 from .errors import BudgetExceeded, DomainError, InternalError
-from .kernel import convolve_fold, convolve_fold_mod, divide_monic, divide_monic_mod, product_box
+from .kernel import LaneBox, convolve_mod, divide_monic_mod, product_box
 from .polys import Poly, _coeff_text, is_irreducible, power, smallest_irreducible
 
 
@@ -132,28 +136,34 @@ class ChainRing:
     variables plus (deg, its modulus); F_q[u]/u^t its field's plus (t, None),
     since u^t = 0.  ``_lanes`` flattens payloads to their ncoords ints in
     that order, and ``_from_lanes`` is its inverse on reduced ints.
+
+    The radical generator a is p, or u when a rule-less u is present, so
+    the ``_lane_*`` maps read a lane vector of any number of elements -- a
+    payload, or the lanes of an `MPoly` -- in two cases: lanes mod p or
+    divided by p^k, or the lanes at u-level 0 or shifted by k u-levels.
     """
 
     def _coords(self, a):
         return self._lanes([a])
 
-    # Payload loops over sequences of this ring's payloads: the coordinates
-    # of an element of a ring over this one, or the coefficients of a `Poly`.
-    # `IntegerModRing` runs them on plain ints.
+    def _from_int(self, v):
+        return self._from_lanes([v % self.lane_modulus] + [0] * (self.ncoords - 1))[0]
+
+    def _from_coords(self, coords):
+        return self._from_lanes([c % self.lane_modulus for c in coords])[0]
+
+    def _from_rank(self, r):
+        m = self.lane_modulus
+        return self._from_lanes([r // m**i % m for i in range(self.ncoords)])[0]
+
+    # Payload loops over sequences of this ring's payloads: the coefficients
+    # of a `Poly`.  `IntegerModRing` runs them on plain ints.
 
     def _add_vec(self, a, b):
         return tuple(map(self._add, a, b))
 
     def _neg_vec(self, a):
         return tuple(map(self._neg, a))
-
-    def _convolve(self, a, b, size, folds):
-        """The `kernel.convolve_fold` box of the sequences a and b."""
-        return convolve_fold(enumerate(a), enumerate(b), size, folds, self)
-
-    def _divide(self, rem, div):
-        """`kernel.divide_monic` of the list rem, in place."""
-        return divide_monic(rem, div, self)
 
     def fold_rule(self, modulus):
         """X^d = -(modulus - X^d) for a monic modulus of degree d over this
@@ -162,6 +172,61 @@ class ChainRing:
         lanes = self._lanes([self._neg(c) for c in modulus.data[:-1]])
         k = self.ncoords
         return tuple((i // k, i % k, v) for i, v in enumerate(lanes) if v)
+
+    # (stride, t) of the rule-less lane variable u, or None when a = p
+    _u = None
+
+    def _lane_val(self, lanes):
+        """The least valuation of the elements of a lane vector, t when all
+        are zero.  With a = u it is the least u-level with a nonzero lane in
+        any element.  With a = p an element's valuation is the least v_p of
+        its lanes (capped at t), so the vector's is min v_p over all lanes:
+        v_p of their gcd with m = p^t, one gcd."""
+        if self._u:
+            s, t = self._u
+            for i in range(t):
+                if any(any(lanes[j :: s * t]) for j in range(i * s, (i + 1) * s)):
+                    return i
+            return t
+        g, v = gcd(self.lane_modulus, *lanes), 0
+        while g > 1:
+            g //= self.p
+            v += 1
+        return v
+
+    def _lane_residue(self, lanes):
+        """The residue field lanes of a lane vector: every lane mod p, or
+        the lanes at u-level 0."""
+        if self._u:
+            s, t = self._u
+            return tuple([x for i in range(0, len(lanes), s * t) for x in lanes[i : i + s]])
+        return tuple([x % self.p for x in lanes])
+
+    def _lane_lift(self, lanes):
+        """The coordinatewise lift of residue field lanes: the same lanes,
+        or those lanes at u-level 0 and zero above."""
+        if self._u:
+            s, t = self._u
+            pad = (0,) * (s * (t - 1))
+            return tuple([x for i in range(0, len(lanes), s) for x in (*lanes[i : i + s], *pad)])
+        return tuple(lanes)
+
+    def _lane_shift(self, lanes, k):
+        """Every element of a lane vector times a^k, or for k < 0 divided
+        by a^-k, which is exact on elements of valuation at least -k: lanes
+        times p^k mod m or divided by p^-k, or moved k u-levels up or down."""
+        if self._u:
+            s, t = self._u
+            span = s * t
+            pad = (0,) * min(s * abs(k), span)
+            if k < 0:
+                return tuple([x for i in range(0, len(lanes), span) for x in (*lanes[i + len(pad) : i + span], *pad)])
+            return tuple([x for i in range(0, len(lanes), span) for x in (*pad, *lanes[i : i + span - len(pad)])])
+        if k < 0:
+            return tuple([x // self.p**-k for x in lanes])
+        m = self.lane_modulus
+        f = self.p**k % m
+        return tuple([x * f % m for x in lanes])
 
     @property
     def zero(self):
@@ -306,14 +371,11 @@ class IntegerModRing(ChainRing):
         m = self.size
         return tuple([-x % m for x in a])
 
-    def _convolve(self, a, b, size, folds):
-        return convolve_fold_mod(a, b, size, folds, self.size)
+    def _convolve(self, a, b):
+        return convolve_mod(a, b, self.size)
 
     def _divide(self, rem, div):
         return divide_monic_mod(rem, div, self.size)
-
-    def _from_int(self, v):
-        return v % self.size
 
     def _val(self, a):
         if a == 0:
@@ -339,12 +401,6 @@ class IntegerModRing(ChainRing):
     def _from_lanes(self, lanes):
         return lanes
 
-    def _from_coords(self, coords):
-        return coords[0] % self.size
-
-    def _from_rank(self, r):
-        return r
-
     @cached_property
     def residue_field(self):
         return self if self.t == 1 else IntegerModRing(self.p, 1)
@@ -361,42 +417,84 @@ class IntegerModRing(ChainRing):
         return f"Z{self.size}"
 
 
-class _TupleRing(ChainRing):
-    """Payload operations shared by rings whose elements are tuples of
-    ``_width`` payloads of a coefficient ring ``_inner``."""
+class LaneRing(ChainRing):
+    """The payload operations of a ring whose elements are the tuples of
+    their ncoords lanes, from ``lane_vars`` and ``lane_modulus`` alone:
+    sums lanewise mod m, products in the int loop of `kernel.LaneBox`, and
+    valuation, residue, lift and division by a^k by the ``_lane_*`` maps."""
+
+    def _init_lanes(self, lane_vars, m):
+        self.lane_vars, self.lane_modulus, self.ncoords = lane_vars, m, 1
+        for d, rule in lane_vars:
+            if rule is None:
+                self._u = self.ncoords, d
+            self.ncoords *= d
+        self._zero = (0,) * self.ncoords
+        self._one = (1,) + self._zero[1:]
+        self._a = self._lane_shift(self._one, 1)
+
+    @cached_property
+    def _box(self):
+        place, size, folds = product_box(self.lane_vars)
+        s, t = self._u or (1, 1)
+        return LaneBox(place, size, folds, tuple(i // s % t for i in range(self.ncoords)), t, self.lane_modulus)
 
     def _add(self, a, b):
-        return self._inner._add_vec(a, b)
+        m = self.lane_modulus
+        return tuple([(x + y) % m for x, y in zip(a, b)])
 
     def _neg(self, a):
-        return self._inner._neg_vec(a)
+        m = self.lane_modulus
+        return tuple([-x % m for x in a])
 
-    def _from_int(self, v):
-        return (self._inner._from_int(v),) + (self._inner._zero,) * (self._width - 1)
+    def _mul(self, a, b):
+        return self._box.product(a, b)
+
+    def _convolve(self, a, b):
+        box = self._box.blocks(len(a) + len(b) - 1)
+        return self._from_lanes(box.product(self._lanes(a), self._lanes(b)))
+
+    def _divide(self, rem, div):
+        """`kernel.divide_monic_mod` on lanes: the long division of the
+        payload list ``rem`` by X^d - (div[0] + div[1] X + ... + div[d-1]
+        X^(d-1)), d = len(div) >= 0, as the list of quotient coefficients
+        above the d of the remainder.  Each step reduces the quotient
+        coefficient c of X^(k-d) and adds c times all of div in one
+        `kernel.LaneBox` product to the lanes below; the remainder is
+        reduced once at the end."""
+        n, m, d = self.ncoords, self.lane_modulus, len(div)
+        box, div, lanes = self._box.blocks(d), self._lanes(div), self._lanes(rem)
+        for k in range(len(rem) - 1, d - 1, -1):
+            c = lanes[k * n : (k + 1) * n] = [x % m for x in lanes[k * n : (k + 1) * n]]
+            if any(c):
+                lanes[(k - d) * n : k * n] = map(add, lanes[(k - d) * n : k * n], box.product(div, c))
+        return self._from_lanes([x % m for x in lanes])
+
+    _val = ChainRing._lane_val
+
+    def _residue(self, a):
+        return self.residue_field._from_lanes(self._lane_residue(a))[0]
+
+    def _lift(self, a):
+        return self._lane_lift(self.residue_field._lanes([a]))
+
+    def _div_a(self, a, k):
+        return self._lane_shift(a, -k)
 
     def _lanes(self, payloads):
-        return self._inner._lanes([x for a in payloads for x in a])
+        return [x for a in payloads for x in a]
 
     def _from_lanes(self, lanes):
-        return list(zip(*[iter(self._inner._from_lanes(lanes))] * self._width))
-
-    def _from_coords(self, coords):
-        k = self._inner.ncoords
-        return tuple(self._inner._from_coords(coords[i * k : (i + 1) * k]) for i in range(self._width))
-
-    def _from_rank(self, r):
-        size = self._inner.size
-        return tuple(self._inner._from_rank(r // size**i % size) for i in range(self._width))
+        return list(zip(*[iter(lanes)] * self.ncoords))
 
 
-class ExtensionRing(_TupleRing):
+class ExtensionRing(LaneRing):
     """base[Z]/(modulus) for a monic basic irreducible modulus.
 
     Shares the radical generator and nilpotency index of the base; the
-    residue field gains degree deg(modulus).  Elements are tuples of base
-    payloads, i.e. coordinates in the monomial basis 1, Z, ..., Z^{m-1};
-    an element product is the base ring's `_convolve`, folding by the
-    modulus.
+    residue field gains degree deg(modulus).  An element's lanes are the
+    base lanes of its coordinates in the monomial basis 1, Z, ...,
+    Z^{deg-1}, one block per coordinate.
     """
 
     def __init__(self, base, modulus, check=True):
@@ -409,38 +507,16 @@ class ExtensionRing(_TupleRing):
             if not is_irreducible(mres):
                 raise DomainError("extension modulus is not basic irreducible")
         m = modulus.degree
-        self.base = self._inner = base
+        self.base = base
         self.modulus = modulus
-        self.deg = self._width = m
+        self.deg = m
         self.p = base.p
         self.t = base.t
         self.l = base.l * m
         self.q = base.q**m
         self.size = base.size**m
-        self.ncoords = base.ncoords * m
         self.key = ("ext", base.key, modulus.data)
-        self._zero = (base._zero,) * m
-        self._one = (base._one,) + (base._zero,) * (m - 1)
-        self._a = (base._a,) + (base._zero,) * (m - 1)
-        self.lane_modulus = base.lane_modulus
-        self.lane_vars = base.lane_vars + ((m, base.fold_rule(modulus)),)
-        rule = tuple((j, 0, base._neg(c)) for j, c in enumerate(modulus.data[:m]) if c != base._zero)
-        _, self._box_size, self._folds = product_box(((m, rule),))
-
-    def _mul(self, a, b):
-        return tuple(self.base._convolve(a, b, self._box_size, self._folds)[: self.deg])
-
-    def _val(self, a):
-        return min(self.base._val(x) for x in a)
-
-    def _residue(self, a):
-        return tuple(self.base._residue(x) for x in a)
-
-    def _lift(self, a):
-        return tuple(self.base._lift(x) for x in a)
-
-    def _div_a(self, a, k):
-        return tuple(self.base._div_a(x, k) for x in a)
+        self._init_lanes(base.lane_vars + ((m, base.fold_rule(modulus)),), base.lane_modulus)
 
     @cached_property
     def residue_field(self):
@@ -449,16 +525,17 @@ class ExtensionRing(_TupleRing):
         return ExtensionRing(self.base.residue_field, self.modulus.residue(), check=False)
 
     def embed(self, x):
-        """The base ring inside the extension."""
+        """The base ring inside the extension: the base lanes, then zeros."""
         if x.ring != self.base:
             raise DomainError("embed expects a base ring element")
-        return RingElem(self, (x.data,) + (self.base._zero,) * (self.deg - 1))
+        return RingElem(self, tuple(self.base._lanes([x.data])) + self._zero[self.base.ncoords :])
 
     def retract(self, x):
         """Inverse of embed; fails when x is not in the base ring."""
-        if any(c != self.base._zero for c in x.data[1:]):
+        k = self.base.ncoords
+        if any(x.data[k:]):
             raise DomainError("element does not lie in the base ring")
-        return RingElem(self.base, x.data[0])
+        return RingElem(self.base, self.base._from_lanes(x.data[:k])[0])
 
     def __repr__(self):
         if isinstance(self.base, IntegerModRing) and self.t == 1:
@@ -468,59 +545,24 @@ class ExtensionRing(_TupleRing):
         return f"Ext({self.base!r},deg={self.deg})"
 
 
-class TruncatedRing(_TupleRing):
+class TruncatedRing(LaneRing):
     """F_q[u]/(u^t): chain ring of characteristic p with radical generator
-    u; an element product forms only the coordinates below u^t = 0."""
+    u; an element's lanes are the field lanes of its coordinates at u^0,
+    ..., u^{t-1}, one block per power of u."""
 
     def __init__(self, field, t):
         if field.t != 1:
             raise DomainError("truncated ring coefficients must form a field")
         if t < 1:
             raise DomainError(f"nilpotency index t = {t} must be >= 1")
-        self.field = self._inner = field
+        self.field = field
         self.p = field.p
-        self.t = self._width = t
+        self.t = t
         self.l = field.l
         self.q = field.size
         self.size = field.size**t
-        self.ncoords = field.ncoords * t
         self.key = ("trunc", field.key, t)
-        self._zero = (field._zero,) * t
-        self._one = (field._one,) + (field._zero,) * (t - 1)
-        self._a = (
-            (field._zero, field._one) + (field._zero,) * (t - 2)
-            if t > 1
-            else (field._zero,)
-        )
-        self.lane_modulus = field.lane_modulus
-        self.lane_vars = field.lane_vars + ((t, None),)
-
-    def _mul(self, a, b):
-        # only the t(t+1)/2 products below u^t: row i meets b's first t - i coordinates
-        field = self.field
-        add, mul, z = field._add, field._mul, field._zero
-        out = [z] * self.t
-        for i, x in enumerate(a):
-            if x != z:
-                for j, y in enumerate(b[: self.t - i], i):
-                    if y != z:
-                        out[j] = add(out[j], mul(x, y))
-        return tuple(out)
-
-    def _val(self, a):
-        for i, x in enumerate(a):
-            if x != self.field._zero:
-                return i
-        return self.t
-
-    def _residue(self, a):
-        return a[0]
-
-    def _lift(self, a):
-        return (a,) + (self.field._zero,) * (self.t - 1)
-
-    def _div_a(self, a, k):
-        return a[k:] + (self.field._zero,) * k
+        self._init_lanes(field.lane_vars + ((t, None),), field.lane_modulus)
 
     @property
     def residue_field(self):

@@ -215,7 +215,8 @@ def test_code_json(amb_x7):
 
 
 def test_generators_skip_the_product_by_one(amb_x7, monkeypatch):
-    """G = G_1 + a G_2 for t = 2 takes one MPoly product, the one by a."""
+    """G = G_1 + a G_2 for t = 2 takes no MPoly product: the scaling by a
+    runs on the lanes (`MPoly.times_a`)."""
     from chaincodes.polys import MPoly
 
     K = code_from_exponents(amb_x7, [0, 1, 2])
@@ -225,7 +226,7 @@ def test_generators_skip_the_product_by_one(amb_x7, monkeypatch):
     real = MPoly.__mul__
     monkeypatch.setattr(MPoly, "__mul__", lambda a, b: calls.append(1) or real(a, b))
     gens = K.generators()
-    assert len(calls) == 1
+    assert len(calls) == 0
     monkeypatch.undo()
     gs = gens.gs
     assert gens.G == A.zero() + gs[1] * A.ring.one + gs[2] * A.ring.a

@@ -359,14 +359,15 @@ def test_class_towers_repeat_no_irreducibility_test(monkeypatch):
 
 
 def _flatten_tower_reference(x, base):
-    """The replaced `decompose._flatten_tower`, verbatim: tower element ->
-    {exponent tuple: base element}, first root innermost."""
+    """The replaced `decompose._flatten_tower`, verbatim but for reading
+    the coordinates of a flat payload through its base's lanes: tower
+    element -> {exponent tuple: base element}, first root innermost."""
     ring = x.ring
     if ring == base:
         return {(): x} if not x.is_zero() else {}
     out = {}
     for j in range(ring.deg):
-        sub = _flatten_tower_reference(RingElem(ring.base, x.data[j]), base)
+        sub = _flatten_tower_reference(RingElem(ring.base, ring.base._from_lanes(x.data)[j]), base)
         for exps, c in sub.items():
             out[exps + (j,)] = c
     return out
@@ -429,13 +430,13 @@ def _substitute_first_var_reference(f, base_field, ext, theta, embed, V, var):
 
 def _delta_distance_reference(Abar, rdec, group, budget):
     """The replaced `distance._delta_distance`, verbatim but for ``ext.gen``,
-    deleted and inlined here.  It also checks that today's placement of
-    each pi equals the substitution."""
+    deleted and inlined here as the flat lanes of the root.  It also checks
+    that today's placement of each pi equals the substitution."""
     field = Abar.ring
     p1, members = group
     ext = ExtensionRing(field, p1) if p1.degree > 1 else field
     if p1.degree > 1:
-        theta = RingElem(ext, (field._zero, field._one) + (field._zero,) * (ext.deg - 2))
+        theta = RingElem(ext, ext._from_lanes(field._lanes([field._zero, field._one] + [field._zero] * (ext.deg - 2)))[0])
     else:
         theta = -p1.coeff(0)
     embed = (lambda c: ext.embed(c)) if p1.degree > 1 else (lambda c: c)
@@ -489,8 +490,9 @@ def test_distance_bound_matches_first_variable_substitution(ring, moduli, monkey
 
 
 def _tower_eval_reference(x, base, images, embed_base):
-    """The replaced `decompose._tower_eval`, verbatim: evaluate a tower
-    element by sending the j-th adjoined root to images[j]."""
+    """The replaced `decompose._tower_eval`, verbatim but for reading the
+    coordinates of a flat payload through its base's lanes: evaluate a
+    tower element by sending the j-th adjoined root to images[j]."""
     ring = x.ring
     if ring == base:
         return embed_base(x)
@@ -498,7 +500,7 @@ def _tower_eval_reference(x, base, images, embed_base):
     mu = images[depth - 1]
     acc = mu.ring.zero
     for j in range(ring.deg - 1, -1, -1):
-        cj = RingElem(ring.base, x.data[j])
+        cj = RingElem(ring.base, ring.base._from_lanes(x.data)[j])
         acc = acc * mu + _tower_eval_reference(cj, base, images, embed_base)
     return acc
 

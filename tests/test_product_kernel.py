@@ -2,7 +2,11 @@
 
 `Poly.__mul__`, `Poly.__divmod__` and `ExtensionRing._mul` once ran
 per-coefficient loops: `RingElem` loops for `Poly`, and a convolution plus a
-fold table built with `Poly` pow and mod for extension rings.
+fold table built with `Poly` pow and mod for extension rings.  Later the
+payloads of extension and truncated rings were nested tuples, one per tower
+level: `convolve_fold` and `divide_monic` ran `Poly` products and division
+over them by one ring call per coefficient product, an extension's element
+product was its base ring's convolution folded by the modulus, and
 `TruncatedRing._mul` had its own row loop, stopped at u^t.  `pow_mod` once
 took a `Poly` product and a `Poly` division per step.  `MPoly.__mul__` once
 ran `convolve_fold` on coefficient payloads in the box of the old
@@ -22,9 +26,148 @@ import pytest
 
 from chaincodes import Ambient, DomainError, MPoly, Poly, decompose, kernel, polys, rings, ring_construct
 from chaincodes.decompose import _poly_over_tower_to_mpoly
-from chaincodes.kernel import convolve_fold, packed_product
+from chaincodes.kernel import LaneBox, packed_product
 from chaincodes.polys import parse_univariate
-from chaincodes.rings import ChainRing, ExtensionRing, IntegerModRing, RingElem, TruncatedRing
+from chaincodes.rings import ChainRing, ExtensionRing, IntegerModRing, LaneRing, RingElem, TruncatedRing, default_modulus
+
+
+def convolve_fold(a, b, size, folds, ring):
+    """The product box of two (position, payload) sequences over ``ring``:
+    one convolution, then the top-down `folds` of `product_box`."""
+    add, mul, z = ring._add, ring._mul, ring._zero
+    box = [z] * size
+    rhs = [(pb, y) for pb, y in b if y != z]
+    for pa, x in a:
+        if x != z:
+            for pb, y in rhs:
+                box[pa + pb] = add(box[pa + pb], mul(x, y))
+    for pos, rule in folds:
+        c = box[pos]
+        if c != z:
+            for off, f in rule:
+                box[pos + off] = add(box[pos + off], mul(c, f))
+    return box
+
+
+def divide_monic(rem, div, ring):
+    """Long division in place of the payload list ``rem`` by X^d - (div[0] +
+    div[1] X + ... + div[d-1] X^(d-1)), d = len(div) >= 0: step k, from the
+    top down to d, leaves the quotient coefficient of X^(k-d) at rem[k],
+    which no later step touches, and rem[:d] ends as the remainder."""
+    add, mul, z = ring._add, ring._mul, ring._zero
+    d = len(div)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        if c != z:
+            for j, b in enumerate(div, k - d):
+                rem[j] = add(rem[j], mul(c, b))
+    return rem
+
+
+class _NestedExt:
+    """The replaced `ExtensionRing` payload operations on nested payloads,
+    tuples of base payloads, verbatim: `_mul` is the base's `convolve_fold`
+    folded by the modulus, whose coefficients ``modulus`` are nested too."""
+
+    def __init__(self, base, modulus):
+        m = len(modulus) - 1
+        self.base = base
+        self.deg = m
+        self._zero = (base._zero,) * m
+        rule = tuple((j, 0, base._neg(c)) for j, c in enumerate(modulus[:m]) if c != base._zero)
+        _, self._box_size, self._folds = kernel.product_box(((m, rule),))
+
+    def _add(self, a, b):
+        return tuple(map(self.base._add, a, b))
+
+    def _neg(self, a):
+        return tuple(map(self.base._neg, a))
+
+    def _mul(self, a, b):
+        return tuple(convolve_fold(enumerate(a), enumerate(b), self._box_size, self._folds, self.base)[: self.deg])
+
+    def _val(self, a):
+        return min(self.base._val(x) for x in a)
+
+    def _residue(self, a):
+        return tuple(self.base._residue(x) for x in a)
+
+    def _lift(self, a):
+        return tuple(self.base._lift(x) for x in a)
+
+    def _div_a(self, a, k):
+        return tuple(self.base._div_a(x, k) for x in a)
+
+
+class _NestedTrunc:
+    """The replaced `TruncatedRing` payload operations on nested payloads,
+    tuples of field payloads per power of u, verbatim."""
+
+    def __init__(self, field, t):
+        self.field = field
+        self.t = t
+        self._zero = (field._zero,) * t
+
+    def _add(self, a, b):
+        return tuple(map(self.field._add, a, b))
+
+    def _neg(self, a):
+        return tuple(map(self.field._neg, a))
+
+    def _mul(self, a, b):
+        # only the t(t+1)/2 products below u^t: row i meets b's first t - i coordinates
+        field = self.field
+        add, mul, z = field._add, field._mul, field._zero
+        out = [z] * self.t
+        for i, x in enumerate(a):
+            if x != z:
+                for j, y in enumerate(b[: self.t - i], i):
+                    if y != z:
+                        out[j] = add(out[j], mul(x, y))
+        return tuple(out)
+
+    def _val(self, a):
+        for i, x in enumerate(a):
+            if x != self.field._zero:
+                return i
+        return self.t
+
+    def _residue(self, a):
+        return a[0]
+
+    def _lift(self, a):
+        return (a,) + (self.field._zero,) * (self.t - 1)
+
+    def _div_a(self, a, k):
+        return a[k:] + (self.field._zero,) * k
+
+
+def _inner(ring):
+    return ring.base if isinstance(ring, ExtensionRing) else ring.field
+
+
+def _nested(ring):
+    """The nested-payload form of a ring: Z_m itself, else `_NestedExt` or
+    `_NestedTrunc` over the nested form of its base or field."""
+    if isinstance(ring, IntegerModRing):
+        return ring
+    if isinstance(ring, ExtensionRing):
+        return _NestedExt(_nested(ring.base), [_nest(ring.base, c) for c in ring.modulus.data])
+    return _NestedTrunc(_nested(ring.field), ring.t)
+
+
+def _nest(ring, a):
+    """A payload of ring as the nested payload of `_nested(ring)`."""
+    if isinstance(ring, IntegerModRing):
+        return a
+    return tuple(_nest(_inner(ring), x) for x in _inner(ring)._from_lanes(a))
+
+
+def _flat(ring, x):
+    """Inverse of `_nest`: the lanes of a nested payload."""
+    if isinstance(ring, IntegerModRing):
+        return x
+    return tuple(_inner(ring)._lanes([_flat(_inner(ring), c) for c in x]))
 
 
 def _poly_mul_reference(self, other):
@@ -333,11 +476,12 @@ def test_extension_mul_matches_fold_table(ring):
         assert isinstance(ring, IntegerModRing) or isinstance(ring.field, IntegerModRing)
         return
     for ext in layers:
-        ref = _FoldTableMul(ext)
+        ref, base = _FoldTableMul(ext), ext.base
         elems = [ext._zero, ext._one] + [ext._from_rank(rng.randrange(ext.size)) for _ in range(60)]
         for a in elems[:20]:
             for b in elems:
-                assert ext._mul(a, b) == ref._mul(a, b)
+                want = ref._mul(tuple(base._from_lanes(a)), tuple(base._from_lanes(b)))
+                assert ext._mul(a, b) == tuple(base._lanes(want))
 
 
 def _truncated_mul_reference(self, a, b):
@@ -358,23 +502,155 @@ def _truncated_mul_reference(self, a, b):
 def test_truncated_mul_matches_row_loop(p, t, l):
     """F_3[u]/u^2, F_2[u]/u^3 and GF(4)[u]/u^2, on every pair of elements."""
     ring = _truncated(p, t, l)
+    field = ring.field
     elems = [ring._from_rank(r) for r in range(ring.size)]
     for a in elems:
         for b in elems:
-            assert ring._mul(a, b) == _truncated_mul_reference(ring, a, b)
+            want = _truncated_mul_reference(ring, field._from_lanes(a), field._from_lanes(b))
+            assert ring._mul(a, b) == tuple(field._lanes(want))
 
 
-def test_truncated_mul_forms_only_products_below_u_t(monkeypatch):
-    """Dense elements of F_3[u]/u^3 take t(t+1)/2 = 6 field products, not
-    t^2 = 9: the products that would land at u^3 or above are never formed."""
-    ring = _truncated(3, 3)
-    a, b = (1, 2, 1), (2, 2, 1)
-    want = _truncated_mul_reference(ring, a, b)
-    calls = []
-    real = ring.field._mul
-    monkeypatch.setattr(ring.field, "_mul", lambda x, y: calls.append(1) or real(x, y))
-    assert ring._mul(a, b) == want
-    assert len(calls) == 6
+class _CountedLane(int):
+    """A lane that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedLane.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def test_truncated_mul_forms_only_products_below_u_t():
+    """Dense elements of F_3[u]/u^3 take t(t+1)/2 = 6 lane products, not
+    t^2 = 9: the `kernel.LaneBox` loop never forms the products that would
+    land at u^3 or above.  Over GF(4)[u]/u^2, two lanes per u-level, that
+    is 12 of 16, and a `Poly` product cuts the same way per coefficient pair."""
+    for ring, a, b, formed in (
+        (_truncated(3, 3), (1, 2, 1), (2, 2, 1), 6),
+        (_truncated(2, 2, 2), (1, 1, 1, 1), (1, 1, 1, 1), 12),
+    ):
+        field = ring.field
+        want = _truncated_mul_reference(ring, field._from_lanes(a), field._from_lanes(b))
+        ca, cb = (tuple(map(_CountedLane, x)) for x in (a, b))
+        _CountedLane.products = 0
+        assert ring._mul(ca, cb) == tuple(field._lanes(want))
+        assert _CountedLane.products == formed
+        _CountedLane.products = 0
+        square = Poly(ring, [ca, cb]) * Poly(ring, [ca, cb])
+        assert _CountedLane.products == 4 * formed
+        assert square.data == Poly(ring, [ring._mul(a, a), ring._add(*[ring._mul(a, b)] * 2), ring._mul(b, b)]).data
+
+
+def _gf4_cubed():
+    gf4 = _galois(2, 1, 2)
+    return ExtensionRing(gf4, default_modulus(gf4, 3), check=False)
+
+
+def _over_f4_u2():
+    """A degree-2 extension of F4[u]/u^2: u sits between two ruled lane variables."""
+    ring = _truncated(2, 2, 2)
+    return ExtensionRing(ring, Poly(ring, [ring._lift(c) for c in default_modulus(ring.residue_field, 2).data]))
+
+
+LANE_RINGS = {
+    **RINGS,
+    "tower over GR(4,2)": lambda: _towers()[0],
+    "tower over F3[u]/u^2": lambda: _towers()[1],
+    "GF(4^3)": _gf4_cubed,
+    "GF(4)[u]/u^2 (deg 2)": _over_f4_u2,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LANE_RINGS))
+def lane_ring(request):
+    return LANE_RINGS[request.param]()
+
+
+def _nested_divmod(ring, f, g):
+    """The replaced `Poly.__divmod__` on nested payloads: `divide_monic` by
+    g / lead, and the quotient scaled by 1 / lead."""
+    nested = _nested(ring)
+    inv = _nest(ring, ring._inverse(g.data[-1]))
+    div = [nested._neg(nested._mul(_nest(ring, b), inv)) for b in g.data[:-1]]
+    rem = divide_monic([_nest(ring, c) for c in f.data], div, nested)
+    quo = [nested._mul(c, inv) for c in rem[g.degree :]]
+    return tuple(Poly(ring, [_flat(ring, c) for c in part]).data for part in (quo, rem[: g.degree]))
+
+
+def test_lane_ring_matches_nested_payload_route(lane_ring):
+    """Element products, sums, valuations, residues, lifts and divisions by
+    a^k, and `Poly` products and division, on flat lane payloads against
+    the nested payload route they replaced."""
+    ring, rng = lane_ring, random.Random(31)
+    nested, rf = _nested(ring), ring.residue_field
+    elems = [ring._zero, ring._one, ring._a] + [ring._from_rank(rng.randrange(ring.size)) for _ in range(40)]
+    elems += [ring._mul(x, ring._a) for x in elems[3:8]]
+    for a in elems:
+        na = _nest(ring, a)
+        assert _flat(ring, na) == a
+        assert ring._val(a) == nested._val(na)
+        r = ring._residue(a)
+        assert r == _flat(rf, nested._residue(na))
+        assert ring._lift(r) == _flat(ring, nested._lift(_nest(rf, r)))
+        for k in range(ring._val(a) + 1):
+            assert ring._div_a(a, k) == _flat(ring, nested._div_a(na, k))
+        for b in elems[:16]:
+            nb = _nest(ring, b)
+            assert ring._mul(a, b) == _flat(ring, nested._mul(na, nb))
+            assert ring._add(a, b) == _flat(ring, nested._add(na, nb))
+    for _ in range(12):
+        f, g = (_poly(ring, rng, rng.randrange(-1, 7)) for _ in range(2))
+        if f.is_zero() or g.is_zero():
+            continue
+        box = convolve_fold(*(enumerate([_nest(ring, c) for c in h.data]) for h in (f, g)), len(f.data) + len(g.data) - 1, (), nested)
+        assert (f * g).data == Poly(ring, [_flat(ring, c) for c in box]).data
+        for lead in (ring.one, _elem(ring, rng, unit=True)):
+            div = _poly(ring, rng, rng.randrange(0, 4), lead=lead)
+            assert tuple(h.data for h in divmod(f, div)) == _nested_divmod(ring, f, div)
+
+
+def _is_payload(ring, x):
+    """An int in [0, m) over Z_m, else a tuple of exactly ncoords ints in [0, m)."""
+    m = ring.lane_modulus
+    if isinstance(ring, IntegerModRing):
+        return type(x) is int and 0 <= x < m
+    return type(x) is tuple and len(x) == ring.ncoords and all(type(v) is int and 0 <= v < m for v in x)
+
+
+def test_payloads_are_flat_lane_tuples(lane_ring):
+    """Every payload from `_from_rank`, `_mul`, `_add`, `_lift`, `embed` and
+    `Poly` arithmetic is a Z_m int or the flat tuple of its lanes."""
+    ring, rng = lane_ring, random.Random(33)
+    elems = [ring._from_rank(rng.randrange(ring.size)) for _ in range(20)]
+    out = list(elems) + [ring._zero, ring._one, ring._a, ring._from_int(-3), ring._from_coords(list(range(ring.ncoords)))]
+    for a, b in zip(elems, elems[1:]):
+        out += [ring._mul(a, b), ring._add(a, b), ring._neg(a), ring._lift(ring._residue(a))]
+        assert _is_payload(ring.residue_field, ring._residue(a))
+    if isinstance(ring, ExtensionRing):
+        out += [ring.embed(ring.base.from_rank(rng.randrange(ring.base.size))).data]
+    f, g = _poly(ring, rng, 6), _poly(ring, rng, 3, lead=_elem(ring, rng, unit=True))
+    mod = _poly(ring, rng, 4, lead=ring.one)
+    for h in (f * g, f + g, f - g, -f, *divmod(f, g), f.derivative(), g.monic(), polys.pow_mod(f, 5, mod)):
+        out += h.data
+    assert all(_is_payload(ring, x) for x in out)
+
+
+def test_a_power_scaling_matches_product_route(ring):
+    """`MPoly.times_a(k)` and `_lane_shift` of an element scale by a^k on
+    the lanes: the same as the product by the constant a^k, k up to t + 1."""
+    rng = random.Random(32)
+    for moduli in (("x^5-1",), ("x^3-1", "y^2-1")):
+        amb = _ambient(ring, moduli)
+        for f in [amb.zero(), amb.one()] + [_mpoly(amb, rng, density) for density in (0.3, 1.0)]:
+            for k in range(ring.t + 2):
+                want = f * amb.constant(ring.a**k)
+                assert f.times_a(k) == want and f.times_a(k).lanes == want.lanes
+    for _ in range(10):
+        x = _elem(ring, rng)
+        for k in range(ring.t + 2):
+            assert ring._lane_shift(tuple(ring._lanes([x.data])), k) == tuple(ring._lanes([(x * ring.a**k).data]))
 
 
 def test_residue_field_is_built_once(ring):
@@ -561,7 +837,7 @@ def test_mpoly_mul_worst_case_lanes(p, t, modulus):
 
 def test_mpoly_mul_calls_no_element_product(monkeypatch):
     """An `MPoly` product over a Galois or truncated ring is one packed
-    product: no element product and no payload convolution."""
+    product: no element product and no payload loop."""
     cases = []
     for ring, modulus in ((_galois(2, 2, 2), "x^15-1"), (_truncated(3, 2), "x^13-1")):
         amb = _ambient(ring, (modulus,))
@@ -572,10 +848,9 @@ def test_mpoly_mul_calls_no_element_product(monkeypatch):
     def forbidden(*args):
         raise AssertionError("element product inside an MPoly product")
 
-    monkeypatch.setattr(ExtensionRing, "_mul", forbidden)
-    monkeypatch.setattr(TruncatedRing, "_mul", forbidden)
-    monkeypatch.setattr(rings, "convolve_fold", forbidden)
-    monkeypatch.setattr(rings, "convolve_fold_mod", forbidden)
+    monkeypatch.setattr(LaneRing, "_mul", forbidden)
+    monkeypatch.setattr(LaneBox, "product", forbidden)
+    monkeypatch.setattr(rings, "convolve_mod", forbidden)
     for f, g, want, square in cases:
         assert _payloads(f * g) == _payloads(want)
         assert _payloads(f * f) == _payloads(square)
