@@ -507,9 +507,7 @@ class ExtensionRing(LaneRing):
             if not is_irreducible(mres):
                 raise DomainError("extension modulus is not basic irreducible")
         m = modulus.degree
-        self.base = base
-        self.modulus = modulus
-        self.deg = m
+        self.base, self.modulus, self.deg = base, modulus, m
         self.p = base.p
         self.t = base.t
         self.l = base.l * m
@@ -555,10 +553,8 @@ class TruncatedRing(LaneRing):
             raise DomainError("truncated ring coefficients must form a field")
         if t < 1:
             raise DomainError(f"nilpotency index t = {t} must be >= 1")
-        self.field = field
-        self.p = field.p
-        self.t = t
-        self.l = field.l
+        self.field, self.t = field, t
+        self.p, self.l = field.p, field.l
         self.q = field.size
         self.size = field.size**t
         self.key = ("trunc", field.key, t)
@@ -680,8 +676,7 @@ def frobenius_lift(ring, x, q=None):
             raise DomainError("frobenius_lift needs an extension ring or explicit q")
         q = ring.base.q
     digits = ring.adic_digits(x)
-    acc = ring.zero
-    apow = ring.one
+    acc, apow = ring.zero, ring.one
     for g in digits:
         acc = acc + apow * g**q
         apow = apow * ring.a
@@ -693,8 +688,7 @@ def ring_trace(ext, x):
     if not isinstance(ext, ExtensionRing):
         raise DomainError("ring_trace expects an ExtensionRing")
     q = ext.base.q
-    total = x
-    y = x
+    total = y = x
     for _ in range(ext.deg - 1):
         y = frobenius_lift(ext, y, q)
         total = total + y

@@ -548,10 +548,14 @@ def _gf4_cubed():
     return ExtensionRing(gf4, default_modulus(gf4, 3), check=False)
 
 
-def _over_f4_u2():
-    """A degree-2 extension of F4[u]/u^2: u sits between two ruled lane variables."""
-    ring = _truncated(2, 2, 2)
-    return ExtensionRing(ring, Poly(ring, [ring._lift(c) for c in default_modulus(ring.residue_field, 2).data]))
+def _lifted_extension(ring, deg):
+    """The extension of ring by the lift of the default modulus of its residue field."""
+    return ExtensionRing(ring, Poly(ring, [ring._lift(c) for c in default_modulus(ring.residue_field, deg).data]))
+
+
+def _over_f4_u2(deg=2):
+    """An extension of F4[u]/u^2: u sits between two ruled lane variables."""
+    return _lifted_extension(_truncated(2, 2, 2), deg)
 
 
 LANE_RINGS = {
@@ -560,6 +564,10 @@ LANE_RINGS = {
     "tower over F3[u]/u^2": lambda: _towers()[1],
     "GF(4^3)": _gf4_cubed,
     "GF(4)[u]/u^2 (deg 2)": _over_f4_u2,
+    # more than 8 lanes: element products list the nonzero lanes of b per
+    # call without a u, and read the lane pair table with one
+    "GR(4,3)(deg 3)": lambda: _lifted_extension(_galois(2, 2, 3), 3),
+    "GF(4)[u]/u^2 (deg 3)": lambda: _over_f4_u2(3),
 }
 
 
@@ -609,6 +617,22 @@ def test_lane_ring_matches_nested_payload_route(lane_ring):
         for lead in (ring.one, _elem(ring, rng, unit=True)):
             div = _poly(ring, rng, rng.randrange(0, 4), lead=lead)
             assert tuple(h.data for h in divmod(f, div)) == _nested_divmod(ring, f, div)
+
+
+def test_lane_pair_table_matches_listed_lanes(lane_ring):
+    """An element product read from the lane pair table equals the one that
+    lists the nonzero lanes of b per call, on every lane ring."""
+    ring, rng = lane_ring, random.Random(34)
+    if isinstance(ring, IntegerModRing):
+        return
+    box = ring._box
+    listed = LaneBox(box.place, box.size, box.folds, box.levels, box.cut, box.m, table=False)
+    assert listed.pairs is None
+    assert (box.pairs is not None) == (ring._u is not None or ring.ncoords <= kernel._PAIR_LANES)
+    elems = [ring._zero, ring._one, ring._a] + [ring._from_rank(rng.randrange(ring.size)) for _ in range(30)]
+    for a in elems:
+        for b in elems[:12]:
+            assert box.product(a, b) == listed.product(a, b)
 
 
 def _is_payload(ring, x):
@@ -808,7 +832,7 @@ def test_mpoly_mul_matches_payload_kernel_over_towers():
                 for i, d in enumerate(degs)
             ]
             if len(degs) > 1:
-                assert any(x != ring.base._zero for m in moduli for c in m.coeffs for x in c.data[1:])
+                assert any(any(c.data[ring.base.ncoords :]) for m in moduli for c in m.coeffs)
             amb = Ambient(ring, moduli, unchecked=True)
             _assert_products_match(amb, [amb.zero()] + [_mpoly(amb, rng, 0.7) for _ in range(3)])
 
