@@ -421,7 +421,9 @@ class LaneRing(ChainRing):
     """The payload operations of a ring whose elements are the tuples of
     their ncoords lanes, from ``lane_vars`` and ``lane_modulus`` alone:
     sums lanewise mod m, products in the int loop of `kernel.LaneBox`, and
-    valuation, residue, lift and division by a^k by the ``_lane_*`` maps."""
+    valuation, residue, lift and division by a^k by the ``_lane_*`` maps.
+    Subclasses set p, t and l, then `_init_lanes` sets the lanes, q and
+    size."""
 
     def _init_lanes(self, lane_vars, m):
         self.lane_vars, self.lane_modulus, self.ncoords = lane_vars, m, 1
@@ -429,6 +431,7 @@ class LaneRing(ChainRing):
             if rule is None:
                 self._u = self.ncoords, d
             self.ncoords *= d
+        self.q, self.size = self.p**self.l, m**self.ncoords
         self._zero = (0,) * self.ncoords
         self._one = (1,) + self._zero[1:]
         self._a = self._lane_shift(self._one, 1)
@@ -507,12 +510,12 @@ class ExtensionRing(LaneRing):
             if not is_irreducible(mres):
                 raise DomainError("extension modulus is not basic irreducible")
         m = modulus.degree
-        self.base, self.modulus, self.deg = base, modulus, m
+        self.base = base
+        self.modulus = modulus
+        self.deg = m
         self.p = base.p
         self.t = base.t
         self.l = base.l * m
-        self.q = base.q**m
-        self.size = base.size**m
         self.key = ("ext", base.key, modulus.data)
         self._init_lanes(base.lane_vars + ((m, base.fold_rule(modulus)),), base.lane_modulus)
 
@@ -553,16 +556,12 @@ class TruncatedRing(LaneRing):
             raise DomainError("truncated ring coefficients must form a field")
         if t < 1:
             raise DomainError(f"nilpotency index t = {t} must be >= 1")
-        self.field, self.t = field, t
-        self.p, self.l = field.p, field.l
-        self.q = field.size
-        self.size = field.size**t
+        self.field = self.residue_field = field
+        self.p = field.p
+        self.t = t
+        self.l = field.l
         self.key = ("trunc", field.key, t)
         self._init_lanes(field.lane_vars + ((t, None),), field.lane_modulus)
-
-    @property
-    def residue_field(self):
-        return self.field
 
     def __repr__(self):
         return f"GF({self.q})[u]/u^{self.t}"
@@ -676,7 +675,8 @@ def frobenius_lift(ring, x, q=None):
             raise DomainError("frobenius_lift needs an extension ring or explicit q")
         q = ring.base.q
     digits = ring.adic_digits(x)
-    acc, apow = ring.zero, ring.one
+    acc = ring.zero
+    apow = ring.one
     for g in digits:
         acc = acc + apow * g**q
         apow = apow * ring.a
@@ -688,7 +688,8 @@ def ring_trace(ext, x):
     if not isinstance(ext, ExtensionRing):
         raise DomainError("ring_trace expects an ExtensionRing")
     q = ext.base.q
-    total = y = x
+    total = x
+    y = x
     for _ in range(ext.deg - 1):
         y = frobenius_lift(ext, y, q)
         total = total + y
