@@ -62,10 +62,10 @@ nonzero lanes of the other in plain int products, then each ring box is
 folded once and its places are read mod m.  An element product of a ring
 with a u or with at most 8 lanes reads its lane pairs from a table built
 once per ring instead, and lists nothing per call.  With a rule-less u
-the loop forms only the products below u^t.  Packing loses at element size: one
-product of random nonzero elements, with lanes flattened and rebuilt,
-took 5.0 us packed against 2.0 us in a loop over GR(4,2) (best of 9,
-Python 3.11, 2-core VM).
+the loop forms only the products below u^t.  Packing loses at element
+size: one product of random nonzero elements, with lanes flattened and
+rebuilt, took 5.0 us packed against 2.0 us in a loop over GR(4,2) (best
+of 9, Python 3.11, 2-core VM).
 
 Over Z_m itself (`rings.IntegerModRing`, whose payloads are ints in
 [0, m)), `Poly` products and the long division of `divide_monic_mod` run
