@@ -16,6 +16,7 @@ from collections import namedtuple
 
 from .decompose import decompose
 from .errors import DomainError
+from .rings import printable_count
 
 
 class CanonicalGenerators(namedtuple("CanonicalGenerators", "gs G")):
@@ -151,7 +152,7 @@ class SemisimpleCode:
     def to_json(self, with_generator=True):
         out = {
             "exponents": [[list(cls.rep), j] for cls, j in zip(self.dec.classes, self.exps)],
-            "cardinality": str(self.cardinality()),
+            "cardinality": str(printable_count(self.cardinality(), "code cardinality")),
         }
         if with_generator:
             out["generator"] = self.generators().G.to_text()

@@ -5,11 +5,12 @@ field to an exact factorization over the chain ring, one radical power per
 step; t - 1 linear steps reach full precision.  The Bezout cofactor of each
 residue factor g comes from one exact division per factor: fbar // g is the
 product of the other factors, and one extended Euclid of g against it mod g
-gives the cofactor, its gcd being the coprimality check.  A `Poly` holds
-payloads, and so does the lift loop: step k divides each coefficient of
-the defect f - prod by a^k once, and adds a^k times the coordinatewise
-lift of each correction.  Idempotents lift by the cubic iteration
-e -> 3e^2 - 2e^3, which squares the radical-adic error.
+gives the cofactor, its gcd being the coprimality check.  Each step maps
+whole lane vectors, as `MPoly` does (`Poly.valuation`, `times_a`,
+`residue`, `lift_to`): step k shifts the defect f - prod down by a^k and
+reduces it in one map each, and adds each correction's lift shifted up by
+a^k.  Idempotents lift by the cubic iteration e -> 3e^2 - 2e^3, which
+squares the radical-adic error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def lift_factorization(f, residue_factors):
     for g in residue_factors:
         if not g.is_monic():
             raise DomainError("residue factors must be monic")
-    fbar = f.residue() if ring.t > 1 else f
+    fbar = f.residue()
     if reduce(mul, residue_factors, Poly.one(field, var=f.var)) != fbar:
         raise DomainError("residue factors do not multiply to the residue of f")
     # Bezout cofactors: beta_i * prod_{j != i} g_j == 1 (mod g_i), with
@@ -64,21 +65,18 @@ def lift_factorization(f, residue_factors):
     if len(residue_factors) <= 1 or ring.t == 1:
         return LiftedFactorization(f, tuple(residue_factors), tuple(residue_factors))
 
-    lift, residue, div_a, times = ring._lift, ring._residue, ring._div_a, ring._mul
-    factors = [Poly(ring, [lift(c) for c in g.data], g.var) for g in residue_factors]
-    a_pow = ring._one
+    factors = [g.lift_to(ring) for g in residue_factors]
     for step in range(1, ring.t):
         defect = f - reduce(mul, factors, Poly.one(ring, var=f.var))
         if defect.is_zero():
             break
-        if any(ring._val(c) < step for c in defect.data):
+        if defect.valuation() < step:
             raise InternalError("defect has unexpectedly small valuation")  # pragma: no cover
-        dbar = Poly(field, [residue(div_a(c, step)) for c in defect.data], f.var)
-        a_pow = times(a_pow, ring._a)
+        dbar = defect.times_a(-step).residue()
         for i, g in enumerate(residue_factors):
             delta = (dbar * betas[i]) % g
             if not delta.is_zero():
-                factors[i] = factors[i] + Poly(ring, [times(lift(c), a_pow) for c in delta.data], f.var)
+                factors[i] += delta.lift_to(ring).times_a(step)
 
     if reduce(mul, factors, Poly.one(ring, var=f.var)) != f:
         raise InternalError("Hensel lifting failed to reassemble the input")  # pragma: no cover

@@ -46,7 +46,7 @@ def kerdock_instance(q=2, m=3):
         raise DomainError("q must be a power of 2")
     R = ring_construct({"kind": "galois", "p": 2, "t": 2, "l": lpow})
     # a monic lift of a searched irreducible residue is basic irreducible
-    modulus = Poly(R, [R._lift(c) for c in default_modulus(R.residue_field, m).data])
+    modulus = default_modulus(R.residue_field, m).lift_to(R)
     S = ExtensionRing(R, modulus, check=False)
 
     tau = q**m - 1

@@ -17,29 +17,30 @@ or by a power of a, and equality are operations on them; `pow_mod` runs
 the same packed product in R[X]/(g).  `Poly` products and division run the
 coefficient ring's payload loops, `_convolve` and `_divide`: plain ints
 over Z_m, and over every other ring the int loop of `kernel.LaneBox`, one
-ring box per output coefficient.  Every other `Poly` operation runs on
-payloads too.  The `MPoly` views -- residue, lift, valuation, text and
-JSON -- read lanes, and `poly_to_text` and `MPoly.to_text` render the same
-(exponents, coordinates) pairs.  So
-`RingElem`s are built only at the API edge, by the ``coeffs``/``coeff``/
-``leading`` views, `evaluate` and `map_coeffs`, and `Poly.from_coeffs`
-takes ints and elements in.
+ring box per output coefficient.  `Poly` sums, negation and derivative
+are one expression mod m over its lane vector, as `MPoly`'s are, and so
+are the views both share -- valuation, residue, lift and scaling by a^k;
+every other `Poly` operation runs on payloads.  The `MPoly` text and JSON
+read lanes too, and `poly_to_text` and `MPoly.to_text` render the same
+(exponents, coordinates) pairs.  So `RingElem`s are built only at the API
+edge, by the ``coeffs``/``coeff``/``leading`` views, `evaluate` and
+`map_coeffs`, and `Poly.from_coeffs` takes ints and elements in.
 
 Over a field, `distinct_degree` is the one distinct-degree loop, and its
 first stage alone is Ben-Or's irreducibility test, `is_irreducible`.
 
 Everything here is generic over the coefficient ring: it relies on the raw
 payload operations ``_add``/``_neg``/``_mul``/``_inverse``/``_zero``/
-``_payload`` and ``elem`` of the ring, on its payload loops ``_add_vec``/
-``_neg_vec``/``_convolve``/``_divide``, on its lane maps ``_lanes``/
-``_from_lanes``/``_lane_*`` and ``lane_modulus``, and on ``zero``/``one``/
-``from_int`` for elements.
+``_payload`` and ``elem`` of the ring, on its payload loops ``_convolve``/
+``_divide``, on its lane maps ``_lanes``/``_from_lanes``/``_lane_*`` and
+``lane_modulus``, and on ``zero``/``one``/``from_int`` for elements.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cached_property
+from itertools import zip_longest
 
 from .errors import BudgetExceeded, DomainError, InternalError
 from .kernel import PackedLayout, packed_product
@@ -122,15 +123,15 @@ class Poly:
         return Poly(self.ring, (self.ring._payload(other),), self.var)
 
     def __add__(self, other):
-        a, b = self.data, self._coerce(other).data
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly(self.ring, self.ring._add_vec(a, b) + a[len(b):], self.var)
+        ring, m = self.ring, self.ring.lane_modulus
+        a, b = ring._lanes(self.data), ring._lanes(self._coerce(other).data)
+        return Poly.from_lanes(ring, [(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)], self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, self.ring._neg_vec(self.data), self.var)
+        m = self.ring.lane_modulus
+        return Poly.from_lanes(self.ring, [-x % m for x in self.ring._lanes(self.data)], self.var)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -168,8 +169,8 @@ class Poly:
         mul = ring._mul
         monic = lead == ring._one
         inv = lead if monic else ring._inverse(lead)
-        div = ring._neg_vec(other.data[:-1] if monic else [mul(b, inv) for b in other.data[:-1]])
-        rem = ring._divide(list(self.data), div)
+        div = ring._lanes(other.data[:-1] if monic else [mul(b, inv) for b in other.data[:-1]])
+        rem = ring._divide(list(self.data), [-x % ring.lane_modulus for x in div])
         quo = rem[dv:] if monic else [mul(c, inv) for c in rem[dv:]]
         return Poly(ring, quo, self.var), Poly(ring, rem[:dv], self.var)
 
@@ -201,8 +202,10 @@ class Poly:
         return acc
 
     def derivative(self):
-        mul, from_int = self.ring._mul, self.ring._from_int
-        return Poly(self.ring, [mul(c, from_int(i)) for i, c in enumerate(self.data[1:], 1)], self.var)
+        """Coefficient i times the int i, on the lanes."""
+        ring, n, m = self.ring, self.ring.ncoords, self.ring.lane_modulus
+        lanes = ring._lanes(self.data)[n:]
+        return Poly.from_lanes(ring, [x * (j // n) % m for j, x in enumerate(lanes, n)], self.var)
 
     def monic(self):
         """Unit-normalize so the leading coefficient is one."""
@@ -215,10 +218,26 @@ class Poly:
     def map_coeffs(self, fn, ring=None):
         return Poly.from_coeffs(ring or self.ring, [fn(c) for c in self.coeffs], self.var)
 
+    def valuation(self):
+        """Minimum coefficient valuation (t for the zero polynomial), read
+        on the lanes (`ChainRing._lane_val`)."""
+        return self.ring._lane_val(self.ring._lanes(self.data))
+
+    def times_a(self, k):
+        """self * a^k, or for k < 0 the exact quotient by a^-k, on the lanes
+        (`ChainRing._lane_shift`)."""
+        return Poly.from_lanes(self.ring, self.ring._lane_shift(self.ring._lanes(self.data), k), self.var)
+
     def residue(self):
-        """Coefficientwise reduction to the residue field."""
+        """Coefficientwise reduction to the residue field, on the lanes."""
         ring = self.ring
-        return Poly(ring.residue_field, [ring._residue(c) for c in self.data], self.var)
+        return Poly.from_lanes(ring.residue_field, ring._lane_residue(ring._lanes(self.data)), self.var)
+
+    def lift_to(self, ring):
+        """The coefficientwise lift of a polynomial over ring.residue_field."""
+        if self.ring != ring.residue_field:
+            raise DomainError("lift expects a residue field element")
+        return Poly.from_lanes(ring, ring._lane_lift(self.ring._lanes(self.data)), self.var)
 
     def rank_key(self):
         """Deterministic sort key: (degree, coefficient rank), the rank

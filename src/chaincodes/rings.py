@@ -13,7 +13,10 @@ A chain ring here is one of three concrete classes sharing one interface:
 Every ring is a quotient of Z_m[Z_1..Z_k] (`ChainRing.lane_vars`), and an
 element of an extension or truncated ring is the flat tuple of its ncoords
 ints in [0, m), its lanes, in that order: one `LaneRing` class runs their
-arithmetic from ``lane_vars`` and ``lane_modulus`` alone, on ints.
+arithmetic from ``lane_vars`` and ``lane_modulus`` alone, on ints.  A ring
+loops over sequences of payloads only for `Poly` products and division
+(``_convolve``, ``_divide``): `Poly` and `MPoly` sums, valuation, residue,
+lift and a-shifts are maps over their lane vectors mod m.
 
 Finite fields are simply chain rings with nilpotency index t = 1, so every
 algorithm written against this interface works over fields as well.
@@ -139,7 +142,7 @@ class ChainRing:
 
     The radical generator a is p, or u when a rule-less u is present, so
     the ``_lane_*`` maps read a lane vector of any number of elements -- a
-    payload, or the lanes of an `MPoly` -- in two cases: lanes mod p or
+    payload, or the lanes of a `Poly` or an `MPoly` -- in two cases: lanes mod p or
     divided by p^k, or the lanes at u-level 0 or shifted by k u-levels.
     """
 
@@ -155,15 +158,6 @@ class ChainRing:
     def _from_rank(self, r):
         m = self.lane_modulus
         return self._from_lanes([r // m**i % m for i in range(self.ncoords)])[0]
-
-    # Payload loops over sequences of this ring's payloads: the coefficients
-    # of a `Poly`.  `IntegerModRing` runs them on plain ints.
-
-    def _add_vec(self, a, b):
-        return tuple(map(self._add, a, b))
-
-    def _neg_vec(self, a):
-        return tuple(map(self._neg, a))
 
     def fold_rule(self, modulus):
         """X^d = -(modulus - X^d) for a monic modulus of degree d over this
@@ -363,14 +357,6 @@ class IntegerModRing(ChainRing):
     def _mul(self, a, b):
         return (a * b) % self.size
 
-    def _add_vec(self, a, b):
-        m = self.size
-        return tuple([(x + y) % m for x, y in zip(a, b)])
-
-    def _neg_vec(self, a):
-        m = self.size
-        return tuple([-x % m for x in a])
-
     def _convolve(self, a, b):
         return convolve_mod(a, b, self.size)
 
@@ -460,13 +446,13 @@ class LaneRing(ChainRing):
     def _divide(self, rem, div):
         """`kernel.divide_monic_mod` on lanes: the long division of the
         payload list ``rem`` by X^d - (div[0] + div[1] X + ... + div[d-1]
-        X^(d-1)), d = len(div) >= 0, as the list of quotient coefficients
-        above the d of the remainder.  Each step reduces the quotient
-        coefficient c of X^(k-d) and adds c times all of div in one
-        `kernel.LaneBox` product to the lanes below; the remainder is
-        reduced once at the end."""
-        n, m, d = self.ncoords, self.lane_modulus, len(div)
-        box, div, lanes = self._box.blocks(d), self._lanes(div), self._lanes(rem)
+        X^(d-1)), div given as its d * ncoords lanes, d >= 0, as the list of
+        quotient coefficients above the d of the remainder.  Each step
+        reduces the quotient coefficient c of X^(k-d) and adds c times all
+        of div in one `kernel.LaneBox` product to the lanes below; the
+        remainder is reduced once at the end."""
+        n, m, d = self.ncoords, self.lane_modulus, len(div) // self.ncoords
+        box, lanes = self._box.blocks(d), self._lanes(rem)
         for k in range(len(rem) - 1, d - 1, -1):
             c = lanes[k * n : (k + 1) * n] = [x % m for x in lanes[k * n : (k + 1) * n]]
             if any(c):
@@ -505,10 +491,8 @@ class ExtensionRing(LaneRing):
             raise DomainError("extension modulus must be monic of degree >= 1")
         if modulus.ring != base:
             raise DomainError("extension modulus must have coefficients in the base ring")
-        if check:
-            mres = modulus.residue() if base.t > 1 else modulus
-            if not is_irreducible(mres):
-                raise DomainError("extension modulus is not basic irreducible")
+        if check and not is_irreducible(modulus.residue()):
+            raise DomainError("extension modulus is not basic irreducible")
         m = modulus.degree
         self.base = base
         self.modulus = modulus
@@ -648,6 +632,17 @@ def ring_construct(desc):
     if modulus is not None:
         ring.descriptor["modulus"] = modulus
     return ring
+
+
+def printable_count(n, what):
+    """n, an exact count that JSON output prints as text; past the
+    int-to-text digit limit, n >= 10^limit, it is a `BudgetExceeded`, as a
+    ring whose coordinates would be.  8^limit < 10^limit, so a count of at
+    most 3 * limit bits passes without 10^limit being formed."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+        raise BudgetExceeded(f"the {what} has more than {limit} digits, past the int-to-text limit")
+    return n
 
 
 def ring_from_json(text_or_obj):

@@ -502,3 +502,26 @@ def test_ring_past_the_print_limit_is_a_budget_error(capsys):
     code, out = run(capsys, "factor", "--ring", json.dumps({"kind": "galois", "p": 2, "t": t}), "--moduli", "x-1")
     assert code == 0
     assert len(json.loads(out)["factorizations"][0]["lifted_factors"][0]) == len("x+") + INT_LIMIT
+
+
+@needs_int_limit
+def test_count_past_the_print_limit_is_a_budget_error(capsys):
+    """GR(2^t, 10) over x-1 has full code and component ring of 2^(10t)
+    elements.  The largest t with 2^(10t) < 10^limit prints both counts;
+    one more gives one `budget_exceeded` line for every command that
+    prints a count, not a `ValueError` from printing it.  The dual of the
+    zero code is the full code."""
+    t = ((10**INT_LIMIT).bit_length() - 1) // 10
+    size = 2 ** (10 * t)
+    ring = json.dumps({"kind": "galois", "p": 2, "t": t, "l": 10})
+    for argv in (["info", "--exponents", "[0]"], ["dual", "--exponents", f"[{t}]"]):
+        code, out = run(capsys, *argv, "--ring", ring, "--moduli", "x-1")
+        assert code == 0 and json.loads(out)["cardinality"] == str(size)
+    code, out = run(capsys, "classes", "--full", "--ring", ring, "--moduli", "x-1")
+    assert code == 0 and json.loads(out)["class_data"][0]["component_size"] == size
+    ring = json.dumps({"kind": "galois", "p": 2, "t": t + 1, "l": 10})
+    for argv in (["info", "--exponents", "[0]"], ["classes", "--full"], ["enumerate"], ["dual", "--exponents", f"[{t + 1}]"]):
+        code, out = run(capsys, *argv, "--ring", ring, "--moduli", "x-1")
+        assert code == 2
+        [line] = out.splitlines()
+        assert json.loads(line)["code"] == "budget_exceeded"

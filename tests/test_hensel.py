@@ -121,9 +121,10 @@ def test_lift_idempotent_high_nilpotency():
 
 
 def test_shift_down_divides_once(monkeypatch):
-    """Step k of the lift divides each coefficient of its defect f - prod
-    by a^k with one `_div_a` call.  Over Z_{2^t} the factors that enter
-    step k are the final lifts mod 2^k: each step adds one binary digit."""
+    """Step k of the lift shifts its whole defect f - prod down by a^k with
+    one `_lane_shift(lanes, -k)` call on the defect's lanes.  Over Z_{2^t}
+    the factors that enter step k are the final lifts mod 2^k: each step
+    adds one binary digit."""
     for t in (2, 5, 300):
         ring = ring_construct({"kind": "galois", "p": 2, "t": t, "l": 1})
         f = Poly.from_ints(ring, [-1, 0, 0, 0, 0, 0, 0, 1])
@@ -137,17 +138,45 @@ def test_shift_down_divides_once(monkeypatch):
             defect = f - prod
             if defect.is_zero():
                 break
-            want += [(c, k) for c in defect.data]
-        real = ring._div_a
+            want.append((tuple(ring._lanes(defect.data)), -k))
+        real = ring._lane_shift
         calls = []
 
-        def counted(a, k):
-            calls.append((a, k))
-            return real(a, k)
+        def counted(lanes, k):
+            if k < 0:
+                calls.append((tuple(lanes), k))
+            return real(lanes, k)
 
-        monkeypatch.setattr(ring, "_div_a", counted)
+        monkeypatch.setattr(ring, "_lane_shift", counted)
         assert lift_factorization(f, rf).factors == final
         assert calls == want and len({k for _, k in want}) == t - 1
+
+
+@pytest.mark.parametrize(
+    "desc, text",
+    [
+        ({"kind": "galois", "p": 2, "t": 300, "l": 1}, "x^7-1"),
+        ({"kind": "galois", "p": 2, "t": 2, "l": 2}, "x^15-1"),
+        ({"kind": "truncated", "p": 3, "t": 2, "l": 1}, "x^13-1"),
+    ],
+    ids=["Z_2^300", "GR(4,2)", "F3[u]/u^2"],
+)
+def test_lift_steps_map_whole_lane_vectors(desc, text, monkeypatch):
+    """The lift reads its defects and corrections through the `Poly` lane
+    views alone: no element-level lift, residue or division by a^k."""
+    from chaincodes.polys import parse_univariate
+
+    ring = ring_construct(desc)
+    f = parse_univariate(text, ring)
+    rf = factor_squarefree(f.residue(), seed=0)
+    want = lift_factorization(f, rf).factors
+
+    def forbidden(*args):
+        raise AssertionError("an element-level lane map was called")
+
+    for name in ("_lift", "_residue", "_div_a"):
+        monkeypatch.setattr(ring, name, forbidden)
+    assert lift_factorization(f, rf).factors == want and len(want) == len(rf) > 1
 
 
 def _shift_down(ring, c, k):
@@ -229,10 +258,16 @@ LIFT_CASES = [
     ({"kind": "truncated", "p": 3, "t": 2, "l": 1}, ["x^13-1"]),
     ({"kind": "galois", "p": 2, "t": 1, "l": 2}, ["x^21-1"]),
     ({"kind": "galois", "p": 3, "t": 2, "l": 1}, ["x^4-1", "y^4-1", "x^8-1"]),
+    # and long lifts, over both kinds of radical generator
+    ({"kind": "galois", "p": 2, "t": 300, "l": 1}, ["x^7-1"]),
+    ({"kind": "galois", "p": 3, "t": 50, "l": 1}, ["x^10-1"]),
+    ({"kind": "truncated", "p": 3, "t": 12, "l": 2}, ["x^8-1"]),
 ]
 
 
-@pytest.mark.parametrize("desc, moduli", LIFT_CASES, ids=["Z4", "GR(4,2)", "Z8", "F3[u]/u^2", "GF(4)", "Z9"])
+@pytest.mark.parametrize(
+    "desc, moduli", LIFT_CASES, ids=["Z4", "GR(4,2)", "Z8", "F3[u]/u^2", "GF(4)", "Z9", "Z_2^300", "Z_3^50", "F9[u]/u^12"]
+)
 def test_lift_factorization_matches_pairwise_reference(desc, moduli):
     from chaincodes.polys import parse_univariate
 

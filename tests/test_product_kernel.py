@@ -425,8 +425,9 @@ def test_poly_ops_match_per_coefficient_reference(ring):
 
 
 def test_poly_ops_build_no_ring_element(ring, monkeypatch):
-    """+ - * divmod == hash monic derivative residue rank_key pow_mod and
-    poly_gcd run on payloads alone: no `RingElem` is built."""
+    """+ - * divmod == hash monic derivative residue valuation times_a
+    lift_to rank_key pow_mod and poly_gcd run on payloads alone: no
+    `RingElem` is built."""
     rng = random.Random(16)
     unit = _elem(ring, rng, unit=True)
     f, g = _poly(ring, rng, 6), _poly(ring, rng, 3, lead=unit)
@@ -444,6 +445,9 @@ def test_poly_ops_build_no_ring_element(ring, monkeypatch):
         "monic": lambda: g.monic(),
         "derivative": lambda: f.derivative(),
         "residue": lambda: f.residue(),
+        "valuation": lambda: f.valuation(),
+        "times_a": lambda: (f.times_a(ring.t - 1), f.times_a(ring.t - 1).times_a(1 - ring.t)),
+        "lift_to": lambda: u.lift_to(ring),
         "rank_key": lambda: f.rank_key(),
         "pow_mod": lambda: polys.pow_mod(f, ring.q + 3, mod),
         "poly_gcd": lambda: polys.poly_gcd(u, v),
@@ -457,6 +461,46 @@ def test_poly_ops_build_no_ring_element(ring, monkeypatch):
     monkeypatch.setattr(RingElem, "__init__", forbidden)
     for name, op in ops.items():
         assert op() == want[name], name
+
+
+def test_poly_lane_views_match_per_coefficient_reference(ring):
+    """`Poly.valuation`, `times_a`, `residue` and `lift_to`, and the lane
+    sums, negation and derivative, against one `RingElem` operation per
+    coefficient: the least valuation (t for zero), c * a^k and the exact
+    quotient by a^k, c.residue(), ring.lift(c), c + d, -c and c * i, with
+    degrees past the lane modulus so that i * c can vanish."""
+    rng = random.Random(17)
+    field = ring.residue_field
+    degrees = (0, 1, 4, ring.lane_modulus + 3) if ring.lane_modulus < 20 else (0, 1, 4, 9)
+    operands = [Poly.zero(ring, var=1)] + [_poly(ring, rng, d, var=1) for d in degrees]
+    shifts = sorted({0, 1, 2, ring.t - 1, ring.t, ring.t + 1})
+    operands += [f.times_a(k) for f in operands[2:] for k in shifts[1:-1]]
+    for f in operands:
+        assert f.valuation() == min([c.valuation() for c in f.coeffs], default=ring.t)
+        for k in shifts:
+            g = f.times_a(k)
+            assert g.var == 1 and g.data == Poly.from_coeffs(ring, [c * ring.a**k for c in f.coeffs]).data
+            if k <= f.valuation():
+                want = Poly.from_coeffs(ring, [ring.divide_by_a(c, k) for c in f.coeffs])
+                assert f.times_a(-k).data == want.data and f.times_a(-k).times_a(k) == f
+        res = f.residue()
+        assert res.ring is field and res.var == 1
+        assert res.data == Poly.from_coeffs(field, [c.residue() for c in f.coeffs]).data
+        lifted = res.lift_to(ring)
+        assert lifted.var == 1 and lifted.data == Poly.from_coeffs(ring, [ring.lift(c) for c in res.coeffs]).data
+        assert lifted.residue() == res
+        assert (-f).data == Poly.from_coeffs(ring, [-c for c in f.coeffs]).data
+        want = Poly.from_coeffs(ring, [c * i for i, c in enumerate(f.coeffs)][1:], var=1)
+        assert f.derivative().data == want.data and f.derivative().var == 1
+        for g in operands:
+            n = max(len(f.data), len(g.data))
+            want = [a + b for a, b in zip(_padded(f, n), _padded(g, n))]
+            assert (f + g).data == Poly.from_coeffs(ring, want).data
+            want = [a - b for a, b in zip(_padded(f, n), _padded(g, n))]
+            assert (f - g).data == Poly.from_coeffs(ring, want).data
+    if field is not ring:
+        with pytest.raises(DomainError):
+            operands[-1].lift_to(ring)
 
 
 def _extensions(ring):
