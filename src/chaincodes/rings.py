@@ -142,8 +142,9 @@ class ChainRing:
 
     The radical generator a is p, or u when a rule-less u is present, so
     the ``_lane_*`` maps read a lane vector of any number of elements -- a
-    payload, or the lanes of a `Poly` or an `MPoly` -- in two cases: lanes mod p or
-    divided by p^k, or the lanes at u-level 0 or shifted by k u-levels.
+    payload, or the lanes of a `Poly` or an `MPoly` -- in two cases: lanes
+    mod p or divided by p^k, or the lanes at u-level 0 or shifted by k
+    u-levels.
     """
 
     def _coords(self, a):
