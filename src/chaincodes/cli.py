@@ -26,7 +26,7 @@ from . import oracle as oracle_mod
 from .decompose import decompose
 from .errors import BudgetExceeded, DomainError, InternalError
 from .polys import Ambient, parse_univariate, poly_to_text
-from .rings import ring_construct
+from .rings import printable_count, ring_construct
 
 
 def _dump(obj):
@@ -109,6 +109,10 @@ def _cmd_classes(args):
         "classes": [cls.to_json() for cls in dec.classes],
     }
     if args.full:
+        # component C is a Galois extension of degree |C| of the ring, so its
+        # size is checked before the class data is built
+        for cls in dec.classes:
+            printable_count(ambient.ring.size**cls.size, "component size")
         out["class_data"] = [cd.to_json(ambient) for cd in dec.data]
     return out
 

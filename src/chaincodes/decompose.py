@@ -71,7 +71,7 @@ from .errors import DomainError, InternalError
 from .factor import cyclotomic_classes, factor_squarefree, splitting_data
 from .hensel import lift_factorization, lift_idempotent
 from .polys import Poly, _embed_poly, _poly_over_tower_to_mpoly, poly_to_text
-from .rings import ExtensionRing, printable_count
+from .rings import ExtensionRing
 
 
 def _lane_width(p):
@@ -175,7 +175,7 @@ class ClassData:
             "h": self.h.to_text(),
             "e": self.e.to_text(),
             "g": self.g.to_text(),
-            "component_size": printable_count(self.component_size, "component size"),
+            "component_size": self.component_size,
         }
         r = len(self.p_polys)
         if r > 1:

@@ -10,19 +10,24 @@ R[X_1,...,X_r]/<X_1^tau - 1, X_2^2 - 1, ..., X_r^2 - 1>; that ambient is
 deliberately not semisimple (X_i^2 - 1 is a square mod 2) and is built with
 the unchecked flag.
 
+Each fact is computed once, with the library's mechanisms: th is the
+Teichmuller lift of the factorizer's least-rank generator of the residue
+field of S, the digits g0, g1 are `ChainRing.adic_digits`, gamma* and (+)
+are tabulated once per alphabet symbol, and the embedding reads each
+coefficient unit from the instance's unit list.
+
 Only q = 2 with small odd m is wired into the CLI; the construction itself
 is generic in (l, m).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, InternalError
-from .factor import prime_factors
+from .factor import _multiplicative_generator
 from .polys import Ambient, Poly
 from .rings import ExtensionRing, default_modulus, ring_construct, ring_trace
 
@@ -31,8 +36,8 @@ class KerdockInstance(namedtuple("KerdockInstance", "q m R S theta tau teich_R u
     """The rings, Teichmuller data and unit group of one (q, m) instance:
     ``theta`` generates the Teichmuller group of S, tau = q^m - 1,
     ``teich_R`` is Gamma(R) = {w_0 = 0, w_1, ..., w_{q-1}}, ``units`` is
-    U = 1 + 2R in the eta-product order and ``etas`` are the order-2
-    generators of U."""
+    U = 1 + 2R in the eta-product order (see `_unit_products`) and
+    ``etas`` are the order-2 generators of U."""
 
     __slots__ = ()
 
@@ -50,7 +55,11 @@ def kerdock_instance(q=2, m=3):
     S = ExtensionRing(R, modulus, check=False)
 
     tau = q**m - 1
-    theta = _teichmuller_generator(S, tau)
+    # T(lift(.)) maps the residue field's units isomorphically onto the
+    # Teichmuller units, so the least-rank generator lifts to one of order tau
+    theta = S.teichmuller(S.lift(_multiplicative_generator(S.residue_field)))
+    if theta**tau != S.one:  # pragma: no cover
+        raise InternalError("the Teichmuller generator does not have order tau")
     teich_R = _ordered_teichmuller(R)
     etas = _unit_generators(R)
     units = _unit_products(R, etas)
@@ -58,15 +67,6 @@ def kerdock_instance(q=2, m=3):
         q=q, m=m, R=R, S=S, theta=theta, tau=tau,
         teich_R=teich_R, units=units, etas=etas,
     )
-
-
-def _teichmuller_generator(S, tau):
-    nonzero = [g for g in S.teichmuller_set() if not g.is_zero()]
-    primes = prime_factors(tau)
-    for g in nonzero:
-        if g**tau == S.one and all(g ** (tau // p) != S.one for p in primes):
-            return g
-    raise InternalError("no Teichmuller generator found")  # pragma: no cover
 
 
 def _ordered_teichmuller(R):
@@ -89,21 +89,18 @@ def _unit_generators(R):
 
 
 def _unit_products(R, etas):
-    """U in the eta-exponent mixed-radix order (first eta fastest)."""
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(etas)):
-        u = R.one
-        for b, eta in zip(bits, etas):
-            if b:
-                u = u * eta
-        out.append(u)
+    """U in the eta-exponent mixed-radix order: units[i] is the product of
+    the eta_j over the set bits j of i, the first eta the lowest bit."""
+    out = [R.one]
+    for eta in etas:
+        out += [u * eta for u in out]
     return out
 
 
 def teichmuller_decompose(S, x):
-    """The unique (g0, g1) in Gamma(S)^2 with x = g0 + 2 g1."""
-    g0 = S.teichmuller(x)
-    g1 = S.teichmuller(S.divide_by_a(x - g0))
+    """The unique (g0, g1) in Gamma(S)^2 with x = g0 + 2 g1: the 2-adic
+    digits of x, since t = 2."""
+    g0, g1 = S.adic_digits(x)
     return g0, g1
 
 
@@ -165,52 +162,43 @@ def gamma_star(inst, a):
 
 
 def kerdock_project(inst, words):
-    """Apply gamma* coordinatewise: length tau*q words over Gamma(R)."""
-    out = []
-    for word in words:
-        img = []
-        for a in word:
-            img.extend(gamma_star(inst, a))
-        out.append(tuple(img))
-    return out
+    """Apply gamma* coordinatewise: length tau*q words over Gamma(R), from
+    one table of gamma* over R."""
+    image = {a.data: gamma_star(inst, a) for a in inst.R.elements()}
+    return [tuple(c for a in word for c in image[a.data]) for word in words]
 
 
 def _pairwise_min_distance(words):
-    """Exact minimum Hamming distance of a (possibly nonlinear) code."""
-    alphabet = {c.data for w in words for c in w}
-    if alphabet <= {words[0][0].ring._zero, words[0][0].ring._one}:
-        # binary alphabet: pack into ints, distance = popcount of the xor
-        zero = words[0][0].ring._zero
-        masks = [
-            sum(1 << i for i, c in enumerate(w) if c.data != zero) for w in words
-        ]
-        best = None
-        for i, u in enumerate(masks):
-            for v in masks[i + 1 :]:
-                d = (u ^ v).bit_count()
-                if best is None or d < best:
-                    best = d
-                    if best == 1:
-                        return best
-        return best
+    """Exact minimum Hamming distance of a (possibly nonlinear) code, None
+    below two words.  Each word packs one-hot, one bit per (coordinate,
+    symbol), so two words differ in popcount(u ^ v) / 2 coordinates."""
+    index = {}
+    for w in words:
+        for c in w:
+            index.setdefault(c.data, len(index))
+    s = len(index)
+    masks = [sum(1 << (i * s + index[c.data]) for i, c in enumerate(w)) for w in words]
     best = None
-    for i, u in enumerate(words):
-        for v in words[i + 1 :]:
-            d = sum(1 for a, b in zip(u, v) if a != b)
+    for i, u in enumerate(masks):
+        for v in masks[i + 1 :]:
+            d = (u ^ v).bit_count()
             if best is None or d < best:
                 best = d
-                if best == 1:
-                    return best
-    return best
+                if best == 2:
+                    return 1
+    return None if best is None else best // 2
 
 
 def nonlinearity_witness(inst, projected):
-    """Two codewords whose coordinatewise (+)-sum is not a codeword."""
+    """Two codewords whose coordinatewise (+)-sum is not a codeword; (+) is
+    tabulated once per pair of symbols that occur."""
     R = inst.R
+    symbols = {c.data: c for w in projected for c in w}.values()
+    add = {(a.data, b.data): teich_add(R, a, b) for a in symbols for b in symbols}
     codeset = set(projected)
     for i, u in enumerate(projected):
         for v in projected[i + 1 :]:
-            s = tuple(teich_add(R, a, b) for a, b in zip(u, v))
+            s = tuple(add[a.data, b.data] for a, b in zip(u, v))
             if s not in codeset:
                 return u, v
     return None
@@ -218,7 +206,8 @@ def nonlinearity_witness(inst, projected):
 
 def polycyclic_embed(inst, words=None):
     """The multivariable form: coefficient of X_1^{i_1} X_2^{i_2} ... is
-    (Tr(xi th^{i_1}) + a) * eta_1^{i_2} * ... ; returns (ambient, codewords)."""
+    (Tr(xi th^{i_1}) + a) * eta_1^{i_2} * ..., the unit being
+    units[i_2 + 2 i_3 + ...]; returns (ambient, codewords)."""
     R = inst.R
     r = len(inst.etas) + 1
     moduli = [Poly.from_ints(R, [-1] + [0] * (inst.tau - 1) + [1], var=0)]
@@ -227,17 +216,12 @@ def polycyclic_embed(inst, words=None):
     ambient = Ambient(R, moduli, unchecked=True)
     if words is None:
         words = base_linear_code(inst)
-    out = []
-    for word in words:
-        vec = [R.zero] * ambient.n
-        for rank in range(ambient.n):
-            exps = ambient.exps(rank)
-            u = R.one
-            for b, eta in zip(exps[1:], inst.etas):
-                if b:
-                    u = u * eta
-            vec[rank] = word[exps[0]] * u
-        out.append(ambient.from_vector(vec))
+    # the first variable runs fastest: rank = i_1 + tau * (i_2 + 2 i_3 + ...)
+    tau, units = inst.tau, inst.units
+    out = [
+        ambient.from_vector([word[k % tau] * units[k // tau] for k in range(ambient.n)])
+        for word in words
+    ]
     if len(set(out)) != len(out):  # pragma: no cover
         raise InternalError("polycyclic embedding is not injective")
     return ambient, out

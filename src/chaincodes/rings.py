@@ -534,14 +534,15 @@ class ExtensionRing(LaneRing):
 class TruncatedRing(LaneRing):
     """F_q[u]/(u^t): chain ring of characteristic p with radical generator
     u; an element's lanes are the field lanes of its coordinates at u^0,
-    ..., u^{t-1}, one block per power of u."""
+    ..., u^{t-1}, one block per power of u.  At t = 1 it is its own residue
+    field, as every ring with t = 1 is."""
 
     def __init__(self, field, t):
         if field.t != 1:
             raise DomainError("truncated ring coefficients must form a field")
         if t < 1:
             raise DomainError(f"nilpotency index t = {t} must be >= 1")
-        self.field = self.residue_field = field
+        self.field, self.residue_field = field, self if t == 1 else field
         self.p = field.p
         self.t = t
         self.l = field.l

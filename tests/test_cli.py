@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from chaincodes.cli import main
+from chaincodes.decompose import Decomposition
 
 Z4 = '{"kind":"galois","p":2,"t":2,"l":1}'
 Z9 = '{"kind":"galois","p":3,"t":2,"l":1}'
@@ -502,6 +503,45 @@ def test_ring_past_the_print_limit_is_a_budget_error(capsys):
     code, out = run(capsys, "factor", "--ring", json.dumps({"kind": "galois", "p": 2, "t": t}), "--moduli", "x-1")
     assert code == 0
     assert len(json.loads(out)["factorizations"][0]["lifted_factors"][0]) == len("x+") + INT_LIMIT
+
+
+@needs_int_limit
+def test_component_size_past_the_print_limit_is_refused_before_class_data(capsys, monkeypatch):
+    """Over Z_(2^5000), x^7-1 has classes of size 3, whose components have
+    2^15000 elements; the count is refused without building class data."""
+    def unbuilt(self):
+        raise AssertionError("class data was built")
+
+    monkeypatch.setattr(Decomposition, "data", property(unbuilt))
+    ring = json.dumps({"kind": "galois", "p": 2, "t": 5000})
+    code, out = run(capsys, "classes", "--full", "--ring", ring, "--moduli", "x^7-1")
+    assert code == 2
+    [line] = out.splitlines()
+    assert json.loads(line)["code"] == "budget_exceeded"
+
+
+@pytest.mark.parametrize("moduli", [["x^7-1"], ["x^3-1", "y^5-1"]])
+def test_component_size_is_the_ring_size_to_the_class_size(capsys, moduli):
+    code, out = run(capsys, "classes", "--full", "--ring", Z4, "--moduli", *moduli)
+    assert code == 0
+    for cd in json.loads(out)["class_data"]:
+        assert cd["component_size"] == 4 ** cd["class"]["size"]
+
+
+@pytest.mark.parametrize("field", [{"p": 2}, {"p": 3, "l": 2}])
+@pytest.mark.parametrize("moduli", [["x^7-1"], ["x^3+x+1"], ["x^5-1", "y^4-1"]])
+@pytest.mark.parametrize("command", [["factor"], ["classes", "--full"]])
+def test_truncated_ring_at_t1_is_its_field(capsys, field, moduli, command):
+    """F_q[u]/(u) is F_q: factor and classes print what they print over the
+    Galois field, apart from the echoed ring."""
+    outs = []
+    for kind in ("truncated", "galois"):
+        ring = json.dumps({"kind": kind, "t": 1, **field})
+        code, out = run(capsys, *command, "--ring", ring, "--moduli", *moduli)
+        obj = json.loads(out)
+        obj.pop("ring", None)
+        outs.append((code, obj))
+    assert outs[0] == outs[1]
 
 
 @needs_int_limit

@@ -2,12 +2,16 @@
 
 import itertools
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 
 from chaincodes import DomainError, base_linear_code, kerdock_demo, kerdock_instance
+from chaincodes import kerdock as kerdock_mod
+from chaincodes.factor import prime_factors
 from chaincodes.kerdock import (
+    _pairwise_min_distance,
     distance_formula_candidates,
     gamma_star,
     kerdock_project,
@@ -184,3 +188,103 @@ def test_rejects_bad_parameters():
         kerdock_instance(2, 4)  # m must be odd
     with pytest.raises(DomainError):
         kerdock_instance(3, 3)  # q must be a power of 2
+
+
+def _scanned_teichmuller_generator(S, tau):
+    """The first element of order tau in `teichmuller_set`, the reference
+    for theta."""
+    nonzero = [g for g in S.teichmuller_set() if not g.is_zero()]
+    primes = prime_factors(tau)
+    for g in nonzero:
+        if g**tau == S.one and all(g ** (tau // p) != S.one for p in primes):
+            return g
+
+
+@pytest.mark.parametrize("q, m", [(2, 3), (2, 5), (2, 7), (4, 3), (8, 3)])
+def test_theta_is_the_first_teichmuller_element_of_order_tau(q, m):
+    inst = kerdock_instance(q, m)
+    assert inst.theta == _scanned_teichmuller_generator(inst.S, inst.tau)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_units_run_first_eta_fastest(q):
+    inst = kerdock_instance(q, 3)
+    R = inst.R
+    assert len(inst.units) == 2 ** len(inst.etas) == q
+    for i, u in enumerate(inst.units):
+        want = R.one
+        for j, eta in enumerate(inst.etas):
+            if i >> j & 1:
+                want = want * eta
+        assert u == want
+    assert len(set(inst.units)) == q
+
+
+def test_polycyclic_embed_matches_the_per_rank_eta_product():
+    inst = kerdock_instance(4, 3)
+    R = inst.R
+    rng = random.Random(1)
+    elems = list(R.elements())
+    words = [tuple(rng.choice(elems) for _ in range(inst.tau)) for _ in range(3)]
+    ambient, embedded = polycyclic_embed(inst, words)
+    assert ambient.r == 3 and ambient.n == 4 * inst.tau
+    for word, mp in zip(words, embedded):
+        for rank in range(ambient.n):
+            exps = ambient.exps(rank)
+            u = R.one
+            for b, eta in zip(exps[1:], inst.etas):
+                if b:
+                    u = u * eta
+            assert mp.coeffs[rank] == word[exps[0]] * u
+
+
+def _per_coordinate_min_distance(words):
+    """The reference loop, which stops at distance 1 as the demo's does."""
+    best = None
+    for i, u in enumerate(words):
+        for v in words[i + 1 :]:
+            d = sum(1 for a, b in zip(u, v) if a != b)
+            if best is None or d < best:
+                best = d
+                if best == 1:
+                    return best
+    return best
+
+
+@pytest.mark.parametrize("symbols", [2, 3, 4])
+def test_pairwise_min_distance_matches_the_per_coordinate_loop(inst, symbols):
+    alphabet = list(inst.R.elements())[:symbols]
+    rng = random.Random(symbols)
+    for count in (0, 1, 2, 3, 9, 30):
+        for length in (1, 5, 12):
+            words = [tuple(rng.choice(alphabet) for _ in range(length)) for _ in range(count)]
+            assert _pairwise_min_distance(words) == _per_coordinate_min_distance(words)
+    assert _pairwise_min_distance([()]) is None
+    assert _pairwise_min_distance([tuple(alphabet)] * 2) == 0
+
+
+def test_teichmuller_decompose_is_two_teichmuller_maps(inst):
+    for ring in (inst.R, inst.S):
+        for x in ring.elements():
+            g0 = ring.teichmuller(x)
+            g1 = ring.teichmuller(ring.divide_by_a(x - g0))
+            assert teichmuller_decompose(ring, x) == (g0, g1)
+
+
+def test_demo_maps_each_symbol_once(monkeypatch):
+    """gamma* is computed once per element of R and (+) once per pair of
+    Teichmuller symbols, beside the q - 1 sums inside each gamma*."""
+    calls = {"gamma_star": 0, "teich_add": 0}
+    for name in calls:
+        real = getattr(kerdock_mod, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(kerdock_mod, name, counted)
+    inst = kerdock_instance(2, 3)
+    kerdock_demo(2, 3)
+    size, teich = inst.R.size, len(inst.teich_R)
+    assert calls["gamma_star"] <= size
+    assert calls["teich_add"] <= size * (inst.q - 1) + teich**2
